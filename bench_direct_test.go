@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fdgen"
 	"repro/internal/parser"
 	"repro/internal/query"
@@ -46,16 +45,16 @@ func BenchmarkDirectVsRepair(b *testing.B) {
 			name   string
 			engine session.Engine
 		}{
-			{"search", core.EngineSearch},
-			{"program", core.EngineProgram},
-			{"direct", core.EngineDirect},
+			{"search", session.EngineSearch},
+			{"program", session.EngineProgram},
+			{"direct", session.EngineDirect},
 		} {
 			b.Run(fmt.Sprintf("rows=1000/violations=%d/%s", v, eng.name), func(b *testing.B) {
-				opts := core.NewOptions()
+				opts := session.NewOptions()
 				opts.Engine = eng.engine
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ans, err := core.ConsistentAnswers(d, set, q, opts)
+					ans, err := session.New(d, set, opts).Answer(q)
 					if err != nil || len(ans.Tuples) != 0 {
 						b.Fatalf("certain=%d err=%v", len(ans.Tuples), err)
 					}
@@ -73,12 +72,12 @@ func BenchmarkDirectVsRepair(b *testing.B) {
 	for _, rows := range []int{10_000, 100_000, 1_000_000} {
 		cfg := fdgen.Config{Rows: rows, Violations: rows / 8, Seed: 7}
 		d, set := fdgen.Generate(cfg)
-		opts := core.NewOptions()
-		opts.Engine = core.EngineDirect
+		opts := session.NewOptions()
+		opts.Engine = session.EngineDirect
 		b.Run(fmt.Sprintf("rows=%d/violations=%d/direct-cold", rows, rows/8), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ans, err := core.ConsistentAnswers(d, set, q, opts)
+				ans, err := session.New(d, set, opts).Answer(q)
 				if err != nil || len(ans.Tuples) != 0 {
 					b.Fatalf("certain=%d err=%v", len(ans.Tuples), err)
 				}
@@ -114,8 +113,8 @@ func BenchmarkDirectSessionUpdate(b *testing.B) {
 	q := directBenchQuery()
 
 	b.Run("session", func(b *testing.B) {
-		opts := core.NewOptions()
-		opts.Engine = core.EngineDirect
+		opts := session.NewOptions()
+		opts.Engine = session.EngineDirect
 		s := session.New(d.Clone(), set, opts)
 		if _, err := s.Answer(q); err != nil {
 			b.Fatal(err)
@@ -143,9 +142,9 @@ func BenchmarkDirectSessionUpdate(b *testing.B) {
 			for _, f := range dl.Added {
 				cur.Insert(f)
 			}
-			opts := core.NewOptions()
-			opts.Engine = core.EngineDirect
-			if _, err := core.ConsistentAnswers(cur, set, q, opts); err != nil {
+			opts := session.NewOptions()
+			opts.Engine = session.EngineDirect
+			if _, err := session.New(cur, set, opts).Answer(q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -169,8 +168,8 @@ func BenchmarkSessionSustained(b *testing.B) {
 		at time.Time
 	}
 
-	opts := core.NewOptions()
-	opts.Engine = core.EngineDirect
+	opts := session.NewOptions()
+	opts.Engine = session.EngineDirect
 	s := session.New(d.Clone(), set, opts)
 	if _, err := s.Answer(q); err != nil {
 		b.Fatal(err)

@@ -15,7 +15,6 @@ import (
 
 	nullcqa "repro"
 	"repro/internal/constraint"
-	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/ground"
 	"repro/internal/nullsem"
@@ -341,20 +340,20 @@ func BenchmarkCQA(b *testing.B) {
 	for _, k := range []int{1, 3} {
 		d, set := courseStudentDB(k)
 		b.Run(fmt.Sprintf("search/violations=%d", k+1), func(b *testing.B) {
-			opts := core.NewOptions()
+			opts := session.NewOptions()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ConsistentAnswers(d, set, q, opts); err != nil {
+				if _, err := session.New(d, set, opts).Answer(q); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("program/violations=%d", k+1), func(b *testing.B) {
-			opts := core.NewOptions()
-			opts.Engine = core.EngineProgram
+			opts := session.NewOptions()
+			opts.Engine = session.EngineProgram
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ConsistentAnswers(d, set, q, opts); err != nil {
+				if _, err := session.New(d, set, opts).Answer(q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -401,11 +400,11 @@ func BenchmarkPruningAblation(b *testing.B) {
 func BenchmarkCQACautious(b *testing.B) {
 	d, set := courseStudentDB(2)
 	q := parser.MustQuery(`q(Id) :- student(Id, Name).`)
-	opts := core.NewOptions()
-	opts.Engine = core.EngineProgramCautious
+	opts := session.NewOptions()
+	opts.Engine = session.EngineProgramCautious
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ans, err := core.ConsistentAnswers(d, set, q, opts)
+		ans, err := session.New(d, set, opts).Answer(q)
 		if err != nil || len(ans.Tuples) != 2 {
 			b.Fatalf("ans=%v err=%v", ans.Tuples, err)
 		}
@@ -484,11 +483,11 @@ func BenchmarkBooleanShortCircuit(b *testing.B) {
 	d, set := courseStudentDB(6)
 	refuted := parser.MustQuery(`q :- course(34, c18).`)
 	certain := parser.MustQuery(`q :- student(21, "Ann").`)
-	opts := core.NewOptions()
+	opts := session.NewOptions()
 	b.Run("refuted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ans, err := core.ConsistentAnswers(d, set, refuted, opts)
+			ans, err := session.New(d, set, opts).Answer(refuted)
 			if err != nil || ans.Boolean || !ans.ShortCircuited {
 				b.Fatalf("ans=%+v err=%v", ans, err)
 			}
@@ -497,7 +496,7 @@ func BenchmarkBooleanShortCircuit(b *testing.B) {
 	b.Run("certain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ans, err := core.ConsistentAnswers(d, set, certain, opts)
+			ans, err := session.New(d, set, opts).Answer(certain)
 			if err != nil || !ans.Boolean || ans.ShortCircuited {
 				b.Fatalf("ans=%+v err=%v", ans, err)
 			}
@@ -1004,22 +1003,23 @@ func BenchmarkGroundExtend(b *testing.B) {
 
 // BenchmarkCQAProgramMultiQuery is the end-to-end mirror of GroundExtend:
 // eight consistent-answer computations over one inconsistent database,
-// "separate" via one ConsistentAnswers call per query (each re-building and
-// re-grounding the repair program), "shared" via CautiousMany (one
-// translation, one base grounding, per-query extension).
+// "separate" via one throwaway session per query (each re-building and
+// re-grounding the repair program), "shared" via one cautious session
+// answering every query (one translation, one base grounding, per-query
+// extension).
 func BenchmarkCQAProgramMultiQuery(b *testing.B) {
 	d, set := stableRepairDB(3, 16)
 	queries := make([]*query.Q, len(extendQueryZoo))
 	for i, src := range extendQueryZoo {
 		queries[i] = parser.MustQuery(src)
 	}
-	opts := core.NewOptions()
-	opts.Engine = core.EngineProgramCautious
+	opts := session.NewOptions()
+	opts.Engine = session.EngineProgramCautious
 	b.Run("separate", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				if _, err := core.ConsistentAnswers(d, set, q, opts); err != nil {
+				if _, err := session.New(d, set, opts).Answer(q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1028,9 +1028,11 @@ func BenchmarkCQAProgramMultiQuery(b *testing.B) {
 	b.Run("shared", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ans, err := core.CautiousMany(d, set, queries, opts)
-			if err != nil || len(ans) != len(queries) {
-				b.Fatalf("answers=%d err=%v", len(ans), err)
+			s := session.New(d, set, opts)
+			for _, q := range queries {
+				if _, err := s.Answer(q); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
@@ -1114,7 +1116,7 @@ func sessionBenchQueries() []*query.Q {
 func BenchmarkSessionUpdate(b *testing.B) {
 	d, set := sessionBenchDB()
 	queries := sessionBenchQueries()
-	opts := core.NewOptions()
+	opts := session.NewOptions()
 
 	sessionSide := func(deltas []relational.Delta) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -1147,7 +1149,7 @@ func BenchmarkSessionUpdate(b *testing.B) {
 					cur.Insert(f)
 				}
 				for _, q := range queries {
-					if _, err := core.ConsistentAnswers(cur, set, q, opts); err != nil {
+					if _, err := session.New(cur, set, opts).Answer(q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -1169,7 +1171,7 @@ func BenchmarkSessionUpdate(b *testing.B) {
 func BenchmarkSessionPreparedQuery(b *testing.B) {
 	d, set := sessionBenchDB()
 	q := parser.MustQuery(`q(Id) :- student(Id, Name).`)
-	opts := core.NewOptions()
+	opts := session.NewOptions()
 
 	b.Run("session", func(b *testing.B) {
 		s := session.New(d.Clone(), set, opts)
@@ -1188,7 +1190,7 @@ func BenchmarkSessionPreparedQuery(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ans, err := core.ConsistentAnswers(d, set, q, opts)
+			ans, err := session.New(d, set, opts).Answer(q)
 			if err != nil || len(ans.Tuples) != 998 {
 				b.Fatalf("answers=%d err=%v", len(ans.Tuples), err)
 			}

@@ -46,7 +46,6 @@ import (
 	"strings"
 
 	"repro/internal/constraint"
-	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/engine"
 	"repro/internal/ground"
@@ -57,6 +56,7 @@ import (
 	"repro/internal/relational"
 	"repro/internal/repair"
 	"repro/internal/repairprog"
+	"repro/internal/session"
 	"repro/internal/stable"
 	"repro/internal/wire"
 )
@@ -156,12 +156,6 @@ func run(args []string) (retErr error) {
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-}
-
-// engineOptions maps the -engine/-workers flags onto session options via
-// the shared registry; the answers and session commands share the mapping.
-func engineOptions(name string, workers int) (core.Options, error) {
-	return engine.Options(name, workers)
 }
 
 // emitJSON writes one compact wire document per line, exactly as the cqad
@@ -268,12 +262,12 @@ func cmdRepairs(d *relational.Instance, set *constraint.Set, name string, classi
 	}
 }
 
-func cmdAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, engine string, workers int, jsonOut bool) error {
-	opts, err := engineOptions(engine, workers)
+func cmdAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, engineName string, workers int, jsonOut bool) error {
+	opts, err := engine.Options(engineName, workers)
 	if err != nil {
 		return err
 	}
-	ans, err := core.ConsistentAnswers(d, set, q, opts)
+	ans, err := session.New(d, set, opts).Answer(q)
 	if err != nil {
 		return err
 	}

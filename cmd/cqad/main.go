@@ -51,6 +51,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 )
 
@@ -79,7 +80,9 @@ func run(args []string) error {
 		MaxInflight: *inflight,
 		MaxSessions: *maxSessions,
 	})
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGTERM is how kill, systemd and Kubernetes stop a service; both
+	// signals drain in-flight requests and SSE streams through Shutdown.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go srv.janitor(ctx)
 

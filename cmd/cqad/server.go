@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/constraint"
-	"repro/internal/core"
 	"repro/internal/direct"
 	"repro/internal/engine"
 	"repro/internal/parser"
@@ -500,7 +499,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return session.Answer{}, err
 		}
-		return core.ConsistentAnswersCtx(ctx, ls.s.Current(), ls.s.Set(), q, opts)
+		return session.New(ls.s.Current(), ls.s.Set(), opts).AnswerCtx(ctx, q)
 	}
 	possible := func(ctx context.Context) ([]relational.Tuple, error) {
 		if req.Engine == "" {
@@ -510,7 +509,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return core.PossibleAnswersCtx(ctx, ls.s.Current(), ls.s.Set(), q, opts)
+		return session.New(ls.s.Current(), ls.s.Set(), opts).PossibleCtx(ctx, q)
 	}
 
 	resp := wire.AnswerResponse{Query: q.String()}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ground"
 	"repro/internal/parser"
 	"repro/internal/query"
+	"repro/internal/session"
 )
 
 func cautiousFixture() (d, setSrc string) {
@@ -30,36 +31,42 @@ var cautiousQueries = []string{
 	`q :- r(a, z).`,
 }
 
-// TestCautiousManyMatchesSingle pins CautiousMany's contract: Answers[i] is
-// exactly what ConsistentAnswers with the cautious engine returns for
-// queries[i], while the repair program is built and ground only once.
+// TestCautiousManyMatchesSingle pins the shared-session contract: answer i
+// of one cautious session answering every query is exactly what a fresh
+// cautious session returns for queries[i], while the repair program is
+// built and ground only once.
 func TestCautiousManyMatchesSingle(t *testing.T) {
 	dsrc, setSrc := cautiousFixture()
 	d := parser.MustInstance(dsrc)
 	set := parser.MustConstraints(setSrc)
-	opts := NewOptions()
+	opts := session.NewOptions()
+	opts.Engine = session.EngineProgramCautious
 	var queries []*query.Q
 	for _, qsrc := range cautiousQueries {
 		queries = append(queries, parser.MustQuery(qsrc))
 	}
-	many, err := CautiousMany(d, set, queries, opts)
-	if err != nil {
-		t.Fatal(err)
+	shared := session.New(d, set, opts)
+	many := make([]session.Answer, len(queries))
+	for i, q := range queries {
+		var err error
+		if many[i], err = shared.Answer(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(many) != len(queries) {
 		t.Fatalf("answers = %d, want %d", len(many), len(queries))
 	}
-	single := NewOptions()
-	single.Engine = EngineProgramCautious
+	single := session.NewOptions()
+	single.Engine = session.EngineProgramCautious
 	for i, q := range queries {
-		want, err := ConsistentAnswers(d, set, q, single)
+		want, err := session.New(d, set, single).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := many[i]
 		if got.Boolean != want.Boolean || got.NumRepairs != want.NumRepairs ||
 			got.ShortCircuited != want.ShortCircuited || len(got.Tuples) != len(want.Tuples) {
-			t.Errorf("query %q: CautiousMany=%+v, single=%+v", cautiousQueries[i], got, want)
+			t.Errorf("query %q: shared=%+v, single=%+v", cautiousQueries[i], got, want)
 			continue
 		}
 		for j := range want.Tuples {
@@ -67,9 +74,6 @@ func TestCautiousManyMatchesSingle(t *testing.T) {
 				t.Errorf("query %q tuple %d: %v vs %v", cautiousQueries[i], j, got.Tuples[j], want.Tuples[j])
 			}
 		}
-	}
-	if empty, err := CautiousMany(d, set, nil, opts); err != nil || empty != nil {
-		t.Errorf("empty query list: %v, %v", empty, err)
 	}
 }
 
@@ -82,20 +86,20 @@ func TestGroundOptionsDifferential(t *testing.T) {
 	d := parser.MustInstance(dsrc)
 	set := parser.MustConstraints(setSrc)
 	grounds := []ground.Options{{}, {Naive: true}, {Workers: 4}, {Naive: true, Workers: 4}}
-	for _, engine := range []Engine{EngineProgram, EngineProgramCautious} {
+	for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
 		for _, qsrc := range cautiousQueries {
 			q := parser.MustQuery(qsrc)
-			base := NewOptions()
+			base := session.NewOptions()
 			base.Engine = engine
-			want, err := ConsistentAnswers(d, set, q, base)
+			want, err := session.New(d, set, base).Answer(q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, g := range grounds[1:] {
-				opts := NewOptions()
+				opts := session.NewOptions()
 				opts.Engine = engine
 				opts.Ground = g
-				got, err := ConsistentAnswers(d, set, q, opts)
+				got, err := session.New(d, set, opts).Answer(q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,3 +1,7 @@
+// Package core holds the one-shot consistent query answering tests
+// (Definition 8): every case answers on a throwaway session.New(d, set,
+// opts), on the paper's examples and on randomized cross-engine workloads.
+// The package has no non-test code; the engines live in internal/session.
 package core
 
 import (
@@ -6,6 +10,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relational"
 	"repro/internal/repairprog"
+	"repro/internal/session"
 	"repro/internal/value"
 )
 
@@ -20,23 +25,23 @@ func example15() (d *relational.Instance, setSrc string) {
 	`), `course(Id, Code) -> student(Id, Name).`
 }
 
-func engines() []Options {
-	search := NewOptions()
-	program := NewOptions()
-	program.Engine = EngineProgram
-	cautious := NewOptions()
-	cautious.Engine = EngineProgramCautious
-	return []Options{search, program, cautious}
+func engines() []session.Options {
+	search := session.NewOptions()
+	program := session.NewOptions()
+	program.Engine = session.EngineProgram
+	cautious := session.NewOptions()
+	cautious.Engine = session.EngineProgramCautious
+	return []session.Options{search, program, cautious}
 }
 
 func TestIsConsistent(t *testing.T) {
 	d, setSrc := example15()
 	set := parser.MustConstraints(setSrc)
-	if IsConsistent(d, set) {
+	if session.New(d, set, session.NewOptions()).Consistent() {
 		t.Error("Example 15 database must be inconsistent")
 	}
 	d2 := parser.MustInstance(`course(21, c15). student(21, "Ann").`)
-	if !IsConsistent(d2, set) {
+	if !session.New(d2, set, session.NewOptions()).Consistent() {
 		t.Error("repaired database must be consistent")
 	}
 }
@@ -46,7 +51,7 @@ func TestConsistentAnswersOpenQuery(t *testing.T) {
 	set := parser.MustConstraints(setSrc)
 	q := parser.MustQuery(`q(Id, Code) :- course(Id, Code).`)
 	for _, opts := range engines() {
-		ans, err := ConsistentAnswers(d, set, q, opts)
+		ans, err := session.New(d, set, opts).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +73,7 @@ func TestConsistentAnswersSurviveInsertionRepair(t *testing.T) {
 	// repair, so 34 is not a certain student id; 21 and 45 are.
 	q := parser.MustQuery(`q(Id) :- student(Id, Name).`)
 	for _, opts := range engines() {
-		ans, err := ConsistentAnswers(d, set, q, opts)
+		ans, err := session.New(d, set, opts).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,14 +93,14 @@ func TestConsistentAnswersBoolean(t *testing.T) {
 	yes := parser.MustQuery(`q :- course(21, c15).`)
 	no := parser.MustQuery(`q :- course(34, c18).`)
 	for _, opts := range engines() {
-		ans, err := ConsistentAnswers(d, set, yes, opts)
+		ans, err := session.New(d, set, opts).Answer(yes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ans.Boolean {
 			t.Errorf("engine %v: course(21,c15) must be certain", opts.Engine)
 		}
-		ans, err = ConsistentAnswers(d, set, no, opts)
+		ans, err = session.New(d, set, opts).Answer(no)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +115,7 @@ func TestConsistentDatabaseAnswersDirectly(t *testing.T) {
 	set := parser.MustConstraints(`course(Id, Code) -> student(Id, Name).`)
 	q := parser.MustQuery(`q(Id) :- course(Id, Code).`)
 	for _, opts := range engines() {
-		ans, err := ConsistentAnswers(d, set, q, opts)
+		ans, err := session.New(d, set, opts).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +129,7 @@ func TestPossibleAnswers(t *testing.T) {
 	d, setSrc := example15()
 	set := parser.MustConstraints(setSrc)
 	q := parser.MustQuery(`q(Id) :- student(Id, Name).`)
-	got, err := PossibleAnswers(d, set, q, NewOptions())
+	got, err := session.New(d, set, session.NewOptions()).Possible(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +160,14 @@ func TestEnginesAgree(t *testing.T) {
 	}
 	for _, qsrc := range queries {
 		q := parser.MustQuery(qsrc)
-		search, err := ConsistentAnswers(d, set, q, NewOptions())
+		search, err := session.New(d, set, session.NewOptions()).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, engine := range []Engine{EngineProgram, EngineProgramCautious} {
-			opts := NewOptions()
+		for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
+			opts := session.NewOptions()
 			opts.Engine = engine
-			got, err := ConsistentAnswers(d, set, q, opts)
+			got, err := session.New(d, set, opts).Answer(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,13 +196,13 @@ func TestCautiousEngineWithNegationAndUnconstrained(t *testing.T) {
 	`)
 	set := parser.MustConstraints(`course(Id, Code) -> student(Id, Name).`)
 	q := parser.MustQuery(`q(Id) :- course(Id, Code), not flagged(Id).`)
-	search, err := ConsistentAnswers(d, set, q, NewOptions())
+	search, err := session.New(d, set, session.NewOptions()).Answer(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := NewOptions()
-	opts.Engine = EngineProgramCautious
-	cautious, err := ConsistentAnswers(d, set, q, opts)
+	opts := session.NewOptions()
+	opts.Engine = session.EngineProgramCautious
+	cautious, err := session.New(d, set, opts).Answer(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +224,8 @@ func TestPaperVariantOption(t *testing.T) {
 		student(45, "Paul").
 	`)
 	set := parser.MustConstraints(`course(Id, Code) -> student(Id, Name).`)
-	opts := Options{Engine: EngineProgram, Variant: repairprog.VariantPaper}
-	repairs, err := RepairsOf(d, set, opts)
+	opts := session.Options{Engine: session.EngineProgram, Variant: repairprog.VariantPaper}
+	repairs, err := session.New(d, set, opts).Repairs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relational"
+	"repro/internal/session"
 	"repro/internal/value"
 )
 
@@ -83,14 +84,14 @@ func TestDifferentialEngines(t *testing.T) {
 			for _, qsrc := range queries[si] {
 				q := parser.MustQuery(qsrc)
 				trials++
-				base, err := ConsistentAnswers(d, set, q, NewOptions())
+				base, err := session.New(d, set, session.NewOptions()).Answer(q)
 				if err != nil {
 					t.Fatalf("search engine failed on D=%v, IC set %d, q=%q: %v", d, si, qsrc, err)
 				}
-				for _, engine := range []Engine{EngineProgram, EngineProgramCautious} {
-					opts := NewOptions()
+				for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
+					opts := session.NewOptions()
 					opts.Engine = engine
-					got, err := ConsistentAnswers(d, set, q, opts)
+					got, err := session.New(d, set, opts).Answer(q)
 					if err != nil {
 						t.Fatalf("%v failed on D=%v, IC set %d, q=%q: %v", engine, d, si, qsrc, err)
 					}
@@ -107,7 +108,7 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-func sameAnswer(a, b Answer, q *query.Q) error {
+func sameAnswer(a, b session.Answer, q *query.Q) error {
 	if q.IsBoolean() {
 		if a.Boolean != b.Boolean {
 			return fmt.Errorf("boolean answers differ: %v vs %v", a.Boolean, b.Boolean)

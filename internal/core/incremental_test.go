@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/constraint"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/repair"
+	"repro/internal/session"
 	"repro/internal/value"
 )
 
@@ -61,16 +63,16 @@ func TestIncrementalAnswersMatchScratch(t *testing.T) {
 			}
 
 			// Repair listings: incremental vs scratch, both worker counts.
-			scratchOpts := NewOptions()
+			scratchOpts := session.NewOptions()
 			scratchOpts.Repair.ScratchProbe = true
-			scratch, err := RepairsOf(d, set, scratchOpts)
+			scratch, err := session.New(d, set, scratchOpts).Repairs()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				opts := NewOptions()
+				opts := session.NewOptions()
 				opts.Repair.Workers = workers
-				inc, err := RepairsOf(d, set, opts)
+				inc, err := session.New(d, set, opts).Repairs()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,16 +98,16 @@ func TestIncrementalAnswersMatchScratch(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 4} {
-					opts := NewOptions()
+					opts := session.NewOptions()
 					opts.Repair.Workers = workers
-					got, err := ConsistentAnswers(d, set, q, opts)
+					got, err := session.New(d, set, opts).Answer(q)
 					if err != nil {
 						t.Fatalf("round %d set %d q=%q workers %d: %v", round, si, qsrc, workers, err)
 					}
 					if err := sameAnswerTuples(want, got, q); err != nil {
 						t.Fatalf("round %d set %d q=%q workers %d: %v\nD=%v", round, si, qsrc, workers, err, d)
 					}
-					gotPossible, err := PossibleAnswers(d, set, q, opts)
+					gotPossible, err := session.New(d, set, opts).Possible(q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -126,13 +128,13 @@ func TestIncrementalAnswersMatchScratch(t *testing.T) {
 
 // scratchAnswers is the reference pipeline: full per-repair evaluation with
 // query.EvalWith over a scratch-probe repair set.
-func scratchAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, repairs []*relational.Instance) (Answer, error) {
+func scratchAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, repairs []*relational.Instance) (session.Answer, error) {
 	if q.IsBoolean() {
-		ans := Answer{NumRepairs: len(repairs), Boolean: true}
+		ans := session.Answer{NumRepairs: len(repairs), Boolean: true}
 		for _, r := range repairs {
 			holds, err := query.EvalBool(r, q)
 			if err != nil {
-				return Answer{}, err
+				return session.Answer{}, err
 			}
 			if !holds {
 				ans.Boolean = false
@@ -144,7 +146,7 @@ func scratchAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, rep
 	for i, r := range repairs {
 		tuples, err := query.EvalWith(r, q, query.Options{})
 		if err != nil {
-			return Answer{}, err
+			return session.Answer{}, err
 		}
 		here := map[string]relational.Tuple{}
 		for _, t := range tuples {
@@ -160,7 +162,7 @@ func scratchAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, rep
 			}
 		}
 	}
-	return Answer{NumRepairs: len(repairs), Tuples: sortedTuples(certain)}, nil
+	return session.Answer{NumRepairs: len(repairs), Tuples: sortedTuples(certain)}, nil
 }
 
 func scratchPossible(d *relational.Instance, set *constraint.Set, q *query.Q, repairs []*relational.Instance) ([]relational.Tuple, error) {
@@ -180,7 +182,7 @@ func scratchPossible(d *relational.Instance, set *constraint.Set, q *query.Q, re
 // sameAnswerTuples compares the cross-worker-stable parts of an answer:
 // boolean verdict and the certain tuples (NumRepairs is skipped — the
 // reference never short-circuits, the engine may).
-func sameAnswerTuples(want, got Answer, q *query.Q) error {
+func sameAnswerTuples(want, got session.Answer, q *query.Q) error {
 	if q.IsBoolean() {
 		if want.Boolean != got.Boolean {
 			return fmt.Errorf("boolean answers differ: want %v, got %v", want.Boolean, got.Boolean)
@@ -219,4 +221,17 @@ func TestScratchProbeOptionPlumbs(t *testing.T) {
 		t.Fatalf("probe modes disagree: inc %d repairs/%d states, scratch %d/%d",
 			len(inc.Repairs), inc.StatesExplored, len(scr.Repairs), scr.StatesExplored)
 	}
+}
+
+// sortedTuples flattens a keyed tuple set into Compare order.
+func sortedTuples(m map[string]relational.Tuple) []relational.Tuple {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]relational.Tuple, 0, len(m))
+	for _, t := range m {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
 }

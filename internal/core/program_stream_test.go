@@ -10,13 +10,13 @@ import (
 	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/repair"
+	"repro/internal/session"
 	"repro/internal/value"
 )
 
 // TestProgramEngineStreamDifferential is the tentpole invariant for the
 // stable-model engine: on randomized workloads, the program engines'
-// streaming answers — cautious (ConsistentAnswers) and brave
-// (PossibleAnswers), with the boolean short-circuit in play and with it
+// streaming answers — cautious (Answer) and brave (Possible), with the boolean short-circuit in play and with it
 // sidestepped by full materialization — agree with the direct search
 // engine, and the program-engine repair sets are byte-identical to the
 // search-engine repair sets at every stable worker count.
@@ -87,10 +87,10 @@ func TestProgramEngineStreamDifferential(t *testing.T) {
 				t.Fatalf("search repairs failed on D=%v, set %d: %v", d, si, err)
 			}
 			for _, workers := range workerCounts {
-				opts := NewOptions()
-				opts.Engine = EngineProgram
+				opts := session.NewOptions()
+				opts.Engine = session.EngineProgram
 				opts.Stable.Workers = workers
-				progRepairs, err := RepairsOf(d, set, opts)
+				progRepairs, err := session.New(d, set, opts).Repairs()
 				if err != nil {
 					t.Fatalf("program repairs failed on D=%v, set %d, workers=%d: %v", d, si, workers, err)
 				}
@@ -108,11 +108,11 @@ func TestProgramEngineStreamDifferential(t *testing.T) {
 
 			for _, qsrc := range queries[si] {
 				q := parser.MustQuery(qsrc)
-				base, err := ConsistentAnswers(d, set, q, NewOptions())
+				base, err := session.New(d, set, session.NewOptions()).Answer(q)
 				if err != nil {
 					t.Fatalf("search answers failed on D=%v, set %d, q=%q: %v", d, si, qsrc, err)
 				}
-				baseBrave, err := PossibleAnswers(d, set, q, NewOptions())
+				baseBrave, err := session.New(d, set, session.NewOptions()).Possible(q)
 				if err != nil {
 					t.Fatalf("search possible answers failed on D=%v, set %d, q=%q: %v", d, si, qsrc, err)
 				}
@@ -129,12 +129,12 @@ func TestProgramEngineStreamDifferential(t *testing.T) {
 					}
 				}
 
-				for _, engine := range []Engine{EngineProgram, EngineProgramCautious} {
+				for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
 					for _, workers := range workerCounts {
-						opts := NewOptions()
+						opts := session.NewOptions()
 						opts.Engine = engine
 						opts.Stable.Workers = workers
-						got, err := ConsistentAnswers(d, set, q, opts)
+						got, err := session.New(d, set, opts).Answer(q)
 						if err != nil {
 							t.Fatalf("%v failed on D=%v, set %d, q=%q, workers=%d: %v", engine, d, si, qsrc, workers, err)
 						}
@@ -151,7 +151,7 @@ func TestProgramEngineStreamDifferential(t *testing.T) {
 								t.Fatalf("short-circuit with a certain yes on D=%v, set %d, q=%q", d, si, qsrc)
 							}
 						}
-						brave, err := PossibleAnswers(d, set, q, opts)
+						brave, err := session.New(d, set, opts).Possible(q)
 						if err != nil {
 							t.Fatalf("%v possible answers failed on D=%v, set %d, q=%q: %v", engine, d, si, qsrc, err)
 						}
@@ -198,10 +198,10 @@ func TestProgramBooleanShortCircuit(t *testing.T) {
 
 	refuted := parser.MustQuery(`q :- course(34, c18).`)
 	certain := parser.MustQuery(`q :- student(21, "Ann").`)
-	for _, engine := range []Engine{EngineProgram, EngineProgramCautious} {
-		opts := NewOptions()
+	for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
+		opts := session.NewOptions()
 		opts.Engine = engine
-		ans, err := ConsistentAnswers(d, set, refuted, opts)
+		ans, err := session.New(d, set, opts).Answer(refuted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestProgramBooleanShortCircuit(t *testing.T) {
 			t.Errorf("%v: short-circuit saw %d repairs of %d — no early cancellation",
 				engine, ans.NumRepairs, len(full.Repairs))
 		}
-		ans, err = ConsistentAnswers(d, set, certain, opts)
+		ans, err = session.New(d, set, opts).Answer(certain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,19 +237,19 @@ func TestStableWorkersMatchSequentialAnswers(t *testing.T) {
 		parser.MustQuery(`q :- course(34, c18).`),
 		parser.MustQuery(`q :- student(21, "Ann").`),
 	}
-	for _, engine := range []Engine{EngineProgram, EngineProgramCautious} {
+	for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
 		for _, q := range qs {
-			seqOpts := NewOptions()
+			seqOpts := session.NewOptions()
 			seqOpts.Engine = engine
-			seq, err := ConsistentAnswers(d, set, q, seqOpts)
+			seq, err := session.New(d, set, seqOpts).Answer(q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, 8} {
-				parOpts := NewOptions()
+				parOpts := session.NewOptions()
 				parOpts.Engine = engine
 				parOpts.Stable.Workers = workers
-				par, err := ConsistentAnswers(d, set, q, parOpts)
+				par, err := session.New(d, set, parOpts).Answer(q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relational"
 	"repro/internal/repair"
+	"repro/internal/session"
 	"repro/internal/value"
 )
 
@@ -39,7 +40,7 @@ func TestBooleanShortCircuit(t *testing.T) {
 	}
 
 	no := parser.MustQuery(`q :- course(34, c18).`)
-	ans, err := ConsistentAnswers(d, set, no, NewOptions())
+	ans, err := session.New(d, set, session.NewOptions()).Answer(no)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestBooleanShortCircuit(t *testing.T) {
 
 	// A certain yes still requires the full enumeration.
 	yes := parser.MustQuery(`q :- course(21, c15).`)
-	ans, err = ConsistentAnswers(d, set, yes, NewOptions())
+	ans, err = session.New(d, set, session.NewOptions()).Answer(yes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,25 +102,25 @@ func TestAnswersParallelMatchesSequential(t *testing.T) {
 		set := parser.MustConstraints(sc.ic)
 		for _, qsrc := range sc.queries {
 			q := parser.MustQuery(qsrc)
-			seqOpts := NewOptions()
-			parOpts := NewOptions()
+			seqOpts := session.NewOptions()
+			parOpts := session.NewOptions()
 			parOpts.Repair.Workers = 4
-			seq, err := ConsistentAnswers(d, set, q, seqOpts)
+			seq, err := session.New(d, set, seqOpts).Answer(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := ConsistentAnswers(d, set, q, parOpts)
+			par, err := session.New(d, set, parOpts).Answer(q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := sameAnswer(seq, par, q); err != nil {
 				t.Errorf("scenario %d %q: workers=4 disagrees: %v\nseq: %+v\npar: %+v", si, qsrc, err, seq, par)
 			}
-			seqPoss, err := PossibleAnswers(d, set, q, seqOpts)
+			seqPoss, err := session.New(d, set, seqOpts).Possible(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parPoss, err := PossibleAnswers(d, set, q, parOpts)
+			parPoss, err := session.New(d, set, parOpts).Possible(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,13 +150,13 @@ func TestShortCircuitAgreesWithProgramEngine(t *testing.T) {
 		`q :- student(34, null).`,
 	} {
 		q := parser.MustQuery(qsrc)
-		search, err := ConsistentAnswers(d, set, q, NewOptions())
+		search, err := session.New(d, set, session.NewOptions()).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		progOpts := NewOptions()
-		progOpts.Engine = EngineProgram
-		prog, err := ConsistentAnswers(d, set, q, progOpts)
+		progOpts := session.NewOptions()
+		progOpts.Engine = session.EngineProgram
+		prog, err := session.New(d, set, progOpts).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,15 +31,6 @@ type witness struct {
 
 func (w *witness) free() bool { return len(w.req) == 0 && len(w.exc) == 0 }
 
-// mentions reports whether the witness constrains g.
-func (w *witness) mentions(g *group) bool {
-	if _, ok := w.req[g]; ok {
-		return true
-	}
-	_, ok := w.exc[g]
-	return ok
-}
-
 // cand accumulates the witnesses of one candidate answer tuple.
 type cand struct {
 	tuple     relational.Tuple

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/direct"
 	"repro/internal/fdgen"
 	"repro/internal/parser"
@@ -99,12 +98,12 @@ func TestDirectDifferential(t *testing.T) {
 			}
 			sides := []side{}
 			for _, workers := range []int{1, 3} {
-				opts := core.NewOptions()
+				opts := session.NewOptions()
 				opts.Repair.Workers = workers
 				sides = append(sides, side{fmt.Sprintf("search/w%d", workers), session.New(d, set, opts)})
 			}
-			progOpts := core.NewOptions()
-			progOpts.Engine = core.EngineProgram
+			progOpts := session.NewOptions()
+			progOpts.Engine = session.EngineProgram
 			sides = append(sides, side{"program", session.New(d, set, progOpts)})
 
 			for qi, q := range diffQueries(cfg.Relations) {

@@ -6,12 +6,12 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ground"
 	"repro/internal/parser"
 	"repro/internal/relational"
 	"repro/internal/repair"
 	"repro/internal/repairprog"
+	"repro/internal/session"
 	"repro/internal/stable"
 	"repro/internal/value"
 )
@@ -263,18 +263,18 @@ func runC5(w io.Writer) error {
 		}
 		set := parser.MustConstraints(`course(Id, Code) -> student(Id, Name).`)
 
-		searchOpts := core.NewOptions()
+		searchOpts := session.NewOptions()
 		start := time.Now()
-		ansSearch, err := core.ConsistentAnswers(d, set, q, searchOpts)
+		ansSearch, err := session.New(d, set, searchOpts).Answer(q)
 		if err != nil {
 			return err
 		}
 		tSearch := time.Since(start)
 
-		progOpts := core.NewOptions()
-		progOpts.Engine = core.EngineProgram
+		progOpts := session.NewOptions()
+		progOpts.Engine = session.EngineProgram
 		start = time.Now()
-		ansProg, err := core.ConsistentAnswers(d, set, q, progOpts)
+		ansProg, err := session.New(d, set, progOpts).Answer(q)
 		if err != nil {
 			return err
 		}

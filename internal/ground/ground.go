@@ -362,10 +362,6 @@ func groundAtomInto(dst relational.Tuple, a term.Atom, subst term.Subst) relatio
 	return dst
 }
 
-func groundAtom(a term.Atom, subst term.Subst) relational.Fact {
-	return relational.Fact{Pred: a.Pred, Args: groundAtomInto(make(relational.Tuple, 0, len(a.Args)), a, subst)}
-}
-
 func groundFact(a term.Atom) relational.Fact {
 	args := make(relational.Tuple, len(a.Args))
 	for i, t := range a.Args {

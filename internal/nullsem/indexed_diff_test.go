@@ -17,7 +17,7 @@ import (
 // bound-column probes — the pre-engine evaluation strategy. Any disagreement
 // is a bug in the binding derivation (atomBindings / witnessBindings) or in
 // the storage engine's Scan. The instance generator mirrors the randomized
-// differential harness in internal/core/fuzz_test.go.
+// differential harness in internal/session/fuzz_test.go.
 
 // naiveJoinBody enumerates body substitutions by filtering the full fact
 // list per atom, exactly like the seed's Relation()-scan join.

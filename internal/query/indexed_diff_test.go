@@ -12,7 +12,7 @@ import (
 // Differential test: the index-backed, selectivity-reordered join must
 // return exactly the answers of a naive evaluator that keeps the literal
 // order and filters the full fact list per atom (the seed strategy). The
-// randomized-instance shape mirrors internal/core/fuzz_test.go.
+// randomized-instance shape mirrors internal/session/fuzz_test.go.
 
 // naiveEval evaluates q with no reordering and no index: for each disjunct,
 // positive literals are joined by scanning Facts() in the order written.

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/nullsem"
 	"repro/internal/parser"
 	"repro/internal/query"
@@ -17,8 +16,8 @@ import (
 
 // The differential contract: after any chain of Apply calls, a session's
 // maintained violations, repair set, one-shot answers and standing-query
-// answers are byte-identical to a fresh scratch computation
-// (core.ConsistentAnswers et al.) on an independently built copy of the
+// answers are byte-identical to a fresh scratch computation (a throwaway
+// session.New(...).Answer et al.) on an independently built copy of the
 // mutated instance — for all three engines, workers {1, 4}, under -race.
 
 // diffCase is one (IC set, query battery) scenario. The t relation is
@@ -223,9 +222,9 @@ func TestSessionEqualsScratchDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatalf("step %d: session Repairs: %v", step, err)
 						}
-						scratchRepairs, err := core.RepairsOf(scratch, set, opts)
+						scratchRepairs, err := session.New(scratch, set, opts).Repairs()
 						if err != nil {
-							t.Fatalf("step %d: scratch RepairsOf: %v", step, err)
+							t.Fatalf("step %d: scratch Repairs: %v", step, err)
 						}
 						if len(sessionRepairs) != len(scratchRepairs) {
 							t.Fatalf("step %d: %d session repairs, %d scratch", step, len(sessionRepairs), len(scratchRepairs))
@@ -239,9 +238,9 @@ func TestSessionEqualsScratchDifferential(t *testing.T) {
 
 						// One-shot answers and maintained standing answers.
 						for qi, q := range queries {
-							want, err := core.ConsistentAnswers(scratch, set, q, opts)
+							want, err := session.New(scratch, set, opts).Answer(q)
 							if err != nil {
-								t.Fatalf("step %d: scratch ConsistentAnswers(%s): %v", step, q, err)
+								t.Fatalf("step %d: scratch Answer(%s): %v", step, q, err)
 							}
 							got, err := s.Answer(q)
 							if err != nil {
@@ -262,9 +261,9 @@ func TestSessionEqualsScratchDifferential(t *testing.T) {
 
 						// Brave answers ride the same caches.
 						bq := queries[0]
-						wantP, err := core.PossibleAnswers(scratch, set, bq, opts)
+						wantP, err := session.New(scratch, set, opts).Possible(bq)
 						if err != nil {
-							t.Fatalf("step %d: scratch PossibleAnswers: %v", step, err)
+							t.Fatalf("step %d: scratch Possible: %v", step, err)
 						}
 						gotP, err := s.Possible(bq)
 						if err != nil {
@@ -323,7 +322,7 @@ func TestSessionSubscribeMatchesScratchDiff(t *testing.T) {
 		if _, err := s.Apply(dl); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		want, err := core.ConsistentAnswers(db.instance(), set, q, session.NewOptions())
+		want, err := session.New(db.instance(), set, session.NewOptions()).Answer(q)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}

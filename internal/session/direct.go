@@ -23,56 +23,80 @@ func resolveAuto(set *constraint.Set, opts Options) Engine {
 	return EngineSearch
 }
 
-// ensureDirect materializes the FD classification on first use; Apply
-// keeps it maintained afterwards. Scope violations (non-FD constraints,
-// classic semantics) surface as *direct.ScopeError wrapping
-// direct.ErrScope.
-func (s *Session) ensureDirect() (*direct.Engine, error) {
-	if s.dir != nil {
-		return s.dir, nil
+// directBackend implements EngineDirect: certain and possible answers come
+// straight off the polynomial FD classification of internal/direct, which
+// is built lazily and then advanced by apply in O(|Δ|) — no re-scan, no
+// repair enumeration. The classification never materializes repairs, so
+// Repairs() on a direct session runs the seeded search.
+type directBackend struct {
+	s   *Session
+	dir *direct.Engine
+}
+
+// apply moves the class counts and the conflicted-group set across eff.
+func (b *directBackend) apply(eff relational.Delta) {
+	if b.dir != nil {
+		b.dir.Update(eff)
 	}
-	if s.opts.Repair.Mode == repair.Classic {
+}
+
+func (b *directBackend) reanchor() {}
+
+func (b *directBackend) enumerate(ctx context.Context) error {
+	return (&searchBackend{s: b.s}).enumerate(ctx)
+}
+
+// plan returns nil: standing queries are re-answered off the
+// classification.
+func (b *directBackend) plan(*query.Q) (*query.BaseEval, error) { return nil, nil }
+
+// classification materializes the FD classification on first use. Scope
+// violations (non-FD constraints, classic semantics) surface as
+// *direct.ScopeError wrapping direct.ErrScope.
+func (b *directBackend) classification() (*direct.Engine, error) {
+	if b.dir != nil {
+		return b.dir, nil
+	}
+	if b.s.opts.Repair.Mode == repair.Classic {
 		return nil, &direct.ScopeError{Reason: "classic repair semantics (the classification is null-aware only)"}
 	}
-	e, err := direct.New(s.head.Current(), s.set)
+	e, err := direct.New(b.s.head.Current(), b.s.set)
 	if err != nil {
 		return nil, err
 	}
-	s.dir = e
+	b.dir = e
 	return e, nil
 }
 
-// directAnswer implements EngineDirect: certain answers straight off the
-// maintained classification, one polynomial pass, no repair enumeration.
-// NumRepairs is the exact product count; StatesExplored stays 0 and the
-// engine never short-circuits, so the diagnostics are deterministic.
-func (s *Session) directAnswer(ctx context.Context, q *query.Q) (Answer, error) {
-	e, err := s.ensureDirect()
+// certain is one polynomial pass over the classification. NumRepairs is
+// the exact product count; StatesExplored stays 0 and the engine never
+// short-circuits, so the diagnostics are deterministic.
+func (b *directBackend) certain(ctx context.Context, q *query.Q) (Answer, error) {
+	e, err := b.classification()
 	if err != nil {
 		return Answer{}, err
 	}
-	res, err := e.CertainCtx(ctx, s.head.Current(), q)
+	res, err := e.CertainCtx(ctx, b.s.head.Current(), q)
 	if err != nil {
 		return Answer{}, err
 	}
 	return Answer{Tuples: res.Tuples, Boolean: res.Boolean, NumRepairs: res.NumRepairs}, nil
 }
 
-// directPossible implements the brave side of EngineDirect.
-func (s *Session) directPossible(ctx context.Context, q *query.Q) ([]relational.Tuple, error) {
-	e, err := s.ensureDirect()
+func (b *directBackend) possible(ctx context.Context, q *query.Q) ([]relational.Tuple, error) {
+	e, err := b.classification()
 	if err != nil {
 		return nil, err
 	}
-	return e.PossibleCtx(ctx, s.head.Current(), q)
+	return e.PossibleCtx(ctx, b.s.head.Current(), q)
 }
 
 // DirectStats exposes the classification work counters of the maintained
 // direct engine (zero Stats when none was built), for tests pinning the
 // O(|Δ|) incremental-maintenance contract.
 func (s *Session) DirectStats() direct.Stats {
-	if s.dir == nil {
-		return direct.Stats{}
+	if b, ok := s.eng.(*directBackend); ok && b.dir != nil {
+		return b.dir.Stats()
 	}
-	return s.dir.Stats()
+	return direct.Stats{}
 }

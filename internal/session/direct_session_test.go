@@ -12,6 +12,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/repair"
+	"repro/internal/value"
 )
 
 func tuplesEqual(a, b []relational.Tuple) bool {
@@ -86,7 +87,7 @@ func TestDirectSessionIncremental(t *testing.T) {
 				if err != nil {
 					t.Fatalf("apply %d: scratch rebuild: %v", di, err)
 				}
-				if got, want := s.dir.NumRepairs(), scratch.NumRepairs(); got != want {
+				if got, want := s.eng.(*directBackend).dir.NumRepairs(), scratch.NumRepairs(); got != want {
 					t.Fatalf("apply %d: NumRepairs session=%d scratch=%d", di, got, want)
 				}
 				for qi, q := range queries {
@@ -164,5 +165,78 @@ func TestDirectScopeRejection(t *testing.T) {
 	}
 	if _, err := s.Possible(parser.MustQuery(`q :- p(X).`)); !errors.As(err, &scope) {
 		t.Fatalf("possible: got %v, want *direct.ScopeError", err)
+	}
+}
+
+// TestDirectRepairsMatchSearch pins Repairs() on the repair-less engines:
+// the classification never materializes repairs, so a direct (or auto,
+// resolved to direct) session lists them with the seeded search — same
+// content and order as a search session, before and after a
+// constraint-relevant Apply that invalidates part of the cache.
+func TestDirectRepairsMatchSearch(t *testing.T) {
+	src := `
+		r(a, b, 1). r(a, c, 2). r(d, e, 3). r(g, h, 5).
+		s(x, y).
+	`
+	set := parser.MustConstraints("r(X, Y1, W1), r(X, Y2, W2) -> Y1 = Y2.")
+	// Adding r(d, f, 4) opens a second conflict; deleting r(a, c, 2)
+	// resolves the first, so both directions of invalidation are hit.
+	update := relational.Delta{
+		Added:   []relational.Fact{relational.F("r", str("d"), str("f"), value.Int(4))},
+		Removed: []relational.Fact{relational.F("r", str("a"), str("c"), value.Int(2))},
+	}
+	same := func(step string, eng Engine, got, want []*relational.Instance) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s, %v: %d repairs, search %d", step, eng, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Key() != want[i].Key() {
+				t.Fatalf("%s, %v: repair %d differs\ngot:    %s\nsearch: %s", step, eng, i, got[i], want[i])
+			}
+		}
+	}
+	for _, eng := range []Engine{EngineDirect, EngineAuto} {
+		opts := NewOptions()
+		opts.Engine = eng
+		s := New(parser.MustInstance(src), set, opts)
+		if _, ok := s.eng.(*directBackend); !ok {
+			t.Fatalf("%v: session runs %T, want the direct backend", eng, s.eng)
+		}
+		ref := New(parser.MustInstance(src), set, NewOptions())
+
+		got, err := s.Repairs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Repairs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 2 {
+			t.Fatalf("fixture has %d repairs, want 2", len(want))
+		}
+		same("before apply", eng, got, want)
+
+		res, err := s.Apply(update)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.ConstraintRelevant || res.RepairsInvalidated == 0 {
+			t.Fatalf("%v: apply %+v, want a relevant update invalidating cached repairs", eng, res)
+		}
+		if _, err := ref.Apply(update); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = s.Repairs(); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = ref.Repairs(); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 2 {
+			t.Fatalf("updated fixture has %d repairs, want 2", len(want))
+		}
+		same("after apply", eng, got, want)
 	}
 }

@@ -2,9 +2,11 @@
 // persistent service primitive. A Session owns a (D, IC) pair — a frozen
 // base anchor with a mutable head (relational.Head), the constraint set,
 // the maintained per-IC violation lists, the cached repair set with its
-// aligned deltas and fingerprint posting lists, the cached repair-program
-// translation (whose base grounding repairprog.Translation retains), and a
-// set of prepared standing queries with their query.BaseEval plans.
+// aligned deltas and fingerprint posting lists, and a set of prepared
+// standing queries with their query.BaseEval plans. Everything
+// engine-specific — the repair-program translation, the FD
+// classification, how repairs are enumerated and how ad-hoc queries are
+// answered — lives in one backend per engine (see backend).
 //
 // Session.Apply(delta) advances all of that in O(|Δ|) instead of O(|D|):
 // nullsem.ICChecker.Update moves each violation list across the delta;
@@ -20,9 +22,9 @@
 // evaluation along the per-repair deltas, with changed-answer diffs pushed
 // to Subscribe callbacks.
 //
-// The one-shot entry points in internal/core are thin adapters over a
-// throwaway Session, so every engine — search, program, cautious — runs on
-// this machinery whether or not the caller keeps the session.
+// One-shot answering is a throwaway session, New(d, set, opts).Answer(q),
+// so every engine runs on this machinery whether or not the caller keeps
+// the session.
 package session
 
 import (
@@ -31,7 +33,6 @@ import (
 	"sort"
 
 	"repro/internal/constraint"
-	"repro/internal/direct"
 	"repro/internal/ground"
 	"repro/internal/nullsem"
 	"repro/internal/query"
@@ -186,6 +187,8 @@ type Session struct {
 	// constraint-irrelevant: violations and repair deltas are provably
 	// unchanged under the null-based semantics.
 	icPreds map[string]bool
+	// eng is the session's engine, chosen once by New.
+	eng backend
 
 	// Maintained violation state (lazy; advanced by Apply once computed).
 	checkers []*nullsem.ICChecker
@@ -201,20 +204,29 @@ type Session struct {
 	post        map[uint64][]int
 	searchStats repair.Stats
 
-	// Cached repair-program translation (program engines): pruned for the
-	// cautious engine, full otherwise. trDirty tracks passthrough
-	// relations that drifted since the translation was built — the one
-	// surface repairprog.Translation.Rebase cannot keep coherent is
-	// query-rule grounding over drifted passthrough relations, so cautious
-	// queries mentioning a dirty relation rebuild the translation first.
-	tr      *repairprog.Translation
-	trDirty map[string]bool
-
-	// Live FD classification (EngineDirect); built lazily, advanced by
-	// Apply in O(|Δ|) once built.
-	dir *direct.Engine
-
 	prepared []*Prepared
+}
+
+// backend is the engine half of a session: one implementation per engine
+// (searchBackend, programBackend, cautiousBackend, directBackend). The
+// Session keeps what every engine shares and calls into the backend for
+// the rest; New is the only place that picks one.
+type backend interface {
+	// apply advances engine-owned state across an effective delta; the
+	// head has already moved.
+	apply(eff relational.Delta)
+	// reanchor repoints engine-owned state at the new anchor.
+	reanchor()
+	// enumerate lists the repairs of the current head into the session's
+	// repair cache (Session.fill). Cancellation leaves the cache cold.
+	enumerate(ctx context.Context) error
+	// plan returns the base evaluation a standing query is re-patched
+	// with across the repair cache, or nil when certain answers it.
+	plan(q *query.Q) (*query.BaseEval, error)
+	// certain returns the consistent answers to q (Definition 8).
+	certain(ctx context.Context, q *query.Q) (Answer, error)
+	// possible returns the tuples answering q in at least one repair.
+	possible(ctx context.Context, q *query.Q) ([]relational.Tuple, error)
 }
 
 // New creates a session over d and set. d is frozen and must not be
@@ -234,6 +246,16 @@ func New(d *relational.Instance, set *constraint.Set, opts Options) *Session {
 	}
 	for _, ps := range set.Preds() {
 		s.icPreds[ps.Name] = true
+	}
+	switch opts.Engine {
+	case EngineProgram:
+		s.eng = &programBackend{s: s}
+	case EngineProgramCautious:
+		s.eng = &cautiousBackend{programBackend{s: s, pruned: true}}
+	case EngineDirect:
+		s.eng = &directBackend{s: s}
+	default:
+		s.eng = &searchBackend{s: s}
 	}
 	return s
 }
@@ -288,7 +310,7 @@ func (s *Session) Apply(delta relational.Delta) (ApplyResult, error) {
 
 // ApplyCtx is Apply under a context. Cancellation can interrupt the
 // re-enumeration that refreshes prepared queries; the update itself is
-// already applied at that point (the head, violation lists, translation and
+// already applied at that point (the head, violation lists, engine state and
 // repair cache are all advanced coherently before any enumeration starts),
 // so the session stays usable — the interrupted prepared query is marked
 // invalid and recomputed from scratch on its next use, and a later
@@ -307,12 +329,6 @@ func (s *Session) ApplyCtx(ctx context.Context, delta relational.Delta) (ApplyRe
 	}
 	res.ConstraintRelevant = relevant
 
-	// Direct classification: class counts and the conflicted-group set
-	// move in O(|Δ|); no re-scan, no repair enumeration.
-	if s.dir != nil {
-		s.dir.Update(eff)
-	}
-
 	// Violations: advance only the checkers whose constraint shares a
 	// changed predicate; the rest are untouched by construction.
 	if s.violsOK {
@@ -324,21 +340,7 @@ func (s *Session) ApplyCtx(ctx context.Context, delta relational.Delta) (ApplyRe
 		}
 	}
 
-	// Translation: drop when the compiled program went stale, otherwise
-	// rebase and remember which passthrough relations drifted.
-	if s.tr != nil {
-		if s.tr.AffectedBy(eff) {
-			s.tr, s.trDirty = nil, nil
-		} else {
-			s.tr.Rebase(s.head.Current(), eff)
-			if s.trDirty == nil {
-				s.trDirty = map[string]bool{}
-			}
-			for _, f := range eff.Facts() {
-				s.trDirty[f.Pred] = true
-			}
-		}
-	}
+	s.eng.apply(eff)
 
 	// Repair cache.
 	var retained []relational.Delta
@@ -479,53 +481,25 @@ func (s *Session) seed() *repair.Seed {
 	return &repair.Seed{Viols: s.viols}
 }
 
-// ensureRepairs fills the repair cache with the session's engine:
-// the streaming search (seeded from the maintained violation lists) for
-// EngineSearch, the stable models of the cached translation otherwise.
-// An empty result is cached as empty; answer paths enforce Proposition 1.
-// Cancellation mid-fill leaves the cache untouched (still cold) — partial
-// enumerations are never cached, so a later call recomputes cleanly.
+// ensureRepairs fills the repair cache with the backend's enumeration:
+// the seeded search for the search and direct engines, the stable models
+// of the cached translation for the program engines. An empty result is
+// cached as empty; answer paths enforce Proposition 1. Cancellation
+// mid-fill leaves the cache untouched (still cold) — partial enumerations
+// are never cached, so a later call recomputes cleanly.
 func (s *Session) ensureRepairs(ctx context.Context) error {
 	if s.repairsOK {
 		return nil
 	}
-	switch s.opts.Engine {
-	case EngineProgram, EngineProgramCautious:
-		tr, err := s.translation()
-		if err != nil {
-			return err
-		}
-		insts, _, err := tr.StableRepairsCtx(ctx, s.opts.Stable)
-		if err != nil {
-			return err
-		}
-		cur := s.head.Current()
-		s.repairs = insts
-		s.deltas = make([]relational.Delta, len(insts))
-		for i, inst := range insts {
-			s.deltas[i] = relational.Diff(cur, inst)
-		}
-		s.searchStats = repair.Stats{}
-	default:
-		ropts := s.opts.Repair
-		if !ropts.ScratchProbe {
-			ropts.Seed = s.seed()
-		}
-		cur := s.head.Current()
-		ac := repair.NewAntichain(cur, ropts.Mode)
-		stats, err := repair.EnumerateCtx(ctx, cur, s.set, ropts, func(leaf *relational.Instance) bool {
-			ac.Add(leaf)
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		s.repairs, s.deltas = ac.Results()
-		s.searchStats = stats
-	}
+	return s.eng.enumerate(ctx)
+}
+
+// fill installs a completed enumeration as the repair cache: instances in
+// content-canonical order with their aligned deltas.
+func (s *Session) fill(repairs []*relational.Instance, deltas []relational.Delta, stats repair.Stats) {
+	s.repairs, s.deltas, s.searchStats = repairs, deltas, stats
 	s.rebuildPostings()
 	s.repairsOK = true
-	return nil
 }
 
 // Repairs returns the session's repair set in content-canonical order.
@@ -658,15 +632,13 @@ func (s *Session) rebaseRepairs() {
 // reanchor makes the current head the new anchor (see rebaseThreshold) and
 // re-bases everything anchored to the old one: prepared base evaluations
 // are rebuilt, cached repair instances are recloned from the new anchor's
-// engine, and a surviving translation is repointed.
+// engine, and the backend repoints its own state.
 func (s *Session) reanchor() error {
 	s.head.Rebase()
 	if s.repairsOK {
 		s.rebaseRepairs()
 	}
-	if s.tr != nil {
-		s.tr.Rebase(s.head.Current(), relational.Delta{})
-	}
+	s.eng.reanchor()
 	for _, p := range s.prepared {
 		if p.be != nil {
 			be, err := query.NewBaseEval(s.head.Anchor(), p.q)
@@ -679,41 +651,13 @@ func (s *Session) reanchor() error {
 	return nil
 }
 
-// translation returns the cached repair-program translation, building it
-// on first use: pruned to the constrained relations for the cautious
-// engine (passthrough relations ride the base), full otherwise.
-func (s *Session) translation() (*repairprog.Translation, error) {
-	if s.tr != nil {
-		return s.tr, nil
-	}
-	var (
-		tr  *repairprog.Translation
-		err error
-	)
-	if s.opts.Engine == EngineProgramCautious {
-		tr, err = repairprog.BuildWith(s.head.Current(), s.set, repairprog.BuildOptions{
-			Variant:            s.opts.Variant,
-			PruneUnconstrained: true,
-		})
-	} else {
-		tr, err = repairprog.Build(s.head.Current(), s.set, s.opts.Variant)
-	}
-	if err != nil {
-		return nil, err
-	}
-	tr.GroundOptions = s.opts.Ground
-	s.tr = tr
-	s.trDirty = nil
-	return tr, nil
-}
-
 // Prepared is a standing query registered with Prepare: the session keeps
 // its base evaluation plan and current certain answers, re-patching them
 // on every Apply that could change them.
 type Prepared struct {
 	q      *query.Q
 	preds  map[string]bool
-	be     *query.BaseEval // nil for the cautious engine
+	be     *query.BaseEval // nil when the backend answers the query itself
 	isBool bool
 
 	tuples  []relational.Tuple
@@ -786,13 +730,11 @@ func (s *Session) PrepareCtx(ctx context.Context, q *query.Q) (*Prepared, error)
 	for _, name := range q.Preds() {
 		p.preds[name] = true
 	}
-	if s.opts.Engine != EngineProgramCautious && s.opts.Engine != EngineDirect {
-		be, err := query.NewBaseEval(s.head.Anchor(), q)
-		if err != nil {
-			return nil, err
-		}
-		p.be = be
+	be, err := s.eng.plan(q)
+	if err != nil {
+		return nil, err
 	}
+	p.be = be
 	if err := s.compute(ctx, p); err != nil {
 		return nil, err
 	}
@@ -800,42 +742,23 @@ func (s *Session) PrepareCtx(ctx context.Context, q *query.Q) (*Prepared, error)
 	return p, nil
 }
 
-// compute fills p's answers from the session's current state.
+// compute fills p's answers from the session's current state: a planned
+// query is re-patched across the repair cache, any other is answered by
+// the backend.
 func (s *Session) compute(ctx context.Context, p *Prepared) error {
-	if s.opts.Engine == EngineProgramCautious || s.opts.Engine == EngineDirect {
-		var (
-			ans Answer
-			err error
-		)
-		if s.opts.Engine == EngineDirect {
-			ans, err = s.directAnswer(ctx, p.q)
-		} else {
-			ans, err = s.cautiousAnswer(ctx, p.q)
-		}
-		if err != nil {
-			return err
-		}
-		p.tuples, p.boolAns, p.valid = ans.Tuples, ans.Boolean, true
-		return nil
+	var (
+		ans Answer
+		err error
+	)
+	if p.be != nil {
+		ans, err = s.cachedCertain(ctx, p.be, p.isBool)
+	} else {
+		ans, err = s.eng.certain(ctx, p.q)
 	}
-	if err := s.ensureRepairs(ctx); err != nil {
+	if err != nil {
 		return err
 	}
-	if len(s.repairs) == 0 {
-		return errEmptyRepairSet
-	}
-	if p.isBool {
-		holds := true
-		for _, r := range s.repairs {
-			if len(p.be.EvalOn(r)) == 0 {
-				holds = false
-				break
-			}
-		}
-		p.boolAns, p.valid = holds, true
-		return nil
-	}
-	p.tuples, p.valid = certainWith(p.be, s.repairs), true
+	p.tuples, p.boolAns, p.valid = ans.Tuples, ans.Boolean, true
 	return nil
 }
 

@@ -330,27 +330,28 @@ func TestCautiousDirtyPassthroughRebuild(t *testing.T) {
 	if _, err := s.Answer(qt); err != nil {
 		t.Fatal(err)
 	}
-	trBefore := s.tr
+	cb := s.eng.(*cautiousBackend)
+	trBefore := cb.tr
 	if trBefore == nil {
 		t.Fatal("no cached translation after a cautious answer")
 	}
 	if _, err := s.Apply(relational.Delta{Added: []relational.Fact{relational.F("t", str("p"), str("q"))}}); err != nil {
 		t.Fatal(err)
 	}
-	if s.tr != trBefore {
+	if cb.tr != trBefore {
 		t.Fatal("passthrough-only update dropped the translation")
 	}
 	if _, err := s.Answer(qs); err != nil {
 		t.Fatal(err)
 	}
-	if s.tr != trBefore {
+	if cb.tr != trBefore {
 		t.Error("query avoiding the dirty relation rebuilt the translation")
 	}
 	ans, err := s.Answer(qt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.tr == trBefore {
+	if cb.tr == trBefore {
 		t.Error("query over the dirty relation did not rebuild the translation")
 	}
 	found := false

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/constraint"
-	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/direct"
 	"repro/internal/engine"
@@ -19,12 +18,11 @@ import (
 	"repro/internal/value"
 )
 
-// The facade is session-first: NewSession is the primary entry point, the
-// ...Ctx one-shots are adapters over a throwaway session, and the original
-// flat one-shots survive as thin deprecated wrappers around the Ctx
-// variants. Options structs are the single configuration path — there are
-// no other knobs — and every long-running entry point takes a
-// context.Context whose cancellation aborts the enumeration with ctx.Err().
+// The facade is session-first: NewSession is the primary entry point and
+// the ...Ctx one-shots are adapters over a throwaway session. Options
+// structs are the single configuration path — there are no other knobs —
+// and every long-running entry point takes a context.Context whose
+// cancellation aborts the enumeration with ctx.Err().
 
 // Core data types, re-exported for API clients.
 type (
@@ -47,7 +45,7 @@ type (
 	// Query is a safe union of conjunctive queries with negation.
 	Query = query.Q
 	// Answer is the result of consistent query answering.
-	Answer = core.Answer
+	Answer = session.Answer
 	// RepairResult is the outcome of repair enumeration.
 	RepairResult = repair.Result
 	// Semantics selects an IC-satisfaction semantics.
@@ -103,13 +101,19 @@ type (
 	// Engine selects the pipeline; each engine reads its own section and
 	// ignores the rest:
 	//
-	//   - EngineSearch reads Repair (Mode, MaxStates, Workers,
-	//     ScratchProbe; Repair.Seed is session-owned and any caller value
-	//     is ignored).
+	//   - EngineSearch reads Repair (Mode, MaxStates, Workers; Repair.Seed
+	//     is session-owned and any caller value is ignored).
 	//   - EngineProgram reads Variant, Stable (MaxModels, MaxCandidates,
-	//     Workers, ScratchSolve) and Ground (Workers, Naive).
+	//     Workers) and Ground (Workers).
 	//   - EngineProgramCautious reads the same fields as EngineProgram.
-	CQAOptions = core.Options
+	//   - EngineDirect reads Repair.Mode only (classic mode is out of its
+	//     scope); Session.Repairs on a direct session runs the search and
+	//     reads Repair like EngineSearch.
+	//
+	// Repair.ScratchProbe, Stable.ScratchSolve and Ground.Naive are test
+	// ablations: each switches off an optimization to check it against the
+	// unoptimized path, and none changes any answer.
+	CQAOptions = session.Options
 	// RepairOptions configures direct repair enumeration (mode, state
 	// budget, worker pool).
 	RepairOptions = repair.Options
@@ -126,7 +130,7 @@ type (
 
 // NewCQAOptions returns the default CQA options: search engine, corrected
 // program variant.
-func NewCQAOptions() CQAOptions { return core.NewOptions() }
+func NewCQAOptions() CQAOptions { return session.NewOptions() }
 
 // Value constructors.
 var (
@@ -179,20 +183,20 @@ const (
 // CQA engines.
 const (
 	// EngineSearch enumerates repairs with the violation-driven search.
-	EngineSearch = core.EngineSearch
+	EngineSearch = session.EngineSearch
 	// EngineProgram uses Definition 9 repair programs and stable models.
-	EngineProgram = core.EngineProgram
+	EngineProgram = session.EngineProgram
 	// EngineProgramCautious compiles the query into the repair program
 	// and answers by cautious stable-model reasoning (the paper's
 	// Section 5 pipeline, no repairs materialized).
-	EngineProgramCautious = core.EngineProgramCautious
+	EngineProgramCautious = session.EngineProgramCautious
 	// EngineDirect answers FD-only constraint sets from a repair-less
 	// polynomial classification (one pass, exact repair counts, O(|delta|)
 	// session maintenance); out-of-scope sets fail with ErrDirectScope.
-	EngineDirect = core.EngineDirect
+	EngineDirect = session.EngineDirect
 	// EngineAuto routes by constraint class at session creation: direct
 	// when AnalyzeConstraints reports FD-only, search otherwise.
-	EngineAuto = core.EngineAuto
+	EngineAuto = session.EngineAuto
 )
 
 // AnalyzeConstraints classifies a constraint set for engine routing: the
@@ -267,7 +271,9 @@ func NewSession(d *Instance, set *ConstraintSet, opts CQAOptions) *Session {
 // repair enumeration), so they take no context.
 
 // IsConsistent reports D |=_N IC.
-func IsConsistent(d *Instance, set *ConstraintSet) bool { return core.IsConsistent(d, set) }
+func IsConsistent(d *Instance, set *ConstraintSet) bool {
+	return nullsem.Satisfies(d, set, nullsem.NullAware)
+}
 
 // SatisfiesUnder checks the instance under any of the six implemented
 // satisfaction semantics.
@@ -296,12 +302,12 @@ func RICAcyclic(set *ConstraintSet) bool { return depgraph.RICAcyclic(set) }
 // ConsistentAnswersCtx computes the certain answers of q over all repairs
 // (Definition 8). Cancelling ctx aborts the enumeration with ctx.Err().
 func ConsistentAnswersCtx(ctx context.Context, d *Instance, set *ConstraintSet, q *Query, opts CQAOptions) (Answer, error) {
-	return core.ConsistentAnswersCtx(ctx, d, set, q, opts)
+	return session.New(d, set, opts).AnswerCtx(ctx, q)
 }
 
 // PossibleAnswersCtx computes the brave answers (true in some repair).
 func PossibleAnswersCtx(ctx context.Context, d *Instance, set *ConstraintSet, q *Query, opts CQAOptions) ([]Tuple, error) {
-	return core.PossibleAnswersCtx(ctx, d, set, q, opts)
+	return session.New(d, set, opts).PossibleCtx(ctx, q)
 }
 
 // RepairsCtx enumerates Rep(D, IC) (Section 4) under opts: the zero value
@@ -359,60 +365,4 @@ func EvalQuery(d *Instance, q *Query) ([]Tuple, error) { return query.Eval(d, q)
 // EvalQueryWith evaluates q with an explicit null-handling mode.
 func EvalQueryWith(d *Instance, q *Query, opts QueryOptions) ([]Tuple, error) {
 	return query.EvalWith(d, q, opts)
-}
-
-// Deprecated flat wrappers. Each delegates to its ...Ctx variant with
-// context.Background(); they remain for source compatibility and add no
-// behaviour.
-
-// ConsistentAnswers computes the certain answers of q over all repairs.
-//
-// Deprecated: use ConsistentAnswersCtx, or a Session for repeated answers.
-func ConsistentAnswers(d *Instance, set *ConstraintSet, q *Query, opts CQAOptions) (Answer, error) {
-	return ConsistentAnswersCtx(context.Background(), d, set, q, opts)
-}
-
-// PossibleAnswers computes the brave answers (true in some repair).
-//
-// Deprecated: use PossibleAnswersCtx, or a Session for repeated answers.
-func PossibleAnswers(d *Instance, set *ConstraintSet, q *Query, opts CQAOptions) ([]Tuple, error) {
-	return PossibleAnswersCtx(context.Background(), d, set, q, opts)
-}
-
-// Repairs enumerates Rep(D, IC) under the paper's null-based semantics.
-//
-// Deprecated: use RepairsCtx.
-func Repairs(d *Instance, set *ConstraintSet) (RepairResult, error) {
-	return RepairsCtx(context.Background(), d, set, RepairOptions{})
-}
-
-// RepairsWith enumerates repairs with explicit options (classic baseline,
-// state limits).
-//
-// Deprecated: use RepairsCtx.
-func RepairsWith(d *Instance, set *ConstraintSet, opts RepairOptions) (RepairResult, error) {
-	return RepairsCtx(context.Background(), d, set, opts)
-}
-
-// RepairsD enumerates the deletion-preferring class Rep_d.
-//
-// Deprecated: use RepairsDCtx.
-func RepairsD(d *Instance, set *ConstraintSet) (RepairResult, error) {
-	return RepairsDCtx(context.Background(), d, set, RepairOptions{})
-}
-
-// IsRepair decides repair checking by membership in the enumerated repair
-// set.
-//
-// Deprecated: use IsRepairCtx.
-func IsRepair(d *Instance, set *ConstraintSet, cand *Instance) (bool, error) {
-	return IsRepairCtx(context.Background(), d, set, cand, RepairOptions{})
-}
-
-// StableModelRepairs computes repairs via stable models of the repair
-// program (corrected variant).
-//
-// Deprecated: use StableModelRepairsCtx.
-func StableModelRepairs(d *Instance, set *ConstraintSet) ([]*Instance, error) {
-	return StableModelRepairsCtx(context.Background(), d, set, StableOptions{})
 }
