@@ -984,7 +984,7 @@ func BenchmarkGroundExtend(b *testing.B) {
 	b.Run("extend", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			base, err := ground.GroundBase(tr.Program, ground.Options{})
+			base, err := ground.GroundWith(tr.Program, ground.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,24 +8,10 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/engine"
 	"repro/internal/parser"
-	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/session"
 	"repro/internal/wire"
 )
-
-// preparedResponse serializes a standing query's current state: the answer
-// carries the maintained tuples (or boolean verdict) with zero engine
-// diagnostics, since a patched answer inspects no new repairs. The daemon's
-// answers endpoint builds the identical document.
-func preparedResponse(p *session.Prepared) wire.AnswerResponse {
-	q := p.Query()
-	ans := wire.Answer{Boolean: p.Boolean()}
-	if !q.IsBoolean() {
-		ans.Tuples = wire.FromTuples(p.Answers())
-	}
-	return wire.AnswerResponse{Query: q.String(), Answer: ans}
-}
 
 // cmdSession runs a -session script: a line-oriented file of
 //
@@ -62,8 +48,6 @@ func cmdSession(d *relational.Instance, set *constraint.Set, script string, engi
 	// Standing queries in registration order, with their pending
 	// subscription diffs collected across the enclosing Apply.
 	type standing struct {
-		src  string
-		q    *query.Q
 		p    *session.Prepared
 		diff *session.QueryUpdate
 	}
@@ -89,13 +73,13 @@ func cmdSession(d *relational.Instance, set *constraint.Set, script string, engi
 				if err != nil {
 					return fmt.Errorf("line %d: %w", ln+1, err)
 				}
-				st = &standing{src: rest, q: q, p: p}
+				st = &standing{p: p}
 				st.p.Subscribe(func(u session.QueryUpdate) { st.diff = &u })
 				byKey[q.String()] = st
 				queries = append(queries, st)
 			}
 			if jsonOut {
-				if err := emitJSON(preparedResponse(st.p)); err != nil {
+				if err := emitJSON(wire.PreparedResponse(st.p)); err != nil {
 					return err
 				}
 				continue
@@ -125,20 +109,15 @@ func cmdSession(d *relational.Instance, set *constraint.Set, script string, engi
 			if err != nil {
 				return fmt.Errorf("line %d: applying update: %w", ln+1, err)
 			}
+			var updates []session.QueryUpdate
+			for _, st := range queries {
+				if st.diff != nil {
+					updates = append(updates, *st.diff)
+					st.diff = nil
+				}
+			}
+			resp := wire.NewApplyResponse(s, res, updates)
 			if jsonOut {
-				resp := wire.ApplyResponse{
-					Result:     wire.FromApplyResult(res),
-					Consistent: s.Consistent(),
-				}
-				if !resp.Consistent {
-					resp.Violations = len(s.Violations())
-				}
-				for _, st := range queries {
-					if st.diff != nil {
-						resp.Updates = append(resp.Updates, wire.FromQueryUpdate(*st.diff))
-						st.diff = nil
-					}
-				}
 				if err := emitJSON(resp); err != nil {
 					return err
 				}
@@ -152,19 +131,15 @@ func cmdSession(d *relational.Instance, set *constraint.Set, script string, engi
 			fmt.Printf("  applied %+d/-%d facts, constraint-relevant: %v\n",
 				len(res.Applied.Added), len(res.Applied.Removed), res.ConstraintRelevant)
 			consistent := "consistent"
-			if !s.Consistent() {
-				consistent = fmt.Sprintf("INCONSISTENT (%d violations)", len(s.Violations()))
+			if !resp.Consistent {
+				consistent = fmt.Sprintf("INCONSISTENT (%d violations)", resp.Violations)
 			}
 			fmt.Printf("  now %s; queries refreshed %d, skipped %d\n",
 				consistent, res.QueriesRefreshed, res.QueriesSkipped)
-			for _, st := range queries {
-				u := st.diff
-				st.diff = nil
-				if u == nil {
-					continue
-				}
-				if st.q.IsBoolean() {
-					fmt.Printf("  %s -> %v\n", st.q, u.Boolean)
+			for _, u := range updates {
+				q := u.Prepared.Query()
+				if q.IsBoolean() {
+					fmt.Printf("  %s -> %v\n", q, u.Boolean)
 					continue
 				}
 				var parts []string
@@ -174,7 +149,7 @@ func cmdSession(d *relational.Instance, set *constraint.Set, script string, engi
 				for _, t := range u.Removed {
 					parts = append(parts, "-"+t.String())
 				}
-				fmt.Printf("  %s -> %s\n", st.q, strings.Join(parts, " "))
+				fmt.Printf("  %s -> %s\n", q, strings.Join(parts, " "))
 			}
 		default:
 			return fmt.Errorf("line %d: unknown command %q: want query, insert, or delete", ln+1, verb)

@@ -169,3 +169,28 @@ func TestSessionErrorPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionCountsNNCViolations pins the violation count of a session
+// whose only violation is a NOT NULL-constraint violation: the text and the
+// -json transcript both count it, as cqad's apply endpoint does.
+func TestSessionCountsNNCViolations(t *testing.T) {
+	script := writeSessionScript(t, `
+		query q(X) :- r(X, Y).
+		insert r(null, c).
+	`)
+	args := []string{"-db", "r(a, b).", "-ic", "r(X, Y), r(X, Z) -> Y = Z. r(X, Y), isnull(X) -> false.", "-session", script}
+	out, err := capture(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "now INCONSISTENT (1 violations)"; !strings.Contains(out, want) {
+		t.Errorf("text transcript lacks %q:\n%s", want, out)
+	}
+	out, err = capture(t, func() error { return run(append([]string{"-json"}, args...)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"consistent":false,"violations":1}`; !strings.Contains(out, want) {
+		t.Errorf("JSON transcript lacks %q:\n%s", want, out)
+	}
+}

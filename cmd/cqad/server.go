@@ -450,19 +450,14 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	resp := wire.ApplyResponse{
-		Result:     wire.FromApplyResult(res),
-		Consistent: ls.s.Consistent(),
-	}
-	if !resp.Consistent {
-		resp.Violations = len(ls.s.Violations())
-	}
+	var updates []session.QueryUpdate
 	for _, st := range ls.order {
 		if st.diff != nil {
-			resp.Updates = append(resp.Updates, wire.FromQueryUpdate(*st.diff))
+			updates = append(updates, *st.diff)
 			st.diff = nil
 		}
 	}
+	resp := wire.NewApplyResponse(ls.s, res, updates)
 	ls.mu.Unlock()
 
 	for _, u := range resp.Updates {
@@ -489,60 +484,48 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ls.mu.Lock()
-	ls.lastUsed = s.cfg.now()
-	answer := func(ctx context.Context) (session.Answer, error) {
-		if req.Engine == "" {
-			return ls.s.AnswerCtx(ctx, q)
-		}
-		opts, err := engineOptions(req.Engine, req.Workers, 0, 0)
-		if err != nil {
-			return session.Answer{}, err
-		}
-		return session.New(ls.s.Current(), ls.s.Set(), opts).AnswerCtx(ctx, q)
-	}
-	possible := func(ctx context.Context) ([]relational.Tuple, error) {
-		if req.Engine == "" {
-			return ls.s.PossibleCtx(ctx, q)
-		}
-		opts, err := engineOptions(req.Engine, req.Workers, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		return session.New(ls.s.Current(), ls.s.Set(), opts).PossibleCtx(ctx, q)
-	}
-
-	resp := wire.AnswerResponse{Query: q.String()}
-	switch req.Semantics {
-	case "", "certain":
-		ans, err := answer(r.Context())
-		if err != nil {
-			ls.mu.Unlock()
-			writeEngineError(w, err)
-			return
-		}
-		resp.Answer = wire.FromAnswer(ans)
-	case "possible":
-		tuples, err := possible(r.Context())
-		if err != nil {
-			ls.mu.Unlock()
-			writeEngineError(w, err)
-			return
-		}
-		resp.Semantics = "possible"
-		if q.IsBoolean() {
-			resp.Answer.Boolean = len(tuples) > 0
-		} else {
-			resp.Answer.Tuples = wire.FromTuples(tuples)
-		}
-	default:
-		ls.mu.Unlock()
+	if req.Semantics != "" && req.Semantics != "certain" && req.Semantics != "possible" {
 		writeError(w, http.StatusBadRequest, "bad_semantics",
 			fmt.Sprintf("unknown semantics %q: want certain or possible", req.Semantics))
 		return
 	}
+
+	ls.mu.Lock()
+	ls.lastUsed = s.cfg.now()
+	resp, err := answerQuery(r.Context(), ls.s, q, req)
 	ls.mu.Unlock()
+	if err != nil {
+		writeEngineError(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// answerQuery answers q on s under the request's semantics. An engine
+// override answers from a throwaway session over s's current head instead:
+// correct, but without s's caches.
+func answerQuery(ctx context.Context, s *session.Session, q *query.Q, req queryRequest) (wire.AnswerResponse, error) {
+	if req.Engine != "" {
+		opts, err := engineOptions(req.Engine, req.Workers, 0, 0)
+		if err != nil {
+			return wire.AnswerResponse{}, err
+		}
+		s = session.New(s.Current(), s.Set(), opts)
+	}
+	resp := wire.AnswerResponse{Query: q.String()}
+	if req.Semantics != "possible" {
+		ans, err := s.AnswerCtx(ctx, q)
+		resp.Answer = wire.FromAnswer(ans)
+		return resp, err
+	}
+	tuples, err := s.PossibleCtx(ctx, q)
+	resp.Semantics = "possible"
+	if q.IsBoolean() {
+		resp.Answer.Boolean = len(tuples) > 0
+	} else {
+		resp.Answer.Tuples = wire.FromTuples(tuples)
+	}
+	return resp, err
 }
 
 func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -571,7 +554,7 @@ func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		defer ls.mu.Unlock()
 		if st.q.String() == q.String() {
 			// Idempotent re-prepare of the same query.
-			writeJSON(w, http.StatusOK, preparedResponse(st.p))
+			writeJSON(w, http.StatusOK, wire.PreparedResponse(st.p))
 			return
 		}
 		writeError(w, http.StatusConflict, "query_exists",
@@ -588,7 +571,7 @@ func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	p.Subscribe(func(u session.QueryUpdate) { st.diff = &u })
 	ls.prepared[name] = st
 	ls.order = append(ls.order, st)
-	resp := preparedResponse(p)
+	resp := wire.PreparedResponse(p)
 	ls.mu.Unlock()
 	writeJSON(w, http.StatusCreated, resp)
 }
@@ -603,7 +586,7 @@ func (s *server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	st := ls.prepared[r.PathValue("query")]
 	var resp wire.AnswerResponse
 	if st != nil {
-		resp = preparedResponse(st.p)
+		resp = wire.PreparedResponse(st.p)
 	}
 	ls.mu.Unlock()
 	if st == nil {
@@ -612,18 +595,6 @@ func (s *server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// preparedResponse serializes a standing query's maintained state with zero
-// engine diagnostics — a patched answer inspects no new repairs. It matches
-// cqa -json byte for byte.
-func preparedResponse(p *session.Prepared) wire.AnswerResponse {
-	q := p.Query()
-	ans := wire.Answer{Boolean: p.Boolean()}
-	if !q.IsBoolean() {
-		ans.Tuples = wire.FromTuples(p.Answers())
-	}
-	return wire.AnswerResponse{Query: q.String(), Answer: ans, Stale: !p.Valid()}
 }
 
 func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {

@@ -475,6 +475,26 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestApplyCountsNNCViolations pins the apply response of a session whose
+// only violation is a NOT NULL-constraint violation: it reports the
+// violation, as cqa -json does for the same script.
+func TestApplyCountsNNCViolations(t *testing.T) {
+	_, hs := newTestServer(t, config{})
+	base := hs.URL + "/v1/tenants/acme/sessions"
+	code, resp := doJSON(t, "POST", base, fmt.Sprintf(`{"name":"n","instance_text":%q,"constraints_text":%q}`,
+		"r(a, b).", "r(X, Y), r(X, Z) -> Y = Z. r(X, Y), isnull(X) -> false."))
+	if code != http.StatusCreated {
+		t.Fatalf("create session: %d %s", code, resp)
+	}
+	if code, resp = doJSON(t, "POST", base+"/n/prepare", `{"query":"q(X) :- r(X, Y)."}`); code != http.StatusCreated {
+		t.Fatalf("prepare: %d %s", code, resp)
+	}
+	code, resp = doJSON(t, "POST", base+"/n/apply", `{"insert_text":"r(null, c)."}`)
+	if code != http.StatusOK || !strings.Contains(resp, `"consistent":false,"violations":1}`) {
+		t.Errorf("apply: got %d %s, want 200 with one violation", code, resp)
+	}
+}
+
 // TestSubscribeSSE applies an update while a subscriber listens and checks
 // the pushed event carries the same wire.QueryUpdate the apply response
 // reported.

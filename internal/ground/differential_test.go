@@ -3,7 +3,7 @@ package ground
 // Differential tests pinning the grounding rewrite's determinism contract:
 // the emitted program is a pure function of the input program — byte-
 // identical across the naive and semi-naive fixpoints, every worker count,
-// and the GroundBase+Extend split vs a monolithic grounding — checked over
+// and the GroundWith+Extend split vs a monolithic grounding — checked over
 // randomized programs with recursion, disjunction, negation, constraints,
 // and builtins.
 
@@ -216,7 +216,7 @@ func TestDifferentialExtendVsMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: monolithic: %v", seed, err)
 			}
-			bg, err := GroundBase(base, opts)
+			bg, err := GroundWith(base, opts)
 			if err != nil {
 				t.Fatalf("seed %d: base: %v", seed, err)
 			}
@@ -255,7 +255,7 @@ func TestDifferentialExtendVsMonolithic(t *testing.T) {
 func TestExtendMatchesAtomIDs(t *testing.T) {
 	g := &progGen{rng: rand.New(rand.NewSource(7))}
 	base := g.program()
-	bg, err := GroundBase(base, Options{})
+	bg, err := GroundWith(base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,11 +92,11 @@ type emitWorker struct {
 // order.
 func (w *emitWorker) emitRule(r logic.Rule) []pendingRule {
 	var out []pendingRule
-	pl := buildPlan(w.canon, r.Pos, r.Builtins, term.Atom{})
-	if !evalBuiltins(pl.pre, w.subst) {
+	steps, ready := relational.PlanJoin(w.canon, r.Pos, r.Builtins, nil)
+	if !relational.BuiltinsHold(ready, w.subst) {
 		return nil
 	}
-	runPlan(w.canon, pl.steps, w.subst, func() bool {
+	relational.Join(w.canon, steps, w.subst, func() bool {
 		if pr, keep := w.simplify(r); keep {
 			out = append(out, pr)
 		}

@@ -68,11 +68,11 @@ func (p *Program) Extend(rules []logic.Rule) (*Program, error) {
 		if len(r.Head) == 0 {
 			continue
 		}
-		pl := buildPlan(eg.fix, r.Pos, r.Builtins, term.Atom{})
-		if !evalBuiltins(pl.pre, subst) {
+		steps, ready := relational.PlanJoin(eg.fix, r.Pos, r.Builtins, nil)
+		if !relational.BuiltinsHold(ready, subst) {
 			continue
 		}
-		runPlan(eg.fix, pl.steps, subst, func() bool {
+		relational.Join(eg.fix, steps, subst, func() bool {
 			for _, h := range r.Head {
 				scratch = groundAtomInto(scratch, h, subst)
 				if eg.insertPossible(relational.Fact{Pred: h.Pred, Args: scratch}) {

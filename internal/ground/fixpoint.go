@@ -13,13 +13,6 @@ func Ground(p *logic.Program) (*Program, error) {
 	return GroundWith(p, Options{})
 }
 
-// GroundBase grounds the shared base of a multi-query session — typically
-// the repair program Π(D, IC) — once, so per-query rules can be added with
-// Extend. It is GroundWith under a name that states the intent.
-func GroundBase(p *logic.Program, opts Options) (*Program, error) {
-	return GroundWith(p, opts)
-}
-
 // GroundWith instantiates the program with explicit options. The emitted
 // program is identical for every option setting; options only change how it
 // is computed.
@@ -162,7 +155,7 @@ func (g *grounder) fixpointSemiNaive(rules []logic.Rule) {
 		if len(r.Head) == 0 || len(r.Pos) > 0 {
 			continue
 		}
-		if !evalBuiltins(r.Builtins, subst) {
+		if !relational.BuiltinsHold(r.Builtins, subst) {
 			continue
 		}
 		for _, h := range r.Head {
@@ -187,6 +180,7 @@ func (g *grounder) semiNaiveRounds(rules []logic.Rule, delta []relational.Fact) 
 	subst := term.Subst{}
 	var scratch relational.Tuple
 	var restbuf [8]term.Atom
+	var prebuf [8]string
 	for len(delta) > 0 {
 		byRel := make(map[relational.RelKey][]relational.Fact)
 		for _, f := range delta {
@@ -204,18 +198,16 @@ func (g *grounder) semiNaiveRounds(rules []logic.Rule, delta []relational.Fact) 
 				if len(group) == 0 {
 					continue
 				}
-				// The plan is consumed before the next anchor reuses the
-				// buffer.
 				rest := append(restbuf[:0], r.Pos[:ai]...)
 				rest = append(rest, r.Pos[ai+1:]...)
-				pl := buildPlan(g.fix, rest, r.Builtins, anchor)
+				steps, ready := relational.PlanJoin(g.fix, rest, r.Builtins, anchor.Vars(prebuf[:0]))
 				for _, f := range group {
-					bound, ok := match(f.Args, anchor, subst)
+					bound, ok := relational.MatchAtom(f.Args, anchor, subst)
 					if !ok {
 						continue
 					}
-					if evalBuiltins(pl.pre, subst) {
-						runPlan(g.fix, pl.steps, subst, func() bool {
+					if relational.BuiltinsHold(ready, subst) {
+						relational.Join(g.fix, steps, subst, func() bool {
 							for _, h := range r.Head {
 								scratch = groundAtomInto(scratch, h, subst)
 								if g.insertPossible(relational.Fact{Pred: h.Pred, Args: scratch}) {
@@ -225,7 +217,7 @@ func (g *grounder) semiNaiveRounds(rules []logic.Rule, delta []relational.Fact) 
 							return true
 						})
 					}
-					unbind(subst, bound)
+					relational.Unbind(subst, bound)
 				}
 			}
 		}
@@ -234,10 +226,11 @@ func (g *grounder) semiNaiveRounds(rules []logic.Rule, delta []relational.Fact) 
 }
 
 // fixpointNaive is the round-robin ablation: every rule re-joined over the
-// whole possible set each round, builtins evaluated at the join leaf, no
-// literal reordering — the pre-semi-naive algorithm, kept as a
-// differential-testing reference.
+// whole possible set each round in literal order, builtins evaluated at the
+// join leaf — the pre-semi-naive algorithm, kept as a differential-testing
+// reference.
 func (g *grounder) fixpointNaive(rules []logic.Rule) {
+	subst := term.Subst{}
 	var scratch relational.Tuple
 	for changed := true; changed; {
 		changed = false
@@ -245,194 +238,18 @@ func (g *grounder) fixpointNaive(rules []logic.Rule) {
 			if len(r.Head) == 0 {
 				continue
 			}
-			joinLeafBuiltins(g.fix, r, func(subst term.Subst) {
+			relational.Join(g.fix, relational.Steps(r.Pos), subst, func() bool {
+				if !relational.BuiltinsHold(r.Builtins, subst) {
+					return true
+				}
 				for _, h := range r.Head {
 					scratch = groundAtomInto(scratch, h, subst)
 					if g.insertPossible(relational.Fact{Pred: h.Pred, Args: scratch}) {
 						changed = true
 					}
 				}
+				return true
 			})
 		}
 	}
-}
-
-// joinLeafBuiltins enumerates substitutions satisfying the positive body in
-// literal order, checking builtins only once the join is complete.
-func joinLeafBuiltins(inst *relational.Instance, r logic.Rule, yield func(term.Subst)) {
-	subst := term.Subst{}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(r.Pos) {
-			if evalBuiltins(r.Builtins, subst) {
-				yield(subst)
-			}
-			return
-		}
-		a := r.Pos[i]
-		inst.Scan(a.Pred, a.Arity(), relational.AtomBindings(a, subst), func(t relational.Tuple) bool {
-			if bound, ok := match(t, a, subst); ok {
-				rec(i + 1)
-				unbind(subst, bound)
-			}
-			return true
-		})
-	}
-	rec(0)
-}
-
-// plan is a compiled join order for the positive literals of one rule: the
-// atoms reordered by bound-column selectivity, with each builtin attached
-// to the earliest step after which its variables are bound. pre holds the
-// builtins decidable before any step (ground, or bound by the anchor).
-type plan struct {
-	pre   []term.Builtin
-	steps []planStep
-}
-
-type planStep struct {
-	atom     term.Atom
-	builtins []term.Builtin
-}
-
-// indexOf is a linear lookup in a small variable list — rule bodies bind a
-// handful of variables, so slices beat maps on the plan-building hot path.
-func indexOf(vs []string, v string) int {
-	for i, x := range vs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// buildPlan compiles the join. anchor, if non-zero, is a literal already
-// matched by the caller; its variables count as bound.
-func buildPlan(inst *relational.Instance, pos []term.Atom, builtins []term.Builtin, anchor term.Atom) plan {
-	var prebuf [8]string
-	pre := prebuf[:0]
-	for _, t := range anchor.Args {
-		if t.IsVar() && indexOf(pre, t.Var) < 0 {
-			pre = append(pre, t.Var)
-		}
-	}
-	ordered := orderBySelectivity(inst, pos, pre)
-	pl := plan{steps: make([]planStep, len(ordered))}
-	if len(builtins) == 0 {
-		for i := range ordered {
-			pl.steps[i].atom = ordered[i]
-		}
-		return pl
-	}
-	// boundVar/boundIdx map each variable to the step index after which it
-	// is bound; anchor variables map to -1.
-	var varbuf [8]string
-	var idxbuf [8]int
-	boundVar, boundIdx := varbuf[:0], idxbuf[:0]
-	for _, v := range pre {
-		boundVar = append(boundVar, v)
-		boundIdx = append(boundIdx, -1)
-	}
-	for i := range ordered {
-		pl.steps[i].atom = ordered[i]
-		for _, t := range ordered[i].Args {
-			if t.IsVar() && indexOf(boundVar, t.Var) < 0 {
-				boundVar = append(boundVar, t.Var)
-				boundIdx = append(boundIdx, i)
-			}
-		}
-	}
-	var vars []string
-	for _, b := range builtins {
-		at := -1
-		vars = b.Vars(vars[:0])
-		for _, v := range vars {
-			if j := indexOf(boundVar, v); j >= 0 && boundIdx[j] > at {
-				at = boundIdx[j]
-			}
-		}
-		if at < 0 {
-			pl.pre = append(pl.pre, b)
-		} else {
-			pl.steps[at].builtins = append(pl.steps[at].builtins, b)
-		}
-	}
-	return pl
-}
-
-// orderBySelectivity reorders join atoms greedily: at each step it picks
-// the remaining atom with the most columns bound by the atoms already
-// placed (constants and pre-bound variables count), breaking ties toward
-// the smaller relation and then toward the original order — the same
-// heuristic as the query evaluator's join planner. The enumerated
-// substitution set is order-independent; only the cost changes. pre is not
-// mutated.
-func orderBySelectivity(inst *relational.Instance, atoms []term.Atom, pre []string) []term.Atom {
-	if len(atoms) < 2 {
-		return atoms
-	}
-	var atombuf [8]term.Atom
-	var boundbuf [16]string
-	remaining := append(atombuf[:0], atoms...)
-	bound := append(boundbuf[:0], pre...)
-	out := make([]term.Atom, 0, len(atoms))
-	for len(remaining) > 0 {
-		best, bestBound, bestSize := -1, -1, 0
-		for i, a := range remaining {
-			nb := 0
-			for _, t := range a.Args {
-				if !t.IsVar() || indexOf(bound, t.Var) >= 0 {
-					nb++
-				}
-			}
-			size := inst.RelationSize(a.Pred, a.Arity())
-			if best == -1 || nb > bestBound || (nb == bestBound && size < bestSize) {
-				best, bestBound, bestSize = i, nb, size
-			}
-		}
-		a := remaining[best]
-		out = append(out, a)
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		for _, t := range a.Args {
-			if t.IsVar() && indexOf(bound, t.Var) < 0 {
-				bound = append(bound, t.Var)
-			}
-		}
-	}
-	return out
-}
-
-// runPlan enumerates the substitutions of the planned join, extending subst
-// in place and evaluating each step's builtins as soon as the step binds.
-// yield returns false to stop; runPlan reports whether the enumeration
-// completed.
-func runPlan(inst *relational.Instance, steps []planStep, subst term.Subst, yield func() bool) bool {
-	if len(steps) == 0 {
-		return yield()
-	}
-	st := &steps[0]
-	a := st.atom
-	cont := true
-	inst.Scan(a.Pred, a.Arity(), relational.AtomBindings(a, subst), func(t relational.Tuple) bool {
-		bound, ok := match(t, a, subst)
-		if !ok {
-			return true
-		}
-		if evalBuiltins(st.builtins, subst) {
-			cont = runPlan(inst, steps[1:], subst, yield)
-		}
-		unbind(subst, bound)
-		return cont
-	})
-	return cont
-}
-
-func evalBuiltins(bs []term.Builtin, subst term.Subst) bool {
-	for _, b := range bs {
-		res, ok := b.Eval(subst)
-		if !ok || !res {
-			return false
-		}
-	}
-	return true
 }

@@ -12,8 +12,10 @@
 //
 // The fixpoint is semi-naive (fixpoint.go): each round joins rules only
 // through substitutions anchored on an atom derived in the previous round,
-// with the remaining positive literals reordered by bound-column
-// selectivity and builtins evaluated as soon as their variables are bound.
+// with the remaining positive literals planned and joined by the relational
+// join kernel (relational.PlanJoin, relational.Join): reordered by
+// bound-column selectivity, builtins evaluated as soon as their variables
+// are bound.
 // Options.Naive selects the round-robin full re-join ablation.
 //
 // Rule instantiation (emit.go) runs over a canonicalized possible set — the
@@ -311,40 +313,6 @@ outer:
 		return false
 	}
 	return true
-}
-
-// match binds the variables of a against the tuple, extending subst in
-// place; on mismatch it unbinds what it bound and reports false.
-func match(tuple relational.Tuple, a term.Atom, subst term.Subst) (bound []string, ok bool) {
-	for i, t := range a.Args {
-		if !t.IsVar() {
-			if !tuple[i].Eq(t.Const) {
-				for _, v := range bound {
-					delete(subst, v)
-				}
-				return nil, false
-			}
-			continue
-		}
-		if v, isBound := subst[t.Var]; isBound {
-			if !tuple[i].Eq(v) {
-				for _, v := range bound {
-					delete(subst, v)
-				}
-				return nil, false
-			}
-			continue
-		}
-		subst[t.Var] = tuple[i]
-		bound = append(bound, t.Var)
-	}
-	return bound, true
-}
-
-func unbind(subst term.Subst, bound []string) {
-	for _, v := range bound {
-		delete(subst, v)
-	}
 }
 
 // groundAtomInto instantiates a under subst into dst's storage (reusing its

@@ -74,7 +74,7 @@ func (k *ICChecker) SharesPred(pred string) bool { return k.preds[pred] }
 // analysis.
 func (k *ICChecker) Violations(d *relational.Instance) []Violation {
 	var out []Violation
-	joinBody(d, k.ic.Body, func(subst term.Subst, support []relational.Fact) bool {
+	joinAll(d, k.ic.Body, func(subst term.Subst, support []relational.Fact) bool {
 		if v, ok := violationAt(k.c, d, k.sem, subst, support); ok {
 			out = append(out, v)
 		}
@@ -89,7 +89,7 @@ func (k *ICChecker) Violations(d *relational.Instance) []Violation {
 func (k *ICChecker) First(d *relational.Instance) (Violation, bool) {
 	var out Violation
 	found := false
-	joinBody(d, k.ic.Body, func(subst term.Subst, support []relational.Fact) bool {
+	joinAll(d, k.ic.Body, func(subst term.Subst, support []relational.Fact) bool {
 		if v, bad := violationAt(k.c, d, k.sem, subst, support); bad {
 			out, found = v, true
 			return false
@@ -233,12 +233,12 @@ func (k *ICChecker) seeded(d *relational.Instance, delta relational.Delta, yield
 				continue
 			}
 			subst := term.Subst{}
-			if _, ok := matchAtom(g.Args, body[j], subst); !ok {
+			if _, ok := relational.MatchAtom(g.Args, body[j], subst); !ok {
 				continue
 			}
 			support := make([]relational.Fact, len(body))
 			support[j] = *g
-			if !k.joinRest(d, subst, support, j, 0, yield) {
+			if !joinBody(d, body, subst, support, j, 0, yield) {
 				return
 			}
 		}
@@ -254,36 +254,11 @@ func (k *ICChecker) seeded(d *relational.Instance, delta relational.Delta, yield
 				continue
 			}
 			support := make([]relational.Fact, len(body))
-			if !k.joinRest(d, subst, support, -1, 0, yield) {
+			if !joinBody(d, body, subst, support, -1, 0, yield) {
 				return
 			}
 		}
 	}
-}
-
-// joinRest completes a seeded body join: atoms before i are resolved (the
-// one at skip, if any, is pre-bound to the anchor), the rest are joined in
-// order through indexed scans on the columns the substitution already binds.
-func (k *ICChecker) joinRest(d *relational.Instance, subst term.Subst, support []relational.Fact, skip, i int, yield func(term.Subst, []relational.Fact) bool) bool {
-	if i == len(k.ic.Body) {
-		return yield(subst, support)
-	}
-	if i == skip {
-		return k.joinRest(d, subst, support, skip, i+1, yield)
-	}
-	a := k.ic.Body[i]
-	cont := true
-	d.Scan(a.Pred, a.Arity(), relational.AtomBindings(a, subst), func(tuple relational.Tuple) bool {
-		bound, ok := matchAtom(tuple, a, subst)
-		if !ok {
-			return true
-		}
-		support[i] = relational.Fact{Pred: a.Pred, Args: tuple}
-		cont = k.joinRest(d, subst, support, skip, i+1, yield)
-		undo(subst, bound)
-		return cont
-	})
-	return cont
 }
 
 // witnessSeed derives the body-variable bindings a removed fact imposed as a

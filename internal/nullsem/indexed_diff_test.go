@@ -34,14 +34,14 @@ func naiveJoinBody(d *relational.Instance, body []term.Atom, yield func(term.Sub
 			if f.Pred != a.Pred || len(f.Args) != a.Arity() {
 				continue
 			}
-			bound, ok := matchAtom(f.Args, a, subst)
+			bound, ok := relational.MatchAtom(f.Args, a, subst)
 			if !ok {
 				continue
 			}
 			support = append(support, f)
 			cont := rec(i + 1)
 			support = support[:len(support)-1]
-			undo(subst, bound)
+			relational.Unbind(subst, bound)
 			if !cont {
 				return false
 			}

@@ -148,66 +148,41 @@ func (c *icContext) substKey(subst term.Subst) string {
 // at least twice in ψ (Definition 2).
 func (c *icContext) relevantVar(v string) bool { return c.counts[v] >= 2 }
 
-// joinBody enumerates every substitution of the antecedent variables whose
-// ground body atoms all belong to d, treating null as an ordinary constant.
-// Each atom is resolved by an indexed scan on its bound columns, so the join
-// cost tracks the matching tuples rather than the relation sizes. yield
-// returns false to stop the enumeration early.
-func joinBody(d *relational.Instance, body []term.Atom, yield func(term.Subst, []relational.Fact) bool) {
-	subst := term.Subst{}
-	support := make([]relational.Fact, 0, len(body))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(body) {
-			return yield(subst, support)
+// joinBody enumerates, in body order, every extension of subst whose ground
+// body atoms all belong to d, treating null as an ordinary constant, and
+// records in support[j] the fact matched by body[j]. Atoms before i are
+// already resolved, as is the one at skip (-1 for none), which the caller
+// matched to an anchor fact it recorded in support[skip]. Each atom is
+// resolved by an indexed scan on its bound columns, so the join cost tracks
+// the matching tuples rather than the relation sizes. Body order is the
+// contract: it fixes the deterministic first violation and the support
+// positions. yield returns false to stop the enumeration early; joinBody
+// reports whether it completed.
+func joinBody(d *relational.Instance, body []term.Atom, subst term.Subst, support []relational.Fact, skip, i int, yield func(term.Subst, []relational.Fact) bool) bool {
+	if i == skip {
+		i++
+	}
+	if i == len(body) {
+		return yield(subst, support)
+	}
+	a := body[i]
+	cont := true
+	d.Scan(a.Pred, a.Arity(), relational.AtomBindings(a, subst), func(tuple relational.Tuple) bool {
+		bound, ok := relational.MatchAtom(tuple, a, subst)
+		if !ok {
+			return true
 		}
-		a := body[i]
-		cont := true
-		d.Scan(a.Pred, a.Arity(), relational.AtomBindings(a, subst), func(tuple relational.Tuple) bool {
-			bound, ok := matchAtom(tuple, a, subst)
-			if !ok {
-				return true
-			}
-			support = append(support, relational.Fact{Pred: a.Pred, Args: tuple})
-			cont = rec(i + 1)
-			support = support[:len(support)-1]
-			undo(subst, bound)
-			return cont
-		})
+		support[i] = relational.Fact{Pred: a.Pred, Args: tuple}
+		cont = joinBody(d, body, subst, support, skip, i+1, yield)
+		relational.Unbind(subst, bound)
 		return cont
-	}
-	rec(0)
+	})
+	return cont
 }
 
-// matchAtom unifies a tuple with an atom pattern under the current
-// substitution, binding previously unbound variables. It returns the newly
-// bound variables so the caller can backtrack.
-func matchAtom(tuple relational.Tuple, a term.Atom, subst term.Subst) (bound []string, ok bool) {
-	for i, t := range a.Args {
-		if !t.IsVar() {
-			if !tuple[i].Eq(t.Const) {
-				undo(subst, bound)
-				return nil, false
-			}
-			continue
-		}
-		if v, isBound := subst[t.Var]; isBound {
-			if !tuple[i].Eq(v) {
-				undo(subst, bound)
-				return nil, false
-			}
-			continue
-		}
-		subst[t.Var] = tuple[i]
-		bound = append(bound, t.Var)
-	}
-	return bound, true
-}
-
-func undo(subst term.Subst, bound []string) {
-	for _, v := range bound {
-		delete(subst, v)
-	}
+// joinAll is joinBody from scratch: an empty substitution, no anchor.
+func joinAll(d *relational.Instance, body []term.Atom, yield func(term.Subst, []relational.Fact) bool) {
+	joinBody(d, body, term.Subst{}, make([]relational.Fact, len(body)), -1, 0, yield)
 }
 
 // exempt reports whether the antecedent assignment is exempt from the
@@ -403,7 +378,7 @@ func (c *icContext) consequentHolds(sem Semantics, d *relational.Instance, subst
 func CheckIC(d *relational.Instance, ic *constraint.IC, sem Semantics) []Violation {
 	var out []Violation
 	c := newICContext(ic)
-	joinBody(d, ic.Body, func(subst term.Subst, support []relational.Fact) bool {
+	joinAll(d, ic.Body, func(subst term.Subst, support []relational.Fact) bool {
 		if v, ok := violationAt(c, d, sem, subst, support); ok {
 			out = append(out, v)
 		}
@@ -437,7 +412,7 @@ func violationAt(c *icContext, d *relational.Instance, sem Semantics, subst term
 func SatisfiesIC(d *relational.Instance, ic *constraint.IC, sem Semantics) bool {
 	ok := true
 	c := newICContext(ic)
-	joinBody(d, ic.Body, func(subst term.Subst, support []relational.Fact) bool {
+	joinAll(d, ic.Body, func(subst term.Subst, support []relational.Fact) bool {
 		if _, bad := violationAt(c, d, sem, subst, support); bad {
 			ok = false
 			return false
@@ -467,7 +442,7 @@ func FirstViolationIC(d *relational.Instance, ic *constraint.IC, sem Semantics) 
 	var out Violation
 	found := false
 	c := newICContext(ic)
-	joinBody(d, ic.Body, func(subst term.Subst, support []relational.Fact) bool {
+	joinAll(d, ic.Body, func(subst term.Subst, support []relational.Fact) bool {
 		if v, bad := violationAt(c, d, sem, subst, support); bad {
 			out, found = v, true
 			return false

@@ -93,7 +93,7 @@ func SatisfiesICOracle(d *relational.Instance, ic *constraint.IC) bool {
 	pc := ProjectConstraint(ic)
 	dA := ProjectInstance(d, pc)
 	ok := true
-	joinBody(dA, pc.Body, func(subst term.Subst, _ []relational.Fact) bool {
+	joinAll(dA, pc.Body, func(subst term.Subst, _ []relational.Fact) bool {
 		// IsNull disjuncts: every variable surviving the projection is
 		// relevant (non-relevant variables occupy dropped positions),
 		// so any null binding satisfies ψ_N.
@@ -122,7 +122,7 @@ func oracleConsequent(dA *relational.Instance, pc ProjectedConstraint, subst ter
 		found := false
 		dA.Scan(a.Pred, a.Arity(), relational.AtomBindings(a, subst), func(tuple relational.Tuple) bool {
 			local := subst.Clone()
-			if _, ok := matchAtom(tuple, a, local); ok {
+			if _, ok := relational.MatchAtom(tuple, a, local); ok {
 				found = true
 				return false
 			}

@@ -67,7 +67,7 @@ func NewBaseEval(base *relational.Instance, q *Q) (*BaseEval, error) {
 		be.keys[k] = t
 	}
 	for i, c := range q.Disjuncts {
-		be.pos[i] = positiveAtoms(c)
+		be.pos[i] = positiveAtoms(nil, c)
 	}
 	return be, nil
 }
@@ -226,22 +226,18 @@ func (be *BaseEval) anchored(d *relational.Instance, c Conj, pos []term.Atom, sk
 		return
 	}
 	subst := term.Subst{}
-	if _, ok := matchAtom(f.Args, a, subst); !ok {
+	if _, ok := relational.MatchAtom(f.Args, a, subst); !ok {
 		return
 	}
-	rest := make([]term.Atom, 0, len(pos))
+	var restbuf [8]term.Atom
+	rest := restbuf[:0]
 	for j, p := range pos {
 		if j != skip {
 			rest = append(rest, p)
 		}
 	}
-	pre := make(map[string]bool, len(subst))
-	for v := range subst {
-		pre[v] = true
-	}
-	rest = orderBySelectivity(d, rest, pre)
-	joinPositives(d, rest, subst, func() bool {
-		if condsHold(d, c, subst) {
+	joinConj(d, c, rest, subst, func() bool {
+		if negsHold(d, c, subst) {
 			t := projectHead(be.q.Head, subst)
 			into[t.Key()] = t
 		}
@@ -269,14 +265,9 @@ func (be *BaseEval) supported(r *relational.Instance, t relational.Tuple) bool {
 		if !ok {
 			continue
 		}
-		pre := make(map[string]bool, len(subst))
-		for v := range subst {
-			pre[v] = true
-		}
-		atoms := orderBySelectivity(r, be.pos[ci], pre)
 		found := false
-		joinPositives(r, atoms, subst, func() bool {
-			if condsHold(r, c, subst) {
+		joinConj(r, c, be.pos[ci], subst, func() bool {
+			if negsHold(r, c, subst) {
 				found = true
 				return false
 			}

@@ -70,13 +70,13 @@ func naiveEval(d *relational.Instance, q *Q, opts Options) []relational.Tuple {
 				if opts.Mode == SQLNulls {
 					bound, ok = matchAtomSQL(f.Args, a, subst)
 				} else {
-					bound, ok = matchAtom(f.Args, a, subst)
+					bound, ok = relational.MatchAtom(f.Args, a, subst)
 				}
 				if !ok {
 					continue
 				}
 				rec(i + 1)
-				undo(subst, bound)
+				relational.Unbind(subst, bound)
 			}
 		}
 		rec(0)

@@ -78,17 +78,14 @@ func evalConjWith(d *relational.Instance, c Conj, head []string, opts Options, y
 		evalConj(d, c, head, yield)
 		return
 	}
-	var posAtoms []term.Atom
-	for _, l := range c.Lits {
-		if !l.Neg {
-			posAtoms = append(posAtoms, l.Atom)
-		}
-	}
-	posAtoms = orderBySelectivity(d, posAtoms, nil)
+	// Only the join order is shared with the default evaluator: SQL
+	// comparisons are three-valued, so the builtins stay at the leaf.
+	var buf [8]term.Atom
+	steps, _ := relational.PlanJoin(d, positiveAtoms(buf[:0], c), nil, nil)
 	subst := term.Subst{}
 	var rec func(i int)
 	rec = func(i int) {
-		if i == len(posAtoms) {
+		if i == len(steps) {
 			for _, b := range c.Builtins {
 				res, ok := b.Eval3(subst)
 				if !ok || res != value.True3 {
@@ -107,7 +104,7 @@ func evalConjWith(d *relational.Instance, c Conj, head []string, opts Options, y
 			yield(out)
 			return
 		}
-		a := posAtoms[i]
+		a := steps[i].Atom
 		bs, possible := bindingsSQL(a, subst)
 		if !possible {
 			return
@@ -118,7 +115,7 @@ func evalConjWith(d *relational.Instance, c Conj, head []string, opts Options, y
 				return true
 			}
 			rec(i + 1)
-			undo(subst, bound)
+			relational.Unbind(subst, bound)
 			return true
 		})
 	}
@@ -156,14 +153,14 @@ func matchAtomSQL(tuple relational.Tuple, a term.Atom, subst term.Subst) (bound 
 	for idx, t := range a.Args {
 		if !t.IsVar() {
 			if tuple[idx].Eq3(t.Const) != value.True3 {
-				undo(subst, bound)
+				relational.Unbind(subst, bound)
 				return nil, false
 			}
 			continue
 		}
 		if v, isBound := subst[t.Var]; isBound {
 			if tuple[idx].Eq3(v) != value.True3 {
-				undo(subst, bound)
+				relational.Unbind(subst, bound)
 				return nil, false
 			}
 			continue

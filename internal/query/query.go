@@ -184,57 +184,14 @@ func EvalBool(d *relational.Instance, q *Q) (bool, error) {
 	return len(ts) > 0, nil
 }
 
-// orderBySelectivity reorders the positive atoms of a join greedily: at each
-// step it picks the remaining atom with the most columns bound by the atoms
-// already placed (constants and the pre-bound variables count as bound),
-// breaking ties toward the smaller relation and then toward the original
-// order. The answer set is order-independent; only the enumeration cost
-// changes. pre names variables an anchored join has already bound; nil for a
-// join from scratch.
-func orderBySelectivity(d *relational.Instance, atoms []term.Atom, pre map[string]bool) []term.Atom {
-	if len(atoms) < 2 {
-		return atoms
-	}
-	remaining := append([]term.Atom(nil), atoms...)
-	bound := map[string]bool{}
-	for v := range pre {
-		bound[v] = true
-	}
-	out := make([]term.Atom, 0, len(atoms))
-	for len(remaining) > 0 {
-		best, bestBound, bestSize := -1, -1, 0
-		for i, a := range remaining {
-			nb := 0
-			for _, t := range a.Args {
-				if !t.IsVar() || bound[t.Var] {
-					nb++
-				}
-			}
-			size := d.RelationSize(a.Pred, a.Arity())
-			if best == -1 || nb > bestBound || (nb == bestBound && size < bestSize) {
-				best, bestBound, bestSize = i, nb, size
-			}
-		}
-		a := remaining[best]
-		out = append(out, a)
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		for _, t := range a.Args {
-			if t.IsVar() {
-				bound[t.Var] = true
-			}
-		}
-	}
-	return out
-}
-
-// evalConj joins the positive literals — reordered by selectivity and
-// resolved through per-relation hash indexes on the bound columns — then
-// filters by negated literals and builtins, yielding each head projection.
+// evalConj joins the positive literals — planned by relational.PlanJoin
+// and resolved through per-relation hash indexes on the bound columns —
+// then filters by the negated literals, yielding each head projection.
 func evalConj(d *relational.Instance, c Conj, head []string, yield func(relational.Tuple)) {
-	atoms := orderBySelectivity(d, positiveAtoms(c), nil)
+	var buf [8]term.Atom
 	subst := term.Subst{}
-	joinPositives(d, atoms, subst, func() bool {
-		if condsHold(d, c, subst) {
+	joinConj(d, c, positiveAtoms(buf[:0], c), subst, func() bool {
+		if negsHold(d, c, subst) {
 			yield(projectHead(head, subst))
 		}
 		return true
@@ -242,72 +199,52 @@ func evalConj(d *relational.Instance, c Conj, head []string, yield func(relation
 }
 
 // ForEachAssignment enumerates every assignment of c's positive literals
-// over d that satisfies c's builtins, with the join selectivity-ordered and
-// resolved through the per-relation hash indexes, exactly as evalConj does.
+// over d that satisfies c's builtins, with the join planned and resolved
+// through the per-relation hash indexes, exactly as evalConj does.
 // Negated literals are NOT applied: callers that answer negation against a
 // set of instances at once (the direct engine evaluates a negated literal
 // against every repair simultaneously) own that check themselves. The subst
 // passed to yield is reused across calls — copy it if it must outlive the
 // callback. yield returns false to stop the enumeration early.
 func ForEachAssignment(d *relational.Instance, c Conj, yield func(term.Subst) bool) {
-	atoms := orderBySelectivity(d, positiveAtoms(c), nil)
+	var buf [8]term.Atom
 	subst := term.Subst{}
-	joinPositives(d, atoms, subst, func() bool {
-		for _, b := range c.Builtins {
-			res, ok := b.Eval(subst)
-			if !ok || !res {
-				return true
-			}
-		}
-		return yield(subst)
-	})
+	joinConj(d, c, positiveAtoms(buf[:0], c), subst, func() bool { return yield(subst) })
 }
 
-// positiveAtoms collects the positive literals of a disjunct, in order.
-func positiveAtoms(c Conj) []term.Atom {
-	var out []term.Atom
+// positiveAtoms appends the positive literals of a disjunct, in order, to
+// dst.
+func positiveAtoms(dst []term.Atom, c Conj) []term.Atom {
 	for _, l := range c.Lits {
 		if !l.Neg {
-			out = append(out, l.Atom)
+			dst = append(dst, l.Atom)
 		}
 	}
-	return out
+	return dst
 }
 
-// joinPositives enumerates the assignments of the positive atoms over d,
-// extending subst in place — the shared join core of the from-scratch, the
-// Δ-anchored, and the head-bound evaluations. The atoms should already be
-// selectivity-ordered; bound columns (constants and variables subst already
-// binds) are resolved through the per-relation hash indexes. yield returns
-// false to stop; joinPositives reports whether the enumeration completed.
-func joinPositives(d *relational.Instance, atoms []term.Atom, subst term.Subst, yield func() bool) bool {
-	if len(atoms) == 0 {
-		return yield()
+// joinConj enumerates the assignments of the atoms (c's positive literals,
+// or all but a Δ-anchored one) over d that satisfy c's builtins, extending
+// subst in place — the one join path of the from-scratch, the Δ-anchored
+// and the head-bound evaluations. The join is planned around the variables
+// subst already binds, and each builtin is checked at the earliest step
+// that binds its variables. yield returns false to stop.
+func joinConj(d *relational.Instance, c Conj, atoms []term.Atom, subst term.Subst, yield func() bool) {
+	var prebuf [8]string
+	pre := prebuf[:0]
+	for v := range subst {
+		pre = append(pre, v)
 	}
-	a := atoms[0]
-	cont := true
-	d.Scan(a.Pred, a.Arity(), relational.AtomBindings(a, subst), func(tuple relational.Tuple) bool {
-		bound, ok := matchAtom(tuple, a, subst)
-		if !ok {
-			return true
-		}
-		cont = joinPositives(d, atoms[1:], subst, yield)
-		undo(subst, bound)
-		return cont
-	})
-	return cont
+	steps, ready := relational.PlanJoin(d, atoms, c.Builtins, pre)
+	if relational.BuiltinsHold(ready, subst) {
+		relational.Join(d, steps, subst, yield)
+	}
 }
 
-// condsHold evaluates the builtins and then the negated literals of c under
-// a complete assignment, with null as an ordinary constant (the package's
-// default ConstantNulls semantics).
-func condsHold(d *relational.Instance, c Conj, subst term.Subst) bool {
-	for _, b := range c.Builtins {
-		res, ok := b.Eval(subst)
-		if !ok || !res {
-			return false
-		}
-	}
+// negsHold reports whether no negated literal of c holds under a complete
+// assignment, with null as an ordinary constant (the package's default
+// ConstantNulls semantics).
+func negsHold(d *relational.Instance, c Conj, subst term.Subst) bool {
 	for _, l := range c.Lits {
 		if l.Neg && holdsGround(d, l.Atom, subst) {
 			return false
@@ -335,32 +272,4 @@ func holdsGround(d *relational.Instance, a term.Atom, subst term.Subst) bool {
 		args[i] = v
 	}
 	return d.Has(relational.Fact{Pred: a.Pred, Args: args})
-}
-
-func matchAtom(tuple relational.Tuple, a term.Atom, subst term.Subst) (bound []string, ok bool) {
-	for i, t := range a.Args {
-		if !t.IsVar() {
-			if !tuple[i].Eq(t.Const) {
-				undo(subst, bound)
-				return nil, false
-			}
-			continue
-		}
-		if v, isBound := subst[t.Var]; isBound {
-			if !tuple[i].Eq(v) {
-				undo(subst, bound)
-				return nil, false
-			}
-			continue
-		}
-		subst[t.Var] = tuple[i]
-		bound = append(bound, t.Var)
-	}
-	return bound, true
-}
-
-func undo(subst term.Subst, bound []string) {
-	for _, v := range bound {
-		delete(subst, v)
-	}
 }

@@ -472,7 +472,7 @@ func (tr *Translation) Rebase(newBase *relational.Instance, delta relational.Del
 // repair program. Safe for concurrent use.
 func (tr *Translation) BaseGrounding() (*ground.Program, error) {
 	tr.groundOnce.Do(func() {
-		tr.groundProg, tr.groundErr = ground.GroundBase(tr.Program, tr.GroundOptions)
+		tr.groundProg, tr.groundErr = ground.GroundWith(tr.Program, tr.GroundOptions)
 	})
 	return tr.groundProg, tr.groundErr
 }

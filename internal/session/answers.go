@@ -56,7 +56,7 @@ func (s *Session) cachedCertain(ctx context.Context, be *query.BaseEval, boolean
 		return Answer{}, err
 	}
 	if len(s.repairs) == 0 {
-		return Answer{}, errEmptyRepairSet
+		return Answer{}, ErrInconsistentUnrepairable
 	}
 	ans := Answer{NumRepairs: len(s.repairs), StatesExplored: s.searchStats.StatesExplored}
 	if !boolean {

@@ -130,7 +130,7 @@ func (b *programBackend) certain(ctx context.Context, q *query.Q) (Answer, error
 		return Answer{}, err
 	}
 	if seen.Len() == 0 {
-		return Answer{}, errEmptyRepairSet
+		return Answer{}, ErrInconsistentUnrepairable
 	}
 	return Answer{NumRepairs: seen.Len(), Boolean: holds, ShortCircuited: short}, nil
 }

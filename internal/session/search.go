@@ -106,7 +106,7 @@ func (b *searchBackend) certain(ctx context.Context, q *query.Q) (Answer, error)
 		return ans, nil
 	}
 	if stats.Leaves == 0 {
-		return Answer{}, errEmptyRepairSet
+		return Answer{}, ErrInconsistentUnrepairable
 	}
 	// The stream ran to completion: keep its results as the session's
 	// repair cache.
@@ -130,7 +130,7 @@ func (b *searchBackend) possible(ctx context.Context, q *query.Q) ([]relational.
 		return nil, err
 	}
 	if len(s.repairs) == 0 {
-		return nil, errEmptyRepairSet
+		return nil, ErrInconsistentUnrepairable
 	}
 	be, err := query.NewBaseEval(s.head.Current(), q)
 	if err != nil {

@@ -171,10 +171,6 @@ const maxConfirmAttempts = 8
 // a property of the data. API consumers match it with errors.Is.
 var ErrInconsistentUnrepairable = errors.New("cqa: empty repair set (Proposition 1 guarantees at least one repair; this indicates an engine limitation on this input)")
 
-// errEmptyRepairSet guards the Proposition 1 invariant (kept as the internal
-// alias used throughout this package).
-var errEmptyRepairSet = ErrInconsistentUnrepairable
-
 // Session is a persistent (D, IC) pair with maintained CQA state. It is
 // not safe for concurrent use; a server wraps one session per client (or
 // shards) rather than sharing one across goroutines.

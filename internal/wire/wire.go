@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"repro/internal/constraint"
+	"repro/internal/nullsem"
 	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relational"
@@ -406,6 +407,37 @@ type ApplyResponse struct {
 	Consistent bool          `json:"consistent"`
 	Violations int           `json:"violations,omitempty"`
 	Updates    []QueryUpdate `json:"updates,omitempty"`
+}
+
+// NewApplyResponse assembles the update envelope of an apply on s. The
+// violation count covers the whole constraint set: the maintained IC
+// violations plus, per NOT NULL-constraint, the facts with a null in its
+// column. updates are the changed-answer diffs of the standing queries, in
+// registration order.
+func NewApplyResponse(s *session.Session, res session.ApplyResult, updates []session.QueryUpdate) ApplyResponse {
+	resp := ApplyResponse{Result: FromApplyResult(res), Consistent: s.Consistent()}
+	if !resp.Consistent {
+		resp.Violations = len(s.Violations())
+		cur := s.Current()
+		for _, n := range s.Set().NNCs {
+			resp.Violations += len(nullsem.CheckNNC(cur, n))
+		}
+	}
+	for _, u := range updates {
+		resp.Updates = append(resp.Updates, FromQueryUpdate(u))
+	}
+	return resp
+}
+
+// PreparedResponse serializes a standing query's maintained state with zero
+// engine diagnostics, since a patched answer inspects no new repairs.
+func PreparedResponse(p *session.Prepared) AnswerResponse {
+	q := p.Query()
+	ans := Answer{Boolean: p.Boolean()}
+	if !q.IsBoolean() {
+		ans.Tuples = FromTuples(p.Answers())
+	}
+	return AnswerResponse{Query: q.String(), Answer: ans, Stale: !p.Valid()}
 }
 
 // --- canonical constraint rendering ------------------------------------------
