@@ -411,6 +411,34 @@ func BenchmarkCQACautious(b *testing.B) {
 	}
 }
 
+// BenchmarkCautiousRepairScaling is one warm cautious query over k
+// independent key conflicts (2^k repairs). The query touches one conflict,
+// so it solves that conflict's component alone and reads the repair count
+// the session's first query cached: ns/op stays flat in k, where
+// intersecting the combined model stream pays for all 2^k models.
+func BenchmarkCautiousRepairScaling(b *testing.B) {
+	q := parser.MustQuery(`q(Y) :- r(k0, Y).`)
+	opts := session.NewOptions()
+	opts.Engine = session.EngineProgramCautious
+	for _, k := range []int{3, 10, 20} {
+		d, set := stableRepairDB(k, 16)
+		s := session.New(d, set, opts)
+		b.Run(fmt.Sprintf("conflicts=%d", k), func(b *testing.B) {
+			if _, err := s.Answer(q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ans, err := s.Answer(q)
+				if err != nil || len(ans.Tuples) != 0 || ans.NumRepairs != 1<<k {
+					b.Fatalf("ans=%+v err=%v", ans, err)
+				}
+			}
+		})
+	}
+}
+
 // --- query evaluation modes -------------------------------------------------------------------------
 
 func BenchmarkQueryModes(b *testing.B) {

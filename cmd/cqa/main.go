@@ -27,8 +27,10 @@
 // the cqad daemon serves for the same requests.
 //
 // -workers parallelizes the chosen engine: the search engine's state
-// expansion pool, or the program engines' grounding and per-component
-// stable-model solvers. Output is byte-identical for every worker count.
+// expansion pool, the program engines' grounding, or the program engine's
+// per-component stable-model solvers (the cautious engine solves its
+// components one at a time). Output is byte-identical for every worker
+// count.
 //
 // -cpuprofile/-memprofile write runtime/pprof profiles of the whole
 // command, for bottleneck hunts without an ad-hoc harness.

@@ -3,6 +3,8 @@ package session
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 
 	"repro/internal/query"
 	"repro/internal/relational"
@@ -15,7 +17,22 @@ import (
 // its base grounding, with no repair ever materialized for an answer. The
 // embedded programBackend keeps the translation coherent and supplies
 // enumerate (Repairs) and possible.
-type cautiousBackend struct{ programBackend }
+type cautiousBackend struct {
+	programBackend
+	// repairs is the distinct-repair count of tr's program (0 = not yet
+	// counted). The first query that solves every component counts it;
+	// it is dropped with tr and kept across Rebase and reanchor, which
+	// leave the program and its grounding unchanged.
+	repairs int
+}
+
+// apply drops the repair count together with a stale translation.
+func (b *cautiousBackend) apply(eff relational.Delta) {
+	b.programBackend.apply(eff)
+	if b.tr == nil {
+		b.repairs = 0
+	}
+}
 
 // plan returns nil: standing queries are re-answered by cautious reasoning.
 func (b *cautiousBackend) plan(*query.Q) (*query.BaseEval, error) { return nil, nil }
@@ -24,20 +41,27 @@ func (b *cautiousBackend) plan(*query.Q) (*query.BaseEval, error) { return nil, 
 // passthrough relation that drifted since the translation was built
 // rebuilds the translation first (see programBackend.trDirty).
 //
-// The query rules are ground against the retained possible-set snapshot
-// (no re-grounding, no Facts/Rules copy), and the stable models of the
-// extended program drive the cautious intersection: the certain answers
-// are the running intersection of each model's answer atoms. A boolean
-// query short-circuits the moment a model lacks the answer atom — that
-// model witnesses a repair falsifying the query, so the certain answer is
-// already no and the enumeration is cancelled. Non-boolean queries
-// enumerate fully: NumRepairs (the distinct induced repairs) is part of
-// the cross-engine differential contract.
+// The query rules are ground against the retained possible-set snapshot,
+// and the ground program is split into its components (DESIGN §5.2).
+// Stable models factorize over them, so the cautious consequences are the
+// core facts plus, per component, the atoms true in all of that
+// component's models: the certain answers are the answer atoms among the
+// core facts and, for each component holding an answer atom, those true
+// in every one of its models. Only those components are solved once the
+// repair count is known. The count is the product over all components of
+// the distinct pieces ModelReader.Delta reads off their models — each
+// edit is decided by one atom, so different components' pieces touch
+// disjoint facts — and the first query of a translation computes it in
+// the same pass by solving every component. A boolean query stops its
+// component at the first model lacking the answer atom: that model's
+// repair falsifies q, so the answer is no (ShortCircuited, NumRepairs 1),
+// and each other component then needs one model, or the cached count, to
+// show that the program has a stable model at all.
 func (b *cautiousBackend) certain(ctx context.Context, q *query.Q) (Answer, error) {
 	if len(b.trDirty) > 0 {
 		for _, name := range q.Preds() {
 			if b.trDirty[name] {
-				b.tr, b.trDirty = nil, nil
+				b.tr, b.trDirty, b.repairs = nil, nil, 0
 				break
 			}
 		}
@@ -50,56 +74,119 @@ func (b *cautiousBackend) certain(ctx context.Context, q *query.Q) (Answer, erro
 	if err != nil {
 		return Answer{}, err
 	}
+	cs := stable.Decompose(gp)
+	isAnswer := func(a int) bool { return gp.Atoms[a].Pred == repairprog.AnswerPred }
+
+	var certain []int
+	for _, a := range cs.Core() {
+		if isAnswer(a) {
+			certain = append(certain, a)
+		}
+	}
+	// order lists the components holding answer atoms first, and held[i]
+	// the answer atoms of order[i] true in every model seen so far; the
+	// other components follow only while the repair count is unknown.
+	var order []int
+	var held [][]int
+	for c := 0; c < cs.Len(); c++ {
+		var as []int
+		for _, a := range cs.Atoms(c) {
+			if isAnswer(a) {
+				as = append(as, a)
+			}
+		}
+		if as != nil {
+			order = append(order, c)
+			held = append(held, as)
+		}
+	}
+	counting := b.repairs == 0
+	if counting {
+		for c, j := 0, 0; c < cs.Len(); c++ {
+			if j < len(held) && order[j] == c {
+				j++
+				continue
+			}
+			order = append(order, c)
+		}
+	}
 
 	boolean := q.IsBoolean()
-	emptyKey := relational.Tuple{}.Key()
-	// The distinct-repair count (part of the cross-engine contract) needs
-	// no materialized instances: every repair is determined by its delta
-	// against the shared base, so a fingerprint delta set dedups in
-	// O(|Δ|) per model with no instance build and no key strings at all.
-	reader := tr.NewModelReader(gp)
-	repairSeen := relational.NewDeltaSet()
-	certain := map[string]relational.Tuple{}
-	first := true
-	short := false
-	if err := stable.EnumerateCtx(ctx, gp, b.s.opts.Stable, func(m stable.Model) bool {
-		repairSeen.Add(reader.Delta(m))
-		here := map[string]relational.Tuple{}
-		for _, id := range m {
-			f := gp.Atoms[id]
-			if f.Pred == repairprog.AnswerPred {
-				here[f.Args.Key()] = f.Args
+	// A boolean answer atom in no component is a core fact (yes) or
+	// absent from the program (no in every repair).
+	short := boolean && len(certain) == 0 && len(held) == 0
+	var (
+		reader *repairprog.ModelReader
+		pieces *relational.DeltaSet // distinct pieces of the current component
+		first  stable.Model         // its first model
+		at     = -1                 // its index in order
+		n      = 1                  // repair count over the finished components
+	)
+	ok, err := cs.Solve(ctx, b.s.opts.Stable, order, func(c int, m stable.Model) bool {
+		if at < 0 || order[at] != c {
+			n = mulCount(n, pieces)
+			at, pieces, first = at+1, nil, m
+		} else if counting && !short {
+			if reader == nil {
+				reader = tr.NewModelReader(gp)
 			}
+			if pieces == nil {
+				pieces = relational.NewDeltaSet()
+				pieces.Add(reader.Delta(first))
+			}
+			pieces.Add(reader.Delta(m))
 		}
-		if first {
-			first = false
-			certain = here
-		} else {
-			for k := range certain {
-				if _, ok := here[k]; !ok {
-					delete(certain, k)
+		if at < len(held) {
+			kept := held[at][:0]
+			for _, a := range held[at] {
+				if m.Contains(a) {
+					kept = append(kept, a)
 				}
 			}
-		}
-		if boolean {
-			if _, ok := certain[emptyKey]; !ok {
+			held[at] = kept
+			if boolean && len(kept) == 0 {
 				short = true
-				return false
 			}
 		}
-		return true
-	}); err != nil {
+		return !short
+	})
+	if err != nil {
 		return Answer{}, err
 	}
-	if first {
+	if !ok {
 		return Answer{}, fmt.Errorf("the repair program has no stable model: %w", ErrInconsistentUnrepairable)
 	}
-
-	ans := Answer{NumRepairs: repairSeen.Len(), ShortCircuited: short}
+	if short {
+		return Answer{NumRepairs: 1, ShortCircuited: true}, nil
+	}
+	if counting {
+		b.repairs = mulCount(n, pieces)
+	}
+	ans := Answer{NumRepairs: b.repairs}
+	for _, as := range held {
+		certain = append(certain, as...)
+	}
 	if boolean {
-		_, ans.Boolean = certain[emptyKey]
+		ans.Boolean = len(certain) > 0
 		return ans, nil
 	}
-	ans.Tuples = sortedTuples(certain)
+	for _, a := range certain {
+		ans.Tuples = append(ans.Tuples, gp.Atoms[a].Args)
+	}
+	sort.Slice(ans.Tuples, func(i, j int) bool { return ans.Tuples[i].Compare(ans.Tuples[j]) < 0 })
 	return ans, nil
+}
+
+// mulCount multiplies the repair count n by a finished component's number
+// of distinct pieces (nil: one model, one piece), saturating at
+// math.MaxInt.
+func mulCount(n int, pieces *relational.DeltaSet) int {
+	if pieces == nil {
+		return n
+	}
+	k := pieces.Len()
+	if n > math.MaxInt/k {
+		return math.MaxInt
+	}
+	return n * k
 }

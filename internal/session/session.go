@@ -97,7 +97,9 @@ type Options struct {
 	// session (it wires its maintained violation lists there); any caller
 	// value is ignored.
 	Repair repair.Options
-	// Stable configures the model enumeration.
+	// Stable configures the model enumeration. Stable.MaxModels is
+	// cleared by the session: a certain answer needs every model, and
+	// Stable.MaxCandidates is the work bound.
 	Stable stable.Options
 	// Ground configures the grounding of the repair program (worker pool,
 	// naive-fixpoint ablation). The answers are identical for every
@@ -118,9 +120,13 @@ type Answer struct {
 	Tuples []relational.Tuple
 	// Boolean is the certain answer of a boolean query.
 	Boolean bool
-	// NumRepairs is the number of repairs inspected. After a short-circuit
-	// it is 1: the confirmed-minimal counterexample is the only candidate
-	// established as a repair when the search stops.
+	// NumRepairs is the number of repairs inspected. After a search-engine
+	// or cautious short-circuit it is 1: the counterexample is the only
+	// candidate established as a repair when the engine stops. The
+	// cautious engine never inspects a repair: its count is the product
+	// over the ground program's components of the distinct repair pieces
+	// their models induce, saturating at math.MaxInt, and a session
+	// computes it once per repair-program translation.
 	NumRepairs int
 	// StatesExplored counts the search states visited when the search
 	// engine produced the answer (0 for the program engines). After a
@@ -133,12 +139,13 @@ type Answer struct {
 	// counterexample instead of enumerating exhaustively. Only boolean
 	// queries short-circuit, and only when the certain answer is no: the
 	// search engine stops at the first confirmed-minimal falsifying leaf,
-	// and the program engines stop at the first stable model whose induced
-	// repair (EngineProgram) or answer-atom set (EngineProgramCautious)
-	// falsifies the query — a stable model is a repair outright
-	// (Theorem 4), so no certificate is needed. After a program-engine
-	// short-circuit NumRepairs counts the distinct repairs seen up to and
-	// including the counterexample.
+	// EngineProgram at the first stable model whose induced repair
+	// falsifies the query, and EngineProgramCautious at the first model of
+	// the answer atom's component that lacks it (or at once when no model
+	// can hold it) — a stable model is a repair outright (Theorem 4), so
+	// no certificate is needed. After an EngineProgram short-circuit
+	// NumRepairs counts the distinct repairs seen up to and including the
+	// counterexample.
 	//
 	// Boolean and Tuples are identical for every Repair.Workers and
 	// Stable.Workers value; NumRepairs, StatesExplored and ShortCircuited
@@ -231,6 +238,7 @@ type backend interface {
 // runs the repair search, and vice versa.
 func New(d *relational.Instance, set *constraint.Set, opts Options) *Session {
 	opts.Repair.Seed = nil
+	opts.Stable.MaxModels = 0
 	if opts.Engine == EngineAuto {
 		opts.Engine = resolveAuto(set, opts)
 	}
@@ -247,7 +255,7 @@ func New(d *relational.Instance, set *constraint.Set, opts Options) *Session {
 	case EngineProgram:
 		s.eng = &programBackend{s: s}
 	case EngineProgramCautious:
-		s.eng = &cautiousBackend{programBackend{s: s, pruned: true}}
+		s.eng = &cautiousBackend{programBackend: programBackend{s: s, pruned: true}}
 	case EngineDirect:
 		s.eng = &directBackend{s: s}
 	default:

@@ -1,6 +1,7 @@
 package stable
 
 import (
+	"context"
 	"slices"
 	"sort"
 
@@ -58,9 +59,7 @@ func decompose(p *ground.Program) (coreFacts []int, comps []*component, inconsis
 		}
 	}
 
-	isFact := make([]bool, n)
 	for _, f := range p.Facts {
-		isFact[f] = true
 		if !inRule[f] {
 			coreFacts = append(coreFacts, f)
 		}
@@ -69,51 +68,80 @@ func decompose(p *ground.Program) (coreFacts []int, comps []*component, inconsis
 	// Hand-built programs may repeat a fact id; models must not.
 	coreFacts = slices.Compact(coreFacts)
 
-	// Group rule-connected atoms by their set representative, in ascending
-	// atom order so components and their atom lists are deterministic.
-	compOf := make(map[int]*component)
+	// Number the components in ascending order of their smallest atom, so
+	// components and their atom lists are deterministic. owner holds each
+	// set representative's component (1-based) and then each atom's; local
+	// is an atom's position in its component's atom list.
+	owner := make([]int32, n)
+	local := make([]int32, n)
+	var sizes []int32
 	for a := 0; a < n; a++ {
 		if !inRule[a] {
 			continue
 		}
 		root := uf.Find(a)
-		c := compOf[root]
-		if c == nil {
-			c = &component{}
-			compOf[root] = c
-			comps = append(comps, c)
+		if owner[root] == 0 {
+			sizes = append(sizes, 0)
+			owner[root] = int32(len(sizes))
 		}
-		c.atoms = append(c.atoms, a)
+		c := owner[root]
+		owner[a] = c
+		local[a] = sizes[c-1]
+		sizes[c-1]++
 	}
 
-	// Local ids: position of the global id in the component's atom list.
-	local := make([]int32, n)
-	for _, c := range comps {
-		for i, a := range c.atoms {
-			local[a] = int32(i)
+	// Components, their atom lists and their relabeled rules share a few
+	// backing arrays: decompose runs once per query on the cautious path.
+	all := make([]component, len(sizes))
+	comps = make([]*component, len(sizes))
+	atomBuf := make([]int, n)
+	off := 0
+	for i := range all {
+		all[i].atoms = atomBuf[off : off : off+int(sizes[i])]
+		off += int(sizes[i])
+		comps[i] = &all[i]
+	}
+	for a := 0; a < n; a++ {
+		if inRule[a] {
+			c := &all[owner[a]-1]
+			c.atoms = append(c.atoms, a)
 		}
 	}
+	ruleOwner := func(r ground.Rule) int {
+		switch {
+		case len(r.Head) > 0:
+			return int(owner[r.Head[0]] - 1)
+		case len(r.Pos) > 0:
+			return int(owner[r.Pos[0]] - 1)
+		default:
+			return int(owner[r.Neg[0]] - 1)
+		}
+	}
+	nRules := make([]int, len(all))
+	nLits := 0
+	for _, r := range p.Rules {
+		nRules[ruleOwner(r)]++
+		nLits += len(r.Head) + len(r.Pos) + len(r.Neg)
+	}
+	rules := make([]ground.Rule, len(p.Rules))
+	off = 0
+	for i := range all {
+		all[i].rules = rules[off : off : off+nRules[i]]
+		off += nRules[i]
+	}
+	lits := make([]int, 0, nLits)
 	relabel := func(atoms []int) []int {
 		if len(atoms) == 0 {
 			return nil
 		}
-		out := make([]int, len(atoms))
-		for i, a := range atoms {
-			out[i] = int(local[a])
+		start := len(lits)
+		for _, a := range atoms {
+			lits = append(lits, int(local[a]))
 		}
-		return out
+		return lits[start:len(lits):len(lits)]
 	}
 	for _, r := range p.Rules {
-		var owner int
-		switch {
-		case len(r.Head) > 0:
-			owner = r.Head[0]
-		case len(r.Pos) > 0:
-			owner = r.Pos[0]
-		default:
-			owner = r.Neg[0]
-		}
-		c := compOf[uf.Find(owner)]
+		c := &all[ruleOwner(r)]
 		c.rules = append(c.rules, ground.Rule{
 			Head: relabel(r.Head),
 			Pos:  relabel(r.Pos),
@@ -122,9 +150,95 @@ func decompose(p *ground.Program) (coreFacts []int, comps []*component, inconsis
 	}
 	for _, f := range p.Facts {
 		if inRule[f] {
-			c := compOf[uf.Find(f)]
+			c := &all[owner[f]-1]
 			c.facts = append(c.facts, int(local[f]))
 		}
 	}
 	return coreFacts, comps, false
+}
+
+// Components is a ground program split into its independent components,
+// for consumers that can answer from each component's own models — the
+// atoms true in all of a component's models, or how many distinct models
+// it has — instead of from the cross product Enumerate streams: k
+// components of two models each have 2^k combined models but only 2k
+// component models.
+type Components struct {
+	core         []int
+	comps        []*component
+	inconsistent bool
+}
+
+// Decompose splits p into its independent components.
+func Decompose(p *ground.Program) *Components {
+	core, comps, inconsistent := decompose(p)
+	return &Components{core: core, comps: comps, inconsistent: inconsistent}
+}
+
+// Core returns the facts no rule mentions, ascending: they are true in
+// every stable model. An atom neither in Core nor in a component is false
+// in every stable model.
+func (cs *Components) Core() []int { return cs.core }
+
+// Len returns the number of components.
+func (cs *Components) Len() int { return len(cs.comps) }
+
+// Atoms returns the atoms of component c, ascending. Read-only.
+func (cs *Components) Atoms(c int) []int { return cs.comps[c].atoms }
+
+// Solve enumerates the stable models of the listed components, one
+// component after another in the given order, each on its own solver on
+// the calling goroutine (Options.Workers and Options.MaxModels do not
+// apply). yield receives every model of component c — the component's
+// true atoms, ascending — in the solver's discovery order; returning false
+// stops component c, and Solve goes on with the next one. The stable
+// models of the program are exactly Core plus one model of each
+// component, so these are the program's models restricted to c; Solve
+// never forms their combinations.
+//
+// ok is false when a listed component has no stable model, or the program
+// holds a violated ground denial: the program then has no stable model,
+// and Solve returns at once. Every candidate solve of the pass is charged
+// to one Options.MaxCandidates budget, and exceeding it returns
+// ErrCandidateLimit. Cancellation aborts an in-flight solve and returns
+// ctx.Err(); the models already yielded are valid but incomplete.
+func (cs *Components) Solve(ctx context.Context, opts Options, order []int, yield func(c int, m Model) bool) (ok bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	if cs.inconsistent {
+		return false, nil
+	}
+	maxCand := opts.MaxCandidates
+	if maxCand == 0 {
+		maxCand = DefaultMaxCandidates
+	}
+	bud := &candidateBudget{max: int64(maxCand)}
+	stop := func() bool { return ctx.Err() != nil }
+	for _, c := range order {
+		e := newEnumerator(cs.comps[c], bud, stop, opts.ScratchSolve)
+		found := false
+		for {
+			m, _, more := e.next()
+			// A solve aborted by the stop hook ends the stream early,
+			// which must not read as a component without models.
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+			if !more {
+				if e.err != nil {
+					return false, e.err
+				}
+				break
+			}
+			found = true
+			if !yield(c, m) {
+				break
+			}
+		}
+		if !found {
+			return false, nil
+		}
+	}
+	return true, nil
 }

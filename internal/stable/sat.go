@@ -1,5 +1,7 @@
 package stable
 
+import "slices"
+
 // A conflict-driven clause-learning (CDCL) SAT solver — the search core of
 // the stable-model engine. Compared with the DPLL core it replaces, the
 // solver learns a first-UIP clause at every conflict, backjumps
@@ -114,18 +116,26 @@ func (s *solver) litValue(l int) int8 {
 
 func (s *solver) decisionLevel() int { return len(s.trailLim) }
 
-// dedupLits removes duplicate literals; returns nil, false for tautologies.
-func dedupLits(c []int) ([]int, bool) {
-	seen := map[int]bool{}
+// dedupLits removes duplicate literals, keeping first occurrences in order;
+// returns nil, false for tautologies. It marks variables in s.seen, which
+// is all false outside analyze, and clears the marks before returning.
+func (s *solver) dedupLits(c []int) ([]int, bool) {
 	out := make([]int, 0, len(c))
+	taut := false
 	for _, l := range c {
-		if seen[negate(l)] {
-			return nil, false
-		}
-		if !seen[l] {
-			seen[l] = true
+		if !s.seen[litVar(l)] {
+			s.seen[litVar(l)] = true
 			out = append(out, l)
+		} else if slices.Contains(out, negate(l)) {
+			taut = true
+			break
 		}
+	}
+	for _, l := range out {
+		s.seen[litVar(l)] = false
+	}
+	if taut {
+		return nil, false
 	}
 	return out, true
 }
@@ -141,7 +151,7 @@ func (s *solver) addClause(c []int) bool {
 	if !s.ok {
 		return false
 	}
-	cc, keep := dedupLits(c)
+	cc, keep := s.dedupLits(c)
 	if !keep {
 		return true // tautology
 	}

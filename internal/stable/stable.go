@@ -9,7 +9,9 @@
 // fragments lazily: Enumerate streams combined models one at a time —
 // the first model is observable long before the enumeration completes —
 // and components can be solved in parallel (Options.Workers) without
-// changing the stream. It also provides the head-cycle-freeness test and
+// changing the stream. Consumers that can answer per component — cautious
+// consequences, model counts — use Decompose and Components.Solve instead,
+// which never form the cross-product. It also provides the head-cycle-freeness test and
 // the shift transformation sh(Π) of Section 6 (Ben-Eliyahu & Dechter).
 package stable
 
@@ -25,7 +27,8 @@ import (
 
 // Options bounds and tunes the enumeration.
 type Options struct {
-	// MaxModels caps the number of stable models streamed (0 = no cap).
+	// MaxModels caps the number of stable models Enumerate streams (0 = no
+	// cap).
 	MaxModels int
 	// MaxCandidates caps the number of candidate solver calls consumed by
 	// the demanded model stream (0 = DefaultMaxCandidates); exceeding it
@@ -36,8 +39,8 @@ type Options struct {
 	// Each component is additionally work-bounded by the same limit, so
 	// total solving never exceeds (components+1) × MaxCandidates.
 	MaxCandidates int
-	// Workers sets the number of goroutines enumerating components
-	// (<= 1 solves components lazily on the calling goroutine). The
+	// Workers sets the number of goroutines Enumerate solves components
+	// on (<= 1 solves them lazily on the calling goroutine). The
 	// model stream — content, order, and any ErrCandidateLimit cutoff —
 	// is identical for every worker count; workers only overlap the
 	// per-component solves, prefetching at most a bounded window ahead

@@ -103,8 +103,9 @@ type (
 	//
 	//   - EngineSearch reads Repair (Mode, MaxStates, Workers; Repair.Seed
 	//     is session-owned and any caller value is ignored).
-	//   - EngineProgram reads Variant, Stable (MaxModels, MaxCandidates,
-	//     Workers) and Ground (Workers).
+	//   - EngineProgram reads Variant, Stable (MaxCandidates, Workers) and
+	//     Ground (Workers). Stable.MaxModels is cleared, since a certain
+	//     answer needs every model.
 	//   - EngineProgramCautious reads the same fields as EngineProgram.
 	//   - EngineDirect reads Repair.Mode only (classic mode is out of its
 	//     scope); Session.Repairs on a direct session runs the search and
