@@ -633,46 +633,6 @@ func BenchmarkProgramRepairOverlay(b *testing.B) {
 	})
 }
 
-// --- ablation: persistent Δ-seeded solving vs scratch rebuilds -------------------------------------
-
-// BenchmarkSolverReuse is the solver mirror of IncrementalViolationProbe:
-// the same stable-model enumeration once on a single persistent solver per
-// component (learned clauses, saved phases and the assumption-prefix trail
-// carried across candidate, minimization and stability solves) and once with
-// Options.ScratchSolve rebuilding the solver from the clause log on every
-// solve call.
-func BenchmarkSolverReuse(b *testing.B) {
-	d, set := stableRepairDB(4, 16)
-	tr, err := repairprog.BuildWith(d, set, repairprog.BuildOptions{
-		Variant:            repairprog.VariantCorrected,
-		PruneUnconstrained: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gp, err := ground.Ground(tr.Program)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name    string
-		scratch bool
-	}{{"persistent", false}, {"scratch", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				if err := stable.Enumerate(gp, stable.Options{ScratchSolve: mode.scratch}, func(stable.Model) bool {
-					n++
-					return true
-				}); err != nil || n != 1<<4 {
-					b.Fatalf("models=%d err=%v", n, err)
-				}
-			}
-		})
-	}
-}
-
 // --- storage engine: constraint-check cost vs unrelated data ---------------------------------------
 
 // BenchmarkUnrelatedScaling checks that |=_N satisfaction over a fixed

@@ -27,10 +27,9 @@
 // the cqad daemon serves for the same requests.
 //
 // -workers parallelizes the chosen engine: the search engine's state
-// expansion pool, the program engines' grounding, or the program engine's
-// per-component stable-model solvers (the cautious engine solves its
-// components one at a time). Output is byte-identical for every worker
-// count.
+// expansion pool or the program engines' grounding. Stable models are
+// solved one component at a time on the calling goroutine. Output is
+// byte-identical for every worker count.
 //
 // -cpuprofile/-memprofile write runtime/pprof profiles of the whole
 // command, for bottleneck hunts without an ad-hoc harness.
@@ -235,7 +234,7 @@ func cmdRepairs(d *relational.Instance, set *constraint.Set, name string, classi
 			return err
 		}
 		tr.GroundOptions = ground.Options{Workers: workers}
-		insts, models, err := tr.StableRepairs(stable.Options{Workers: workers})
+		insts, models, err := tr.StableRepairs(stable.Options{})
 		if err != nil {
 			return err
 		}

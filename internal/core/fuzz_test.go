@@ -77,6 +77,36 @@ func TestDifferentialEngines(t *testing.T) {
 		return d
 	}
 
+	// Inputs naming the repair program's generated predicates: an
+	// instance relation called like the answer predicate, an aux
+	// predicate or an annotated predicate, and a query reading an
+	// annotated predicate. Each is an ordinary (or empty) relation to the
+	// search engine, so the program engines must read it the same way.
+	clashes := []struct{ db, ics, q string }{
+		{`q_ans(z). r(a, b). r(a, c). r(d, e).`, `r(X, Y), r(X, Z) -> Y = Z.`, `q(X) :- r(X, Y).`},
+		{`aux_ic1(a). s(e, a). r(b, c).`, `s(U, V) -> r(V, W).`, `q(U) :- s(U, V).`},
+		{`r(a, b). r(a, c). r_a(a, c, fa).`, `r(X, Y), r(X, Z) -> Y = Z.`, `q(X, Y) :- r(X, Y).`},
+		{`r(a, b). r(a, c). r(d, e).`, `r(X, Y), r(X, Z) -> Y = Z.`, `q(X, Y, T) :- r_a(X, Y, T).`},
+	}
+	for _, c := range clashes {
+		d, set, q := parser.MustInstance(c.db), parser.MustConstraints(c.ics), parser.MustQuery(c.q)
+		base, err := session.New(d, set, session.NewOptions()).Answer(q)
+		if err != nil {
+			t.Fatalf("search engine failed on D=%v, q=%q: %v", d, c.q, err)
+		}
+		for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
+			opts := session.NewOptions()
+			opts.Engine = engine
+			got, err := session.New(d, set, opts).Answer(q)
+			if err != nil {
+				t.Fatalf("%v failed on D=%v, q=%q: %v", engine, d, c.q, err)
+			}
+			if err := sameAnswer(base, got, q); err != nil {
+				t.Errorf("engines disagree on D=%v, q=%q: %v\nsearch: %+v\n%v: %+v", d, c.q, err, base, engine, got)
+			}
+		}
+	}
+
 	trials := 0
 	for round := 0; round < 15; round++ {
 		for si, set := range sets {

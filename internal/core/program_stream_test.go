@@ -19,7 +19,7 @@ import (
 // streaming answers — cautious (Answer) and brave (Possible), with the boolean short-circuit in play and with it
 // sidestepped by full materialization — agree with the direct search
 // engine, and the program-engine repair sets are byte-identical to the
-// search-engine repair sets at every stable worker count.
+// search-engine repair sets at every grounding worker count.
 func TestProgramEngineStreamDifferential(t *testing.T) {
 	sets := []*constraint.Set{
 		parser.MustConstraints(`course(Id, Code) -> student(Id, Name).`),
@@ -89,7 +89,7 @@ func TestProgramEngineStreamDifferential(t *testing.T) {
 			for _, workers := range workerCounts {
 				opts := session.NewOptions()
 				opts.Engine = session.EngineProgram
-				opts.Stable.Workers = workers
+				opts.Ground.Workers = workers
 				progRepairs, err := session.New(d, set, opts).Repairs()
 				if err != nil {
 					t.Fatalf("program repairs failed on D=%v, set %d, workers=%d: %v", d, si, workers, err)
@@ -133,7 +133,7 @@ func TestProgramEngineStreamDifferential(t *testing.T) {
 					for _, workers := range workerCounts {
 						opts := session.NewOptions()
 						opts.Engine = engine
-						opts.Stable.Workers = workers
+						opts.Ground.Workers = workers
 						got, err := session.New(d, set, opts).Answer(q)
 						if err != nil {
 							t.Fatalf("%v failed on D=%v, set %d, q=%q, workers=%d: %v", engine, d, si, qsrc, workers, err)
@@ -226,9 +226,9 @@ func TestProgramBooleanShortCircuit(t *testing.T) {
 }
 
 // TestStableWorkersMatchSequentialAnswers pins cmd/cqa's -workers contract
-// one level down: answers and repair listings from the program engines are
-// identical for every stable worker count, including under cancellation
-// (boolean short-circuits).
+// one level down: answers and diagnostics from the program engines are
+// identical for every Ground.Workers value, which is what -workers sets for
+// them, including under cancellation (boolean short-circuits).
 func TestStableWorkersMatchSequentialAnswers(t *testing.T) {
 	d, setSrc := violatingCourses(4)
 	set := parser.MustConstraints(setSrc)
@@ -248,7 +248,7 @@ func TestStableWorkersMatchSequentialAnswers(t *testing.T) {
 			for _, workers := range []int{2, 4, 8} {
 				parOpts := session.NewOptions()
 				parOpts.Engine = engine
-				parOpts.Stable.Workers = workers
+				parOpts.Ground.Workers = workers
 				par, err := session.New(d, set, parOpts).Answer(q)
 				if err != nil {
 					t.Fatal(err)

@@ -127,7 +127,6 @@ func Options(name string, workers int) (session.Options, error) {
 	opts.Engine = spec.Engine
 	if workers > 0 {
 		opts.Repair.Workers = workers
-		opts.Stable.Workers = workers
 		opts.Ground.Workers = workers
 	}
 	return opts, nil

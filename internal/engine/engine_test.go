@@ -29,7 +29,7 @@ func TestOptions(t *testing.T) {
 	if opts.Engine != session.EngineDirect {
 		t.Errorf("engine = %v, want direct", opts.Engine)
 	}
-	if opts.Repair.Workers != 3 || opts.Stable.Workers != 3 || opts.Ground.Workers != 3 {
+	if opts.Repair.Workers != 3 || opts.Ground.Workers != 3 {
 		t.Errorf("workers not applied uniformly: %+v", opts)
 	}
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/ground"
@@ -113,10 +114,11 @@ func runE23(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	models, err := stable.Models(gp, stable.Options{Sorted: true})
+	models, err := stable.Models(gp, stable.Options{})
 	if err != nil {
 		return err
 	}
+	slices.SortFunc(models, func(a, b stable.Model) int { return slices.Compare(a, b) })
 	fmt.Fprintf(w, "ground atoms: %d, ground rules: %d\n", gp.NumAtoms(), len(gp.Rules))
 	fmt.Fprintf(w, "stable models: %d\n", len(models))
 	if len(models) != 4 {

@@ -44,7 +44,7 @@ func factsEqual(a, b []relational.Fact) bool {
 // on randomized instances, every stable model's overlay repair must carry
 // exactly the materialized Interpret instance — same Facts(), and a Delta()
 // that matches both the emitted delta and Diff against the base — with the
-// stream identical across worker counts, under both pruning modes.
+// stream identical from run to run, under both pruning modes.
 func TestInterpretDeltaMatchesInterpret(t *testing.T) {
 	fd := constraint.FD("R", 2, []int{0}, []int{1})
 	fk := constraint.ForeignKey("S", 2, []int{1}, "R", 2, []int{0})
@@ -93,29 +93,29 @@ func TestInterpretDeltaMatchesInterpret(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The (instance, delta) stream is identical at every worker
-			// count, including content order.
-			var sequential []string
-			for _, workers := range []int{1, 4} {
+			// The (instance, delta) stream is identical on every run,
+			// including content order.
+			var first []string
+			for run := 0; run < 2; run++ {
 				var stream []string
-				if err := tr.StreamRepairs(stable.Options{Workers: workers}, func(inst *relational.Instance, delta relational.Delta, _ stable.Model) bool {
+				if err := tr.StreamRepairs(stable.Options{}, func(inst *relational.Instance, delta relational.Delta, _ stable.Model) bool {
 					stream = append(stream, inst.Key())
 					return true
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if workers == 1 {
-					sequential = stream
+				if run == 0 {
+					first = stream
 					continue
 				}
-				if len(stream) != len(sequential) {
-					t.Fatalf("trial %d prune=%v workers=%d: stream length %d != %d",
-						trial, prune, workers, len(stream), len(sequential))
+				if len(stream) != len(first) {
+					t.Fatalf("trial %d prune=%v: stream length %d != %d",
+						trial, prune, len(stream), len(first))
 				}
 				for i := range stream {
-					if stream[i] != sequential[i] {
-						t.Fatalf("trial %d prune=%v workers=%d: stream diverges at %d",
-							trial, prune, workers, i)
+					if stream[i] != first[i] {
+						t.Fatalf("trial %d prune=%v: stream diverges at %d",
+							trial, prune, i)
 					}
 				}
 			}
@@ -124,39 +124,51 @@ func TestInterpretDeltaMatchesInterpret(t *testing.T) {
 }
 
 // TestInterpretDeltaCutoff pins the MaxCandidates cutoff point: the overlay
-// stream must deliver the same prefix and the same error as the materialized
-// interpretation at every worker count, for budgets straddling the cutoff.
+// stream must deliver a prefix of the unbounded stream, the same one and the
+// same error on every run, for budgets straddling the cutoff.
 func TestInterpretDeltaCutoff(t *testing.T) {
 	d, set := example19()
 	tr := mustBuild(t, d, set, VariantCorrected)
+	type outcome struct {
+		keys []string
+		err  error
+	}
+	collect := func(budget int) outcome {
+		var out outcome
+		out.err = tr.StreamRepairs(stable.Options{MaxCandidates: budget},
+			func(inst *relational.Instance, _ relational.Delta, _ stable.Model) bool {
+				out.keys = append(out.keys, inst.Key())
+				return true
+			})
+		return out
+	}
+	full := collect(0)
+	if full.err != nil {
+		t.Fatal(full.err)
+	}
 	for _, budget := range []int{1, 2, 3, 5, 8, 100} {
-		type outcome struct {
-			keys []string
-			err  error
-		}
-		collect := func(workers int) outcome {
-			var out outcome
-			out.err = tr.StreamRepairs(stable.Options{MaxCandidates: budget, Workers: workers},
-				func(inst *relational.Instance, _ relational.Delta, _ stable.Model) bool {
-					out.keys = append(out.keys, inst.Key())
-					return true
-				})
-			return out
-		}
-		seq := collect(1)
-		for _, workers := range []int{2, 4} {
-			par := collect(workers)
+		seq := collect(budget)
+		for run := 1; run < 3; run++ {
+			par := collect(budget)
 			if seq.err != par.err {
-				t.Fatalf("budget=%d workers=%d: err %v != sequential %v", budget, workers, par.err, seq.err)
+				t.Fatalf("budget=%d run=%d: err %v != first %v", budget, run, par.err, seq.err)
 			}
 			if len(par.keys) != len(seq.keys) {
-				t.Fatalf("budget=%d workers=%d: %d repairs != sequential %d", budget, workers, len(par.keys), len(seq.keys))
+				t.Fatalf("budget=%d run=%d: %d repairs != first %d", budget, run, len(par.keys), len(seq.keys))
 			}
 			for i := range par.keys {
 				if par.keys[i] != seq.keys[i] {
-					t.Fatalf("budget=%d workers=%d: stream diverges at %d", budget, workers, i)
+					t.Fatalf("budget=%d run=%d: stream diverges at %d", budget, run, i)
 				}
 			}
+		}
+		for i, k := range seq.keys {
+			if k != full.keys[i] {
+				t.Fatalf("budget=%d: repair %d differs from the unbounded stream's", budget, i)
+			}
+		}
+		if (len(seq.keys) < len(full.keys)) != (seq.err == stable.ErrCandidateLimit) {
+			t.Fatalf("budget=%d: %d of %d repairs with err %v", budget, len(seq.keys), len(full.keys), seq.err)
 		}
 	}
 }

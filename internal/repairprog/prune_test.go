@@ -122,7 +122,7 @@ func TestQueryRules(t *testing.T) {
 		t.Fatalf("rules = %v", rules)
 	}
 	r := rules[0]
-	if r.Head[0].Pred != AnswerPred {
+	if r.Head[0].Pred != tr.AnswerPred() || tr.AnswerPred() != "q_ans" {
 		t.Errorf("head = %v", r.Head)
 	}
 	// Constrained predicate r goes through the t** annotation;

@@ -1,6 +1,7 @@
 package repairprog
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/constraint"
@@ -100,10 +101,12 @@ func TestBaseGroundingCached(t *testing.T) {
 	}
 }
 
-// TestGroundWithQueryFallback forces the extension conflict path: a database
-// relation named like the answer predicate makes the base grounding
-// unshareable, and GroundWithQuery must silently fall back to a monolithic
-// grounding with the same rendered result.
+// TestGroundWithQueryFallback covers the input that once needed a
+// monolithic fallback: a database relation named like the answer predicate.
+// The translation now names its answer predicate around it, so the
+// extension of the base grounding still renders identically to a monolithic
+// grounding of WithQuery, and the query's q_ans atom reads the database
+// relation.
 func TestGroundWithQueryFallback(t *testing.T) {
 	d := parser.MustInstance(`
 		r(a, b).
@@ -112,6 +115,9 @@ func TestGroundWithQueryFallback(t *testing.T) {
 	`)
 	set := parser.MustConstraints(`r(X, Y), r(X, Z) -> Y = Z.`)
 	tr := mustBuild(t, d, set, VariantCorrected)
+	if tr.AnswerPred() == "q_ans" {
+		t.Fatalf("answer predicate %q collides with a database relation", tr.AnswerPred())
+	}
 	q := parser.MustQuery(`q(X) :- r(X, Y), q_ans(X).`)
 	got, err := tr.GroundWithQuery(q)
 	if err != nil {
@@ -126,6 +132,53 @@ func TestGroundWithQueryFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.String() != mono.String() {
-		t.Errorf("fallback diverges from monolithic:\n--- monolithic\n%s\n--- fallback\n%s", mono, got)
+		t.Errorf("extension diverges from monolithic:\n--- monolithic\n%s\n--- extension\n%s", mono, got)
+	}
+	if !strings.Contains(got.String(), tr.AnswerPred()+"(a) :- ") {
+		t.Errorf("q(a) is not derivable through the database's q_ans(a):\n%s", got)
+	}
+}
+
+// TestGeneratedNamesAvoidBaseRelations pins the naming rule: generated
+// predicates keep their conventional names unless a relation of D or IC
+// has one, a query atom naming a generated predicate reads an empty
+// relation, and an update bringing in a relation with a generated name
+// invalidates the translation instead of being rebased onto it.
+func TestGeneratedNamesAvoidBaseRelations(t *testing.T) {
+	set := parser.MustConstraints(`s(U, V) -> r(V, W).`)
+	plain := mustBuild(t, parser.MustInstance(`s(e, a). r(b, c).`), set, VariantCorrected)
+	clash := mustBuild(t, parser.MustInstance(`s(e, a). r(b, c). r_a(x, y, z). aux_ic1(a). q_ans(b).`), set, VariantCorrected)
+	if got := plain.Render(); !strings.Contains(got, "aux_ic1(") || !strings.Contains(got, "r_a(") || plain.AnswerPred() != "q_ans" {
+		t.Errorf("clash-free program does not use the conventional names:\n%s", got)
+	}
+	if clash.annOf["r"] == "r_a" || clash.generated["aux_ic1"] || clash.AnswerPred() == "q_ans" {
+		t.Errorf("generated names collide with base relations: r → %s, answer %s, generated %v",
+			clash.annOf["r"], clash.AnswerPred(), clash.generated)
+	}
+	for name := range clash.generated {
+		if _, base := clash.annOf[name]; base { // unpruned: every base relation is annotated
+			t.Errorf("generated name %s is a base relation", name)
+		}
+	}
+
+	// r_a is a generated name of plain, so the query reads it as empty:
+	// the positive disjunct goes, the negated literal holds.
+	rules, err := plain.QueryRules(parser.MustQuery(`q(X) :- r_a(X, Y, Z). q(X) :- s(X, Y), not r_a(X, Y, Y).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rules) != 1 || len(rules[0].Neg) != 0 || len(rules[0].Pos) != 1 {
+		t.Errorf("query rules over a generated name = %v, want the one disjunct without it", rules)
+	}
+
+	pruned, err := BuildWith(parser.MustInstance(`s(e, a). r(b, c).`), set, BuildOptions{Variant: VariantCorrected, PruneUnconstrained: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pruned.AffectedBy(relational.Delta{Added: []relational.Fact{fact("audit", s("x"))}}) {
+		t.Error("an unconstrained relation invalidated the pruned translation")
+	}
+	if !pruned.AffectedBy(relational.Delta{Added: []relational.Fact{fact("q_ans", s("x"))}}) {
+		t.Error("a relation named like the answer predicate was rebased onto the translation")
 	}
 }

@@ -1,7 +1,6 @@
 package repairprog
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/ground"
@@ -17,23 +16,34 @@ import (
 // program does not annotate (possible with pruning, see prune.go) are read
 // from their base facts, which every stable model preserves.
 
-// AnswerPred is the reserved head predicate of generated query rules.
-const AnswerPred = "q_ans"
+// AnswerPred returns the head predicate of the query rules: q_ans, or a
+// suffixed name when D or IC has a relation called q_ans.
+func (tr *Translation) AnswerPred() string { return tr.answer }
 
 // QueryRules translates a safe query into logic rules over the program's
-// annotated predicates, with head predicate AnswerPred.
+// annotated predicates, with head predicate AnswerPred. A query atom naming
+// a generated predicate reads the empty relation of that name — D and IC
+// have none — so a disjunct with such a positive literal derives nothing
+// and is left out, and such a negated literal always holds and is dropped.
 func (tr *Translation) QueryRules(q *query.Q) ([]logic.Rule, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	head := term.Atom{Pred: AnswerPred}
+	head := term.Atom{Pred: tr.answer}
 	for _, v := range q.Head {
 		head.Args = append(head.Args, term.V(v))
 	}
 	var rules []logic.Rule
+disjuncts:
 	for _, disj := range q.Disjuncts {
 		r := logic.Rule{Head: []term.Atom{head}}
 		for _, lit := range disj.Lits {
+			if tr.generated[lit.Atom.Pred] {
+				if lit.Neg {
+					continue // negates an empty relation: always true
+				}
+				continue disjuncts // reads an empty relation: never true
+			}
 			atom := tr.repairedAtom(lit.Atom)
 			if lit.Neg {
 				r.Neg = append(r.Neg, atom)
@@ -54,8 +64,8 @@ func (tr *Translation) QueryRules(q *query.Q) ([]logic.Rule, error) {
 // t**-annotated predicate when the program annotates it, the base predicate
 // otherwise.
 func (tr *Translation) repairedAtom(a term.Atom) term.Atom {
-	if _, ok := tr.annToBase[a.Pred+AnnSuffix]; ok && tr.annotates(a.Pred) {
-		return annAtom(a, TSS)
+	if _, ok := tr.annOf[a.Pred]; ok {
+		return tr.annAtom(a, TSS)
 	}
 	return a.Clone()
 }
@@ -70,10 +80,9 @@ func (tr *Translation) annotates(pred string) bool {
 // cached base grounding (BaseGrounding) extended with just the query rules,
 // so the per-query cost is grounding a handful of rules over the retained
 // possible-set snapshot instead of re-grounding the whole repair program.
-// The result is byte-identical to a monolithic grounding of WithQuery(q).
-// If the extension cannot share the base — a database relation named
-// AnswerPred, say — it falls back to that monolithic grounding. Safe for
-// concurrent use: queries extend one shared frozen base.
+// The result is byte-identical to a monolithic grounding of WithQuery(q):
+// the answer predicate is a generated name, so the base never holds it.
+// Safe for concurrent use: queries extend one shared frozen base.
 func (tr *Translation) GroundWithQuery(q *query.Q) (*ground.Program, error) {
 	rules, err := tr.QueryRules(q)
 	if err != nil {
@@ -83,18 +92,7 @@ func (tr *Translation) GroundWithQuery(q *query.Q) (*ground.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	gp, err := base.Extend(rules)
-	if err == nil {
-		return gp, nil
-	}
-	if !errors.Is(err, ground.ErrExtendConflict) {
-		return nil, err
-	}
-	prog, err := tr.WithQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return ground.GroundWith(prog, tr.GroundOptions)
+	return base.Extend(rules)
 }
 
 // WithQuery returns a copy of the repair program extended with the query

@@ -7,9 +7,12 @@
 // Theorem 5.
 //
 // Annotated predicates carry an extra final attribute holding one of the
-// annotation constants (the paper's ta, fa, t*, t**); their names get an
-// "_a" suffix so annotated relations can never collide with base relations
-// regardless of the data values.
+// annotation constants (the paper's ta, fa, t*, t**). The program's
+// generated predicates — P_a for each annotated base predicate P, aux_ic
+// for each referential constraint ic, and the query answer predicate
+// q_ans — keep those names unless a relation of D or IC already uses one;
+// such a name gets a numeric suffix instead (see Translation.fresh), so no
+// base relation can ever be read as a generated one.
 //
 // # Known wrinkle of Definition 9 (documented deviation)
 //
@@ -54,7 +57,7 @@ var (
 	TSS = value.Str("tss")
 )
 
-// AnnSuffix distinguishes annotated predicate names from base relations.
+// AnnSuffix makes the annotated predicate name P_a of a base predicate P.
 const AnnSuffix = "_a"
 
 // Variant selects the aux-rule treatment.
@@ -89,8 +92,15 @@ type Translation struct {
 	// are emitted as copy-on-write overlays of it (see ModelReader), so it
 	// must not be mutated while the translation is in use.
 	base *relational.Instance
-	// annToBase maps annotated predicate names to their base predicate.
+	// annOf maps each annotated base predicate to its annotated name, and
+	// annToBase maps it back.
+	annOf     map[string]string
 	annToBase map[string]string
+	// answer is the head predicate of the query rules (QueryRules).
+	answer string
+	// generated holds every predicate name the translation made up:
+	// annotated, aux and answer predicates. None is a relation of D or IC.
+	generated map[string]bool
 	// annotated records the base predicates carrying rules 5–7; nil
 	// means "all of them" (no pruning).
 	annotated map[string]bool
@@ -119,11 +129,24 @@ type BuildOptions struct {
 
 // annAtom returns the annotated version of atom a with the given
 // annotation constant.
-func annAtom(a term.Atom, ann value.V) term.Atom {
+func (tr *Translation) annAtom(a term.Atom, ann value.V) term.Atom {
 	args := make([]term.T, 0, len(a.Args)+1)
 	args = append(args, a.Args...)
 	args = append(args, term.C(ann))
-	return term.Atom{Pred: a.Pred + AnnSuffix, Args: args}
+	return term.Atom{Pred: tr.annOf[a.Pred], Args: args}
+}
+
+// fresh returns want as a generated predicate name, or, when a base
+// relation or an earlier generated name already has it, the first of
+// want_1, want_2, ... that is free. taken holds the names in use.
+func (tr *Translation) fresh(taken map[string]bool, want string) string {
+	name := want
+	for i := 1; taken[name]; i++ {
+		name = fmt.Sprintf("%s_%d", want, i)
+	}
+	taken[name] = true
+	tr.generated[name] = true
+	return name
 }
 
 // freshVars returns the variable terms prefix1..prefixN.
@@ -154,7 +177,9 @@ func BuildWith(d *relational.Instance, set *constraint.Set, opts BuildOptions) (
 		Set:       set,
 		Variant:   variant,
 		base:      d,
+		annOf:     map[string]string{},
 		annToBase: map[string]string{},
+		generated: map[string]bool{},
 	}
 	if opts.PruneUnconstrained {
 		tr.annotated = map[string]bool{}
@@ -169,6 +194,21 @@ func BuildWith(d *relational.Instance, set *constraint.Set, opts BuildOptions) (
 		}
 	}
 
+	// Name the generated predicates, clear of every relation of D and IC:
+	// the annotated ones, then (in addRIC) the aux ones, then the answer.
+	preds := tr.allPreds(d)
+	taken := map[string]bool{}
+	for _, sig := range preds {
+		taken[sig.Name] = true
+	}
+	for _, sig := range preds {
+		if tr.annotates(sig.Name) && tr.annOf[sig.Name] == "" {
+			name := tr.fresh(taken, sig.Name+AnnSuffix)
+			tr.annOf[sig.Name] = name
+			tr.annToBase[name] = sig.Name
+		}
+	}
+
 	// Rule 1: facts.
 	tr.Program.AddInstance(d)
 
@@ -177,56 +217,52 @@ func BuildWith(d *relational.Instance, set *constraint.Set, opts BuildOptions) (
 		case constraint.ClassUIC:
 			tr.addUIC(ic)
 		case constraint.ClassRIC:
-			tr.addRIC(ic)
+			tr.addRIC(ic, tr.fresh(taken, "aux_"+ic.Name))
 		default:
 			return nil, fmt.Errorf("repairprog: constraint %s is outside Definition 9's class (general existential constraint)", ic.Name)
 		}
 	}
 
+	tr.answer = tr.fresh(taken, "q_ans")
+
 	// Rule 4: NNCs.
 	for _, n := range set.NNCs {
 		vars := freshVars("x", n.Arity)
 		base := term.Atom{Pred: n.Pred, Args: vars}
-		tr.notePred(n.Pred)
 		tr.Program.Rules = append(tr.Program.Rules, logic.Rule{
-			Head:     []term.Atom{annAtom(base, FA)},
-			Pos:      []term.Atom{annAtom(base, TS)},
+			Head:     []term.Atom{tr.annAtom(base, FA)},
+			Pos:      []term.Atom{tr.annAtom(base, TS)},
 			Builtins: []term.Builtin{{Op: term.EQ, L: vars[n.Pos], R: term.CNull()}},
 		})
 	}
 
 	// Rules 5–7 for every predicate of the constraints and the instance
 	// (constrained predicates only when pruning).
-	for _, sig := range tr.allPreds(d) {
-		if tr.annotated != nil && !tr.annotated[sig.Name] {
+	for _, sig := range preds {
+		if !tr.annotates(sig.Name) {
 			continue
 		}
 		vars := freshVars("x", sig.Arity)
 		base := term.Atom{Pred: sig.Name, Args: vars}
-		tr.notePred(sig.Name)
 		tr.Program.Rules = append(tr.Program.Rules,
 			// Rule 5: t* holds for facts and for advised insertions.
-			logic.Rule{Head: []term.Atom{annAtom(base, TS)}, Pos: []term.Atom{base}},
-			logic.Rule{Head: []term.Atom{annAtom(base, TS)}, Pos: []term.Atom{annAtom(base, TA)}},
+			logic.Rule{Head: []term.Atom{tr.annAtom(base, TS)}, Pos: []term.Atom{base}},
+			logic.Rule{Head: []term.Atom{tr.annAtom(base, TS)}, Pos: []term.Atom{tr.annAtom(base, TA)}},
 			// Rule 6: t** holds for what is (or becomes) true and is
 			// not advised false.
 			logic.Rule{
-				Head: []term.Atom{annAtom(base, TSS)},
-				Pos:  []term.Atom{annAtom(base, TS)},
-				Neg:  []term.Atom{annAtom(base, FA)},
+				Head: []term.Atom{tr.annAtom(base, TSS)},
+				Pos:  []term.Atom{tr.annAtom(base, TS)},
+				Neg:  []term.Atom{tr.annAtom(base, FA)},
 			},
 			// Rule 7: the program denial.
-			logic.Rule{Pos: []term.Atom{annAtom(base, TA), annAtom(base, FA)}},
+			logic.Rule{Pos: []term.Atom{tr.annAtom(base, TA), tr.annAtom(base, FA)}},
 		)
 	}
 	if err := tr.Program.Validate(); err != nil {
 		return nil, fmt.Errorf("repairprog: generated an invalid program: %v", err)
 	}
 	return tr, nil
-}
-
-func (tr *Translation) notePred(name string) {
-	tr.annToBase[name+AnnSuffix] = name
 }
 
 // allPreds collects predicate signatures from the constraint set and the
@@ -264,15 +300,13 @@ func (tr *Translation) addUIC(ic *constraint.IC) {
 	for mask := 0; mask < 1<<n; mask++ {
 		var r logic.Rule
 		for _, b := range ic.Body {
-			tr.notePred(b.Pred)
-			r.Head = append(r.Head, annAtom(b, FA))
-			r.Pos = append(r.Pos, annAtom(b, TS))
+			r.Head = append(r.Head, tr.annAtom(b, FA))
+			r.Pos = append(r.Pos, tr.annAtom(b, TS))
 		}
 		for j, h := range ic.Head {
-			tr.notePred(h.Pred)
-			r.Head = append(r.Head, annAtom(h, TA))
+			r.Head = append(r.Head, tr.annAtom(h, TA))
 			if mask&(1<<j) != 0 {
-				r.Pos = append(r.Pos, annAtom(h, FA)) // Q′
+				r.Pos = append(r.Pos, tr.annAtom(h, FA)) // Q′
 			} else {
 				r.Neg = append(r.Neg, h) // Q″: not originally true
 			}
@@ -288,15 +322,13 @@ func (tr *Translation) addUIC(ic *constraint.IC) {
 }
 
 // addRIC emits the rules 3 of Definition 9 (plus the corrected aux rule
-// when selected).
-func (tr *Translation) addRIC(ic *constraint.IC) {
+// when selected), with auxName as the aux predicate.
+func (tr *Translation) addRIC(ic *constraint.IC, auxName string) {
 	parts, ok := ic.RICParts()
 	if !ok {
 		panic("repairprog: addRIC on non-RIC")
 	}
 	body, head := parts.BodyAtom, parts.HeadAtom
-	tr.notePred(body.Pred)
-	tr.notePred(head.Pred)
 
 	// x̄′: the shared terms, in head-position order.
 	shared := make([]term.T, 0, len(parts.SharedPos))
@@ -310,7 +342,6 @@ func (tr *Translation) addRIC(ic *constraint.IC) {
 			sharedVars = append(sharedVars, t.Var)
 		}
 	}
-	auxName := "aux_" + ic.Name
 	auxAtom := term.Atom{Pred: auxName, Args: shared}
 
 	// Null-padded insertion head: existential positions become null.
@@ -326,8 +357,8 @@ func (tr *Translation) addRIC(ic *constraint.IC) {
 
 	// Main rule: P(x̄,fa) ∨ Q(x̄′,null,ta) ← P(x̄,t*), not aux(x̄′), x̄′ ≠ null.
 	tr.Program.Rules = append(tr.Program.Rules, logic.Rule{
-		Head:     []term.Atom{annAtom(body, FA), annAtom(padded, TA)},
-		Pos:      []term.Atom{annAtom(body, TS)},
+		Head:     []term.Atom{tr.annAtom(body, FA), tr.annAtom(padded, TA)},
+		Pos:      []term.Atom{tr.annAtom(body, TS)},
 		Neg:      []term.Atom{auxAtom},
 		Builtins: sharedGuards,
 	})
@@ -348,8 +379,8 @@ func (tr *Translation) addRIC(ic *constraint.IC) {
 			term.Builtin{Op: term.NEQ, L: term.V(y), R: term.CNull()})
 		tr.Program.Rules = append(tr.Program.Rules, logic.Rule{
 			Head:     []term.Atom{auxAtom},
-			Pos:      []term.Atom{annAtom(head, TS)},
-			Neg:      []term.Atom{annAtom(head, FA)},
+			Pos:      []term.Atom{tr.annAtom(head, TS)},
+			Neg:      []term.Atom{tr.annAtom(head, FA)},
 			Builtins: builtins,
 		})
 	}
@@ -360,7 +391,7 @@ func (tr *Translation) addRIC(ic *constraint.IC) {
 		tr.Program.Rules = append(tr.Program.Rules, logic.Rule{
 			Head:     []term.Atom{auxAtom},
 			Pos:      []term.Atom{head},
-			Neg:      []term.Atom{annAtom(head, FA)},
+			Neg:      []term.Atom{tr.annAtom(head, FA)},
 			Builtins: sharedGuards,
 		})
 	}
@@ -421,14 +452,16 @@ func (tr *Translation) StreamRepairsCtx(ctx context.Context, opts stable.Options
 
 // AffectedBy reports whether a base update invalidates this translation:
 // true iff some changed fact belongs to an annotated relation, whose facts
-// are compiled into the program (rule 1) and its cached grounding. For an
-// unpruned translation every relation is annotated, so any non-empty delta
-// invalidates it; a pruned translation survives updates that touch only
-// passthrough (unconstrained) relations.
+// are compiled into the program (rule 1) and its cached grounding, or to a
+// relation named like one of the program's generated predicates, which a
+// rebuilt translation must rename. For an unpruned translation every
+// relation is annotated, so any non-empty delta invalidates it; a pruned
+// translation survives updates that touch only passthrough (unconstrained)
+// relations.
 func (tr *Translation) AffectedBy(delta relational.Delta) bool {
 	touched := func(fs []relational.Fact) bool {
 		for _, f := range fs {
-			if tr.annotates(f.Pred) {
+			if tr.annotates(f.Pred) || tr.generated[f.Pred] {
 				return true
 			}
 		}

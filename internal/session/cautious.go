@@ -75,7 +75,8 @@ func (b *cautiousBackend) certain(ctx context.Context, q *query.Q) (Answer, erro
 		return Answer{}, err
 	}
 	cs := stable.Decompose(gp)
-	isAnswer := func(a int) bool { return gp.Atoms[a].Pred == repairprog.AnswerPred }
+	answer := tr.AnswerPred()
+	isAnswer := func(a int) bool { return gp.Atoms[a].Pred == answer }
 
 	var certain []int
 	for _, a := range cs.Core() {

@@ -126,7 +126,7 @@ func streamCautious(d *relational.Instance, set *constraint.Set, variant repairp
 		repairs.Add(reader.Delta(m))
 		here := map[string]relational.Tuple{}
 		for _, id := range m {
-			if f := gp.Atoms[id]; f.Pred == repairprog.AnswerPred {
+			if f := gp.Atoms[id]; f.Pred == tr.AnswerPred() {
 				here[f.Args.Key()] = f.Args
 			}
 		}

@@ -186,7 +186,7 @@ func TestSessionEqualsScratchDifferential(t *testing.T) {
 					opts := session.NewOptions()
 					opts.Engine = engine
 					opts.Repair.Workers = workers
-					opts.Stable.Workers = workers
+					opts.Ground.Workers = workers
 
 					s := session.New(db.instance(), set, opts)
 					var prepared []*session.Prepared

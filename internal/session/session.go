@@ -97,9 +97,8 @@ type Options struct {
 	// session (it wires its maintained violation lists there); any caller
 	// value is ignored.
 	Repair repair.Options
-	// Stable configures the model enumeration. Stable.MaxModels is
-	// cleared by the session: a certain answer needs every model, and
-	// Stable.MaxCandidates is the work bound.
+	// Stable configures the model enumeration: Stable.MaxCandidates is
+	// the work bound.
 	Stable stable.Options
 	// Ground configures the grounding of the repair program (worker pool,
 	// naive-fixpoint ablation). The answers are identical for every
@@ -148,7 +147,7 @@ type Answer struct {
 	// counterexample.
 	//
 	// Boolean and Tuples are identical for every Repair.Workers and
-	// Stable.Workers value; NumRepairs, StatesExplored and ShortCircuited
+	// Ground.Workers value; NumRepairs, StatesExplored and ShortCircuited
 	// are diagnostics that are deterministic for the program engines and
 	// for search Workers <= 1, but can vary with scheduling for larger
 	// search worker counts (leaf arrival order decides which falsifying
@@ -238,7 +237,6 @@ type backend interface {
 // runs the repair search, and vice versa.
 func New(d *relational.Instance, set *constraint.Set, opts Options) *Session {
 	opts.Repair.Seed = nil
-	opts.Stable.MaxModels = 0
 	if opts.Engine == EngineAuto {
 		opts.Engine = resolveAuto(set, opts)
 	}

@@ -387,36 +387,3 @@ func TestDeltaSetDedup(t *testing.T) {
 		t.Fatal("Has misreports membership")
 	}
 }
-
-// TestStableMaxModelsIgnored pins that a model cap cannot truncate CQA: a
-// program engine reading only the first stable model would return a
-// superset of the certain answers. Both program engines must answer like
-// the search engine, which never reads the cap.
-func TestStableMaxModelsIgnored(t *testing.T) {
-	d := parser.MustInstance(`r(a, b). r(a, c). r(d, e).`)
-	set := parser.MustConstraints(`r(X, Y), r(X, Z) -> Y = Z.`)
-	q := parser.MustQuery(`q(X, Y) :- r(X, Y).`)
-	want, err := New(d, set, NewOptions()).Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Tuples) != 1 || want.NumRepairs != 2 {
-		t.Fatalf("search answer = %+v, want (d, e) over 2 repairs", want)
-	}
-	for _, eng := range []Engine{EngineProgram, EngineProgramCautious} {
-		opts := NewOptions()
-		opts.Engine = eng
-		opts.Stable.MaxModels = 1
-		s := New(d, set, opts)
-		if s.Options().Stable.MaxModels != 0 {
-			t.Errorf("%v: session kept Stable.MaxModels = %d", eng, s.Options().Stable.MaxModels)
-		}
-		got, err := s.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) || got.NumRepairs != want.NumRepairs {
-			t.Errorf("%v with MaxModels 1: %+v, want %+v", eng, got, want)
-		}
-	}
-}

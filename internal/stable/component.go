@@ -188,13 +188,12 @@ func (cs *Components) Atoms(c int) []int { return cs.comps[c].atoms }
 
 // Solve enumerates the stable models of the listed components, one
 // component after another in the given order, each on its own solver on
-// the calling goroutine (Options.Workers and Options.MaxModels do not
-// apply). yield receives every model of component c — the component's
-// true atoms, ascending — in the solver's discovery order; returning false
-// stops component c, and Solve goes on with the next one. The stable
-// models of the program are exactly Core plus one model of each
-// component, so these are the program's models restricted to c; Solve
-// never forms their combinations.
+// the calling goroutine. yield receives every model of component c — the
+// component's true atoms, ascending — in the solver's discovery order;
+// returning false stops component c, and Solve goes on with the next one.
+// The stable models of the program are exactly Core plus one model of
+// each component, so these are the program's models restricted to c;
+// Solve never forms their combinations.
 //
 // ok is false when a listed component has no stable model, or the program
 // holds a violated ground denial: the program then has no stable model,
@@ -209,17 +208,13 @@ func (cs *Components) Solve(ctx context.Context, opts Options, order []int, yiel
 	if cs.inconsistent {
 		return false, nil
 	}
-	maxCand := opts.MaxCandidates
-	if maxCand == 0 {
-		maxCand = DefaultMaxCandidates
-	}
-	bud := &candidateBudget{max: int64(maxCand)}
+	bud := opts.budget()
 	stop := func() bool { return ctx.Err() != nil }
 	for _, c := range order {
-		e := newEnumerator(cs.comps[c], bud, stop, opts.ScratchSolve)
+		e := newEnumerator(cs.comps[c], bud, stop, opts.scratchSolve)
 		found := false
 		for {
-			m, _, more := e.next()
+			m, more := e.next()
 			// A solve aborted by the stop hook ends the stream early,
 			// which must not read as a component without models.
 			if err := ctx.Err(); err != nil {

@@ -8,8 +8,7 @@ import (
 
 // TestEnumerateCtxCancel pins the cancellation contract: a cancelled
 // context aborts the model stream with ctx.Err() instead of reporting a
-// (spuriously complete) enumeration, for both the lazy and parallel
-// drivers.
+// (spuriously complete) enumeration.
 func TestEnumerateCtxCancel(t *testing.T) {
 	// Ten independent binary components: 2^10 combined models.
 	gp := groundProgram(t, choiceProgram(10))
@@ -22,26 +21,24 @@ func TestEnumerateCtxCancel(t *testing.T) {
 		t.Fatalf("full stream = %d models, want 1024", full)
 	}
 
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		seen := 0
-		err := EnumerateCtx(ctx, gp, Options{Workers: workers}, func(Model) bool {
-			seen++
-			if seen == 3 {
-				cancel()
-			}
-			return true
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	seen := 0
+	err := EnumerateCtx(ctx, gp, Options{}, func(Model) bool {
+		seen++
+		if seen == 3 {
+			cancel()
 		}
-		if seen >= full {
-			t.Errorf("workers=%d: cancelled stream still delivered all %d models", workers, seen)
-		}
+		return true
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if seen >= full {
+		t.Errorf("cancelled stream still delivered all %d models", seen)
 	}
 
 	// Pre-cancelled: no models at all.
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel = context.WithCancel(context.Background())
 	cancel()
 	if err := EnumerateCtx(ctx, gp, Options{}, func(Model) bool {
 		t.Fatal("model delivered on a pre-cancelled context")

@@ -1,6 +1,7 @@
 package stable
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/ground"
@@ -56,12 +57,16 @@ func TestMaxModelsCap(t *testing.T) {
 	if len(all) != 4 {
 		t.Fatalf("models = %d, want 4", len(all))
 	}
-	capped, err := Models(gp, Options{MaxModels: 2})
-	if err != nil {
+	// A consumer caps the stream by returning false from yield.
+	var capped []Model
+	if err := Enumerate(gp, Options{}, func(m Model) bool {
+		capped = append(capped, m)
+		return len(capped) < 2
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(capped) != 2 {
-		t.Errorf("capped models = %d, want 2", len(capped))
+	if !reflect.DeepEqual(capped, all[:2]) {
+		t.Errorf("capped models = %v, want the stream's first two %v", capped, all[:2])
 	}
 }
 

@@ -1,7 +1,5 @@
 package stable
 
-import "sync/atomic"
-
 // This file turns one component into an incremental stream of its stable
 // models, on a single CDCL solver. The solver is dual-rail:
 //
@@ -26,30 +24,26 @@ import "sync/atomic"
 // strictly below m") are guarded by fresh selector variables that are
 // assumed during the phase and retired lazily afterwards.
 //
-// Options.ScratchSolve is the ablation switch: it replays the accumulated
+// Options.scratchSolve is the ablation switch: it replays the accumulated
 // clause log into a fresh solver for every solve call, discarding learned
 // clauses, saved phases and the retained trail — the rebuild-per-candidate
 // behaviour the persistent solver replaces.
 
-// candidateBudget is an atomic solve counter with a cap, used in two roles
-// (Options.MaxCandidates sets the cap for both): each enumerator meters its
-// own candidate solves against a private budget (the per-component work
-// bound), and modelAt charges the costs of consumed models against one
-// shared budget in demand order — so the point at which ErrCandidateLimit
-// surfaces is a pure function of the demanded stream, identical for every
-// worker count, no matter how far ahead the fill workers prefetched.
+// candidateBudget counts the candidate solves of one enumeration call
+// against Options.MaxCandidates; every component enumerator of the call
+// charges the same budget.
 type candidateBudget struct {
-	n   atomic.Int64
-	max int64
+	n, max int
 }
 
-func (b *candidateBudget) take() bool { return b.n.Add(1) <= b.max }
-
-func (b *candidateBudget) takeN(k int64) bool { return b.n.Add(k) <= b.max }
+func (b *candidateBudget) take() bool {
+	b.n++
+	return b.n <= b.max
+}
 
 // enumerator streams the stable models of one component in a deterministic
 // order (the CDCL discovery order, a pure function of the component and the
-// ScratchSolve mode).
+// scratchSolve mode).
 type enumerator struct {
 	comp *component
 	s    *solver
@@ -170,17 +164,14 @@ func (e *enumerator) solve(assumps []int) bool {
 
 // next produces the component's next stable model (global atom ids,
 // ascending), or ok=false when the stream is exhausted, cancelled, or the
-// private candidate meter ran out (then e.err is ErrCandidateLimit). cost
-// is the number of candidate solves this call performed; the caller charges
-// it to the shared budget when (and only when) the result is consumed.
-func (e *enumerator) next() (m Model, cost int64, ok bool) {
+// candidate budget ran out (then e.err is ErrCandidateLimit).
+func (e *enumerator) next() (m Model, ok bool) {
 	for !e.done {
 		if !e.bud.take() {
 			e.err = ErrCandidateLimit
 			e.done = true
 			break
 		}
-		cost++
 		if !e.solve(nil) {
 			e.done = true
 			break
@@ -200,10 +191,10 @@ func (e *enumerator) next() (m Model, cost int64, ok bool) {
 			e.addClause(block)
 		}
 		if stable {
-			return e.globalize(cand), cost, true
+			return e.globalize(cand), true
 		}
 	}
-	return nil, cost, false
+	return nil, false
 }
 
 // extract reads the original-rail model off the solver.

@@ -28,13 +28,13 @@ func sortedModelSet(t *testing.T, p *ground.Program, opts Options) []string {
 // call) must produce exactly the same set of stable models as the default
 // persistent solver. The per-component discovery order may differ between
 // the modes, so the comparison is on sorted model sets; within each mode the
-// stream must be identical for every worker count.
+// stream must be identical from run to run.
 func TestScratchSolveMatchesPersistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 60; trial++ {
 		p := randomGroundProgramClean(rng, 4+rng.Intn(4))
 		persistent := sortedModelSet(t, p, Options{})
-		scratch := sortedModelSet(t, p, Options{ScratchSolve: true})
+		scratch := sortedModelSet(t, p, WithScratch(Options{}))
 		if len(persistent) != len(scratch) {
 			t.Fatalf("trial %d: %d persistent models, %d scratch", trial, len(persistent), len(scratch))
 		}
@@ -44,12 +44,15 @@ func TestScratchSolveMatchesPersistent(t *testing.T) {
 			}
 		}
 
-		// Per-mode worker invariance: each mode's stream (content and
-		// order) must not depend on the worker count.
-		for _, opts := range []Options{{}, {ScratchSolve: true}} {
-			var sequential []string
-			for _, workers := range []int{1, 4} {
-				opts.Workers = workers
+		// Per-mode determinism: each mode's stream (content and order)
+		// is the same on every run.
+		for _, scratchMode := range []bool{false, true} {
+			opts := Options{}
+			if scratchMode {
+				opts = WithScratch(opts)
+			}
+			var first []string
+			for run := 0; run < 2; run++ {
 				var stream []string
 				if err := Enumerate(p, opts, func(m Model) bool {
 					stream = append(stream, fmt.Sprint([]int(m)))
@@ -57,18 +60,18 @@ func TestScratchSolveMatchesPersistent(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if workers == 1 {
-					sequential = stream
+				if run == 0 {
+					first = stream
 					continue
 				}
-				if len(stream) != len(sequential) {
-					t.Fatalf("trial %d scratch=%v workers=%d: stream length %d != %d",
-						trial, opts.ScratchSolve, workers, len(stream), len(sequential))
+				if len(stream) != len(first) {
+					t.Fatalf("trial %d scratch=%v: stream length %d != %d",
+						trial, scratchMode, len(stream), len(first))
 				}
 				for i := range stream {
-					if stream[i] != sequential[i] {
-						t.Fatalf("trial %d scratch=%v workers=%d: stream diverges at %d",
-							trial, opts.ScratchSolve, workers, i)
+					if stream[i] != first[i] {
+						t.Fatalf("trial %d scratch=%v: stream diverges at %d",
+							trial, scratchMode, i)
 					}
 				}
 			}
@@ -78,7 +81,7 @@ func TestScratchSolveMatchesPersistent(t *testing.T) {
 
 // TestScratchSolveBudgetDeterminism checks that the candidate budget cutoff
 // in scratch mode is, like the persistent mode's, a pure function of the
-// demanded stream: same prefix and same error at every worker count. (The
+// demanded stream: same prefix and same error on every run. (The
 // two modes may legitimately cut off at different points — candidate counts
 // differ when discovery orders do — so each mode is only compared with
 // itself.)
@@ -90,27 +93,27 @@ func TestScratchSolveBudgetDeterminism(t *testing.T) {
 			models []string
 			err    error
 		}
-		collect := func(workers int) outcome {
+		collect := func() outcome {
 			var out outcome
-			out.err = Enumerate(p, Options{ScratchSolve: true, MaxCandidates: budget, Workers: workers},
+			out.err = Enumerate(p, WithScratch(Options{MaxCandidates: budget}),
 				func(m Model) bool {
 					out.models = append(out.models, fmt.Sprint([]int(m)))
 					return true
 				})
 			return out
 		}
-		seq := collect(1)
-		for _, workers := range []int{2, 4} {
-			par := collect(workers)
-			if seq.err != par.err {
-				t.Fatalf("budget=%d workers=%d: err %v != sequential %v", budget, workers, par.err, seq.err)
+		first := collect()
+		for run := 1; run < 3; run++ {
+			again := collect()
+			if first.err != again.err {
+				t.Fatalf("budget=%d run=%d: err %v != first %v", budget, run, again.err, first.err)
 			}
-			if len(par.models) != len(seq.models) {
-				t.Fatalf("budget=%d workers=%d: %d models != sequential %d", budget, workers, len(par.models), len(seq.models))
+			if len(again.models) != len(first.models) {
+				t.Fatalf("budget=%d run=%d: %d models != first %d", budget, run, len(again.models), len(first.models))
 			}
-			for i := range par.models {
-				if par.models[i] != seq.models[i] {
-					t.Fatalf("budget=%d workers=%d: stream diverges at %d", budget, workers, i)
+			for i := range again.models {
+				if again.models[i] != first.models[i] {
+					t.Fatalf("budget=%d run=%d: stream diverges at %d", budget, run, i)
 				}
 			}
 		}

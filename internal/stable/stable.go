@@ -6,10 +6,9 @@
 // spans two components, so stable models factorize into a cross-product of
 // per-component models), enumerates each component's models on an
 // incremental CDCL solver (see sat.go and enum.go), and combines the
-// fragments lazily: Enumerate streams combined models one at a time —
-// the first model is observable long before the enumeration completes —
-// and components can be solved in parallel (Options.Workers) without
-// changing the stream. Consumers that can answer per component — cautious
+// fragments lazily: Enumerate streams combined models one at a time on the
+// calling goroutine — the first model is observable long before the
+// enumeration completes. Consumers that can answer per component — cautious
 // consequences, model counts — use Decompose and Components.Solve instead,
 // which never form the cross-product. It also provides the head-cycle-freeness test and
 // the shift transformation sh(Π) of Section 6 (Ben-Eliyahu & Dechter).
@@ -19,45 +18,26 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ground"
 )
 
-// Options bounds and tunes the enumeration.
+// Options bounds the enumeration.
 type Options struct {
-	// MaxModels caps the number of stable models Enumerate streams (0 = no
-	// cap).
-	MaxModels int
-	// MaxCandidates caps the number of candidate solver calls consumed by
-	// the demanded model stream (0 = DefaultMaxCandidates); exceeding it
-	// returns ErrCandidateLimit. The budget is charged in demand order —
-	// solves a parallel prefetch performed for models the consumer never
-	// reached are not counted — so whether and where the limit hits is a
-	// pure function of the stream, identical for every Workers value.
-	// Each component is additionally work-bounded by the same limit, so
-	// total solving never exceeds (components+1) × MaxCandidates.
+	// MaxCandidates caps the number of candidate solver calls of one
+	// Enumerate or Components.Solve call (0 = DefaultMaxCandidates);
+	// exceeding it returns ErrCandidateLimit. Components are solved on
+	// demand, so where the limit hits is a pure function of the program
+	// and of how far the consumer reads.
 	MaxCandidates int
-	// Workers sets the number of goroutines Enumerate solves components
-	// on (<= 1 solves them lazily on the calling goroutine). The
-	// model stream — content, order, and any ErrCandidateLimit cutoff —
-	// is identical for every worker count; workers only overlap the
-	// per-component solves, prefetching at most a bounded window ahead
-	// of the stream.
-	Workers int
-	// Sorted makes Models sort its result lexicographically (the
-	// pre-streaming contract). Enumerate ignores it: the stream order is
-	// the deterministic component-odometer order documented there.
-	Sorted bool
-	// ScratchSolve is an ablation knob: rebuild each component's solver
-	// from its clause log on every solve call instead of keeping one
-	// persistent solver with learned clauses, saved phases, and a retained
-	// assumption trail. The set of stable models is unchanged, but each
-	// component's discovery order may differ from the persistent solver's;
-	// within either mode the stream stays deterministic and identical for
-	// every Workers value.
-	ScratchSolve bool
+
+	// scratchSolve is the solver-reuse ablation: rebuild each component's
+	// solver from its clause log on every solve call instead of keeping
+	// one persistent solver with learned clauses, saved phases and a
+	// retained assumption trail. The set of stable models is unchanged,
+	// but each component's discovery order may differ. Only this
+	// package's tests set it (export_test.go).
+	scratchSolve bool
 }
 
 // DefaultMaxCandidates bounds candidate enumeration when unset.
@@ -76,6 +56,15 @@ func (m Model) Contains(atom int) bool {
 	return i < len(m) && m[i] == atom
 }
 
+// budget returns the candidate budget of one enumeration call.
+func (o Options) budget() *candidateBudget {
+	n := o.MaxCandidates
+	if n == 0 {
+		n = DefaultMaxCandidates
+	}
+	return &candidateBudget{max: n}
+}
+
 // Enumerate streams the stable models of the ground program to yield, one
 // model at a time; yield returning false cancels the rest of the
 // enumeration (Enumerate then returns nil). The first model is delivered as
@@ -85,9 +74,8 @@ func (m Model) Contains(atom int) bool {
 // Ordering contract: models arrive in component-odometer order — components
 // ordered by smallest atom id, each component's models in its solver's
 // discovery order, the last component cycling fastest. The order is a pure
-// function of the program: identical for every Workers value, stable across
-// runs, but NOT lexicographic — collect via Models with Options.Sorted for
-// the lexicographic order.
+// function of the program and stable across runs, but NOT lexicographic:
+// sort the collected models with slices.Compare for that order.
 func Enumerate(p *ground.Program, opts Options, yield func(Model) bool) error {
 	return EnumerateCtx(context.Background(), p, opts, yield)
 }
@@ -98,10 +86,6 @@ func Enumerate(p *ground.Program, opts Options, yield func(Model) bool) error {
 // models already yielded remain valid stable models, but the stream is
 // incomplete, so consumers must not treat a cancelled run as exhaustive.
 func EnumerateCtx(ctx context.Context, p *ground.Program, opts Options, yield func(Model) bool) error {
-	maxCand := opts.MaxCandidates
-	if maxCand == 0 {
-		maxCand = DefaultMaxCandidates
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -115,52 +99,13 @@ func EnumerateCtx(ctx context.Context, p *ground.Program, opts Options, yield fu
 		return nil
 	}
 
-	// One shared budget, charged in demand order as models are consumed;
-	// each component also gets a private meter with the same cap as its
-	// work bound (see candidateBudget).
-	shared := &candidateBudget{max: int64(maxCand)}
-	var stopped atomic.Bool
-	stop := func() bool { return stopped.Load() || ctx.Err() != nil }
+	// Every component's solves are charged to one budget as the odometer
+	// demands them.
+	bud := opts.budget()
+	stop := func() bool { return ctx.Err() != nil }
 	srcs := make([]*modelSource, len(comps))
 	for i, c := range comps {
-		srcs[i] = newModelSource(c, int64(maxCand), shared, stop, opts.ScratchSolve)
-	}
-	if opts.Workers > 1 {
-		// Eager mode for every source: modelAt waits on the cache instead
-		// of touching the enumerator, so exactly one worker ever drives
-		// each solver.
-		for _, ms := range srcs {
-			ms.eager = true
-		}
-		var wg sync.WaitGroup
-		defer func() {
-			// Stop and wake the fillers (they may be parked at the
-			// prefetch window), then wait for them to unwind — promptly,
-			// even on cancellation (in-flight solves abort via the stop
-			// hook).
-			stopped.Store(true)
-			for _, ms := range srcs {
-				ms.mu.Lock()
-				ms.cond.Broadcast()
-				ms.mu.Unlock()
-			}
-			wg.Wait()
-		}()
-		// One filler per component, demand-driven; the semaphore bounds
-		// concurrent solving to Workers. A filler parked at its window
-		// holds no token, so demanded components always make progress.
-		workers := opts.Workers
-		if workers > len(comps) {
-			workers = len(comps)
-		}
-		sem := make(chan struct{}, workers)
-		for _, ms := range srcs {
-			wg.Add(1)
-			go func(ms *modelSource) {
-				defer wg.Done()
-				ms.fill(sem)
-			}(ms)
-		}
+		srcs[i] = &modelSource{e: newEnumerator(c, bud, stop, opts.scratchSolve)}
 	}
 
 	// Lazy cross-product odometer: idx[i] walks source i's model cache,
@@ -185,13 +130,8 @@ func EnumerateCtx(ctx context.Context, p *ground.Program, opts Options, yield fu
 		}
 		parts[i] = m
 	}
-	emitted := 0
 	for {
 		if !yield(combine(coreFacts, parts)) {
-			return nil
-		}
-		emitted++
-		if opts.MaxModels > 0 && emitted >= opts.MaxModels {
 			return nil
 		}
 		pos := k - 1
@@ -208,7 +148,7 @@ func EnumerateCtx(ctx context.Context, p *ground.Program, opts Options, yield fu
 				parts[pos] = m
 				for j := pos + 1; j < k; j++ {
 					idx[j] = 0
-					parts[j], _, _ = srcs[j].modelAt(0) // cached
+					parts[j] = srcs[j].cache[0]
 				}
 				break
 			}
@@ -254,133 +194,32 @@ func combine(coreFacts []int, parts []Model) Model {
 	return out
 }
 
-// prefetchWindow bounds how far an eager fill worker may run ahead of the
-// combiner's demand, so a cancelled or capped enumeration with Workers > 1
-// does not waste work draining whole components the consumer never asked
-// for. (Prefetched solves are metered privately and charged to the shared
-// budget only on consumption, so the window affects wasted work, never the
-// stream or its budget cutoff.)
-const prefetchWindow = 64
-
-// modelSource adapts one component enumerator to indexed access, in two
-// modes: lazy (sequential — modelAt pulls the underlying solver on the
-// calling goroutine) and eager (parallel — a worker drains the solver into
-// the cache via fill while modelAt waits). Both expose the identical model
-// sequence, and both charge production costs to the shared budget in the
-// combiner's demand order.
+// modelSource gives indexed access to one component's model stream,
+// pulling the enumerator on demand and caching what it produced: the
+// odometer revisits every model of a component once per combination of the
+// components before it.
 type modelSource struct {
-	e      *enumerator
-	shared *candidateBudget
-	stop   func() bool
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	cache    []Model
-	costs    []int64 // candidate solves spent producing cache[i]
-	tailCost int64   // solves spent discovering the stream's end
-	charged  int     // cache prefix already charged to shared
-	tailDone bool    // tailCost charged
-	want     int     // highest index the combiner has requested
-	done     bool
-	err      error
-	eager    bool
+	e     *enumerator
+	cache []Model
 }
 
-func newModelSource(c *component, maxCand int64, shared *candidateBudget, stop func() bool, scratch bool) *modelSource {
-	ms := &modelSource{
-		e:      newEnumerator(c, &candidateBudget{max: maxCand}, stop, scratch),
-		shared: shared,
-		stop:   stop,
-	}
-	ms.cond = sync.NewCond(&ms.mu)
-	return ms
-}
-
-// fill eagerly drains the enumerator into the cache (parallel mode), at
-// most prefetchWindow models ahead of the combiner's demand, holding a
-// token of the shared worker semaphore only while solving. The enumerator's
-// own stop hook aborts an in-flight solve on cancellation; Enumerate's
-// cleanup broadcasts the cond so a filler parked at the window wakes up and
-// exits.
-func (ms *modelSource) fill(sem chan struct{}) {
-	for {
-		ms.mu.Lock()
-		for !ms.stop() && len(ms.cache) >= ms.want+prefetchWindow {
-			ms.cond.Wait()
-		}
-		ms.mu.Unlock()
-		if ms.stop() {
-			return
-		}
-		sem <- struct{}{}
-		m, cost, ok := ms.e.next()
-		<-sem
-		ms.mu.Lock()
+// modelAt returns the j-th model of the component; ok=false after the
+// stream's end, with the enumerator's error (ErrCandidateLimit when the
+// budget ran out first). The odometer asks for j <= len(cache), so each
+// call pulls at most one new model.
+func (ms *modelSource) modelAt(j int) (Model, bool, error) {
+	for len(ms.cache) <= j {
+		m, ok := ms.e.next()
 		if !ok {
-			ms.done = true
-			ms.err = ms.e.err
-			ms.tailCost = cost
-			ms.cond.Broadcast()
-			ms.mu.Unlock()
-			return
+			return nil, false, ms.e.err
 		}
 		ms.cache = append(ms.cache, m)
-		ms.costs = append(ms.costs, cost)
-		ms.cond.Broadcast()
-		ms.mu.Unlock()
 	}
+	return ms.cache[j], true, nil
 }
 
-// modelAt returns the j-th model of the component, pulling (lazy) or
-// waiting (eager) as needed; ok=false after the stream's end. Production
-// costs are charged to the shared budget here, in demand order — the
-// combiner demands indices sequentially, so the charge sequence (and hence
-// any ErrCandidateLimit cutoff) is a pure function of the stream.
-func (ms *modelSource) modelAt(j int) (Model, bool, error) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if ms.eager {
-		if j > ms.want {
-			ms.want = j
-			ms.cond.Broadcast() // raise the filler's prefetch window
-		}
-		for len(ms.cache) <= j && !ms.done {
-			ms.cond.Wait()
-		}
-	} else {
-		for len(ms.cache) <= j && !ms.done {
-			m, cost, ok := ms.e.next()
-			if !ok {
-				ms.done = true
-				ms.err = ms.e.err
-				ms.tailCost = cost
-				break
-			}
-			ms.cache = append(ms.cache, m)
-			ms.costs = append(ms.costs, cost)
-		}
-	}
-	for ms.charged <= j && ms.charged < len(ms.cache) {
-		if !ms.shared.takeN(ms.costs[ms.charged]) {
-			return nil, false, ErrCandidateLimit
-		}
-		ms.charged++
-	}
-	if j < len(ms.cache) {
-		return ms.cache[j], true, nil
-	}
-	if !ms.tailDone {
-		ms.tailDone = true
-		if !ms.shared.takeN(ms.tailCost) && ms.err == nil {
-			ms.err = ErrCandidateLimit
-		}
-	}
-	return nil, false, ms.err
-}
-
-// Models enumerates the stable models of the ground program into a slice.
-// With opts.Sorted they are sorted lexicographically; otherwise they keep
-// Enumerate's deterministic stream order.
+// Models enumerates the stable models of the ground program into a slice,
+// in Enumerate's deterministic stream order.
 func Models(p *ground.Program, opts Options) ([]Model, error) {
 	var out []Model
 	if err := Enumerate(p, opts, func(m Model) bool {
@@ -389,19 +228,7 @@ func Models(p *ground.Program, opts Options) ([]Model, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if opts.Sorted {
-		sort.Slice(out, func(i, j int) bool { return lessModel(out[i], out[j]) })
-	}
 	return out, nil
-}
-
-func lessModel(a, b Model) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // HasStableModel reports whether the program is consistent (has at least

@@ -3,6 +3,7 @@ package stable
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -65,40 +66,36 @@ func TestEnumerateStreamsFirstModel(t *testing.T) {
 	}
 }
 
-// TestWorkersCancelStaysWithinBudget guards the bounded-prefetch contract:
-// with Workers > 1 a consumer that cancels at the first model must not
-// have the fill workers eagerly drain the whole component through the
-// candidate budget — the same budget that admits the first model
-// sequentially must admit it in parallel.
+// TestWorkersCancelStaysWithinBudget guards the on-demand contract: a
+// consumer that stops at the first model (or the second) pays only for
+// those, so a budget far below the full 2^8-model enumeration admits them,
+// and they are the unbounded stream's first models.
 func TestWorkersCancelStaysWithinBudget(t *testing.T) {
 	gp := groundProgram(t, linkedChoiceProgram(8)) // single component, 2^8 models
-	for trial := 0; trial < 20; trial++ {
-		var got Model
-		calls := 0
-		if err := Enumerate(gp, Options{MaxCandidates: 90, Workers: 4}, func(m Model) bool {
-			calls++
-			got = m
-			return false
+	all := mustModels(t, gp)
+	for _, stopAt := range []int{1, 2} {
+		var got []Model
+		if err := Enumerate(gp, Options{MaxCandidates: 90}, func(m Model) bool {
+			got = append(got, m)
+			return len(got) < stopAt
 		}); err != nil {
-			t.Fatalf("trial %d: parallel first-model stream err = %v", trial, err)
+			t.Fatalf("stop at %d: stream err = %v", stopAt, err)
 		}
-		if calls != 1 || len(got) != 9 {
-			t.Fatalf("trial %d: calls=%d first model=%v", trial, calls, got)
+		if !reflect.DeepEqual(got, all[:stopAt]) || len(got[0]) != 9 {
+			t.Fatalf("stop at %d: got %v, want the stream's first %d models %v", stopAt, got, stopAt, all[:stopAt])
 		}
 	}
 }
 
-// TestBudgetCutoffIdenticalAcrossWorkers pins the demand-order budget
-// contract: whether (and where in the stream) MaxCandidates trips is a pure
-// function of the demanded prefix, so for any budget an enumeration yields
-// the same models and the same error at every worker count — parallel
-// prefetch must never spend the shared budget on models the combiner has
-// not consumed.
+// TestBudgetCutoffIdenticalAcrossWorkers pins the budget contract: for any
+// MaxCandidates, the enumeration yields a prefix of the unbounded stream,
+// and reports ErrCandidateLimit exactly when that prefix is short. A
+// consumer capping the stream in yield gets the first models, and hits the
+// limit only if the budget cannot pay for them.
 func TestBudgetCutoffIdenticalAcrossWorkers(t *testing.T) {
 	// Two independent 2^6-model components plus one trivial one: the
 	// odometer exhausts the last component's models 64 times over while
-	// the first crawls, so eager prefetch and lazy demand diverge wildly
-	// in solve order.
+	// the first crawls.
 	p := &logic.Program{Rules: []logic.Rule{
 		{Head: []term.Atom{atom("seedA")}},
 		{Head: []term.Atom{atom("seedB")}},
@@ -115,31 +112,40 @@ func TestBudgetCutoffIdenticalAcrossWorkers(t *testing.T) {
 			})
 	}
 	gp := groundProgram(t, p)
-	type outcome struct {
-		models []Model
-		err    error
+	all := mustModels(t, gp)
+	if len(all) != 1<<12 {
+		t.Fatalf("unbounded stream = %d models, want %d", len(all), 1<<12)
 	}
-	collect := func(budget, workers, maxModels int) outcome {
+	collect := func(budget, maxModels int) ([]Model, error) {
 		var out []Model
-		err := Enumerate(gp, Options{MaxCandidates: budget, Workers: workers, MaxModels: maxModels}, func(m Model) bool {
+		err := Enumerate(gp, Options{MaxCandidates: budget}, func(m Model) bool {
 			out = append(out, m)
-			return true
+			return maxModels == 0 || len(out) < maxModels
 		})
-		return outcome{out, err}
+		return out, err
 	}
 	for _, budget := range []int{1, 3, 7, 20, 65, 130, 300, 5000} {
 		for _, maxModels := range []int{0, 1, 100} {
-			seq := collect(budget, 1, maxModels)
-			for _, workers := range []int{2, 4} {
-				par := collect(budget, workers, maxModels)
-				if seq.err != par.err {
-					t.Fatalf("budget=%d maxModels=%d workers=%d: err %v vs sequential %v",
-						budget, maxModels, workers, par.err, seq.err)
-				}
-				if !reflect.DeepEqual(seq.models, par.models) {
-					t.Fatalf("budget=%d maxModels=%d workers=%d: %d models vs sequential %d",
-						budget, maxModels, workers, len(par.models), len(seq.models))
-				}
+			want := len(all)
+			if maxModels > 0 {
+				want = maxModels
+			}
+			got, err := collect(budget, maxModels)
+			if len(got) > 0 && !reflect.DeepEqual(got, all[:len(got)]) {
+				t.Fatalf("budget=%d maxModels=%d: %d models are not a prefix of the stream", budget, maxModels, len(got))
+			}
+			var wantErr error
+			if len(got) < want {
+				wantErr = ErrCandidateLimit
+			}
+			if err != wantErr {
+				t.Fatalf("budget=%d maxModels=%d: %d of %d models, err %v", budget, maxModels, len(got), want, err)
+			}
+			// The cutoff is a pure function of the program and the budget.
+			again, errAgain := collect(budget, maxModels)
+			if errAgain != err || !reflect.DeepEqual(again, got) {
+				t.Fatalf("budget=%d maxModels=%d: rerun gave %d models, err %v; first run %d, err %v",
+					budget, maxModels, len(again), errAgain, len(got), err)
 			}
 		}
 	}
@@ -176,38 +182,44 @@ func TestEnumerateCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestEnumerateWorkersIdenticalStream pins the parallel contract: the model
-// stream — content and order — is byte-identical for every worker count, on
-// randomized multi-component programs.
+// TestEnumerateWorkersIdenticalStream pins the stream on randomized
+// multi-component programs: it is reproducible across runs, content and
+// order, and holds exactly the brute-force stable models.
 func TestEnumerateWorkersIdenticalStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
 		p := randomGroundProgramClean(rng, 8)
-		collect := func(workers int) ([]Model, error) {
-			var out []Model
-			err := Enumerate(p, Options{Workers: workers}, func(m Model) bool {
-				out = append(out, m)
-				return true
-			})
-			return out, err
+		first, err := Models(p, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seq, errSeq := collect(1)
-		for _, workers := range []int{2, 4} {
-			par, errPar := collect(workers)
-			if (errSeq == nil) != (errPar == nil) {
-				t.Fatalf("trial %d: errors differ: %v vs %v", trial, errSeq, errPar)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("trial %d: workers=%d stream differs\nseq: %v\npar: %v\nprogram:\n%s",
-					trial, workers, seq, par, p)
+		again, err := Models(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("trial %d: stream not reproducible\nfirst: %v\nagain: %v\nprogram:\n%s",
+				trial, first, again, p)
+		}
+		want := bruteStable(p)
+		keys := map[string]bool{}
+		for _, m := range first {
+			keys[modelKey(m)] = true
+		}
+		if len(keys) != len(first) || len(first) != len(want) {
+			t.Fatalf("trial %d: stream %v, want the models %v\nprogram:\n%s", trial, first, want, p)
+		}
+		for _, m := range want {
+			if !keys[modelKey(m)] {
+				t.Fatalf("trial %d: model %v missing from stream %v\nprogram:\n%s", trial, m, first, p)
 			}
 		}
 	}
 }
 
-// TestModelsSortedOption documents the ordering contract: without Sorted,
-// Models keeps Enumerate's deterministic stream order; with Sorted it is
-// lexicographic. Both hold the same model set.
+// TestModelsSortedOption documents the ordering contract: Models keeps
+// Enumerate's deterministic stream order, and a slices.Compare sort of it
+// gives the lexicographic order over the same model set.
 func TestModelsSortedOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
@@ -216,15 +228,10 @@ func TestModelsSortedOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted, err := Models(p, Options{Sorted: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plain) != len(sorted) {
-			t.Fatalf("trial %d: %d vs %d models", trial, len(plain), len(sorted))
-		}
+		sorted := slices.Clone(plain)
+		slices.SortFunc(sorted, func(a, b Model) int { return slices.Compare(a, b) })
 		for i := 1; i < len(sorted); i++ {
-			if !lessModel(sorted[i-1], sorted[i]) {
+			if slices.Compare(sorted[i-1], sorted[i]) >= 0 {
 				t.Fatalf("trial %d: sorted output out of order at %d: %v", trial, i, sorted)
 			}
 		}

@@ -103,23 +103,22 @@ type (
 	//
 	//   - EngineSearch reads Repair (Mode, MaxStates, Workers; Repair.Seed
 	//     is session-owned and any caller value is ignored).
-	//   - EngineProgram reads Variant, Stable (MaxCandidates, Workers) and
-	//     Ground (Workers). Stable.MaxModels is cleared, since a certain
-	//     answer needs every model.
+	//   - EngineProgram reads Variant, Stable (MaxCandidates) and Ground
+	//     (Workers).
 	//   - EngineProgramCautious reads the same fields as EngineProgram.
 	//   - EngineDirect reads Repair.Mode only (classic mode is out of its
 	//     scope); Session.Repairs on a direct session runs the search and
 	//     reads Repair like EngineSearch.
 	//
-	// Repair.ScratchProbe, Stable.ScratchSolve and Ground.Naive are test
-	// ablations: each switches off an optimization to check it against the
-	// unoptimized path, and none changes any answer.
+	// Repair.ScratchProbe and Ground.Naive are test ablations: each
+	// switches off an optimization to check it against the unoptimized
+	// path, and neither changes any answer.
 	CQAOptions = session.Options
 	// RepairOptions configures direct repair enumeration (mode, state
 	// budget, worker pool).
 	RepairOptions = repair.Options
-	// StableOptions configures stable-model enumeration (model and
-	// candidate budgets, worker pool).
+	// StableOptions configures stable-model enumeration: its one field,
+	// MaxCandidates, is the candidate-solve budget.
 	StableOptions = stable.Options
 	// QueryOptions configures direct query evaluation (null-handling
 	// mode).
