@@ -489,15 +489,6 @@ func BenchmarkRepairScaling(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("bulk=%d/workers=4", bulk), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := repair.Repairs(d, set, repair.Options{Workers: 4})
-				if err != nil || len(res.Repairs) != 8 {
-					b.Fatalf("repairs=%d err=%v", len(res.Repairs), err)
-				}
-			}
-		})
 	}
 }
 
@@ -865,7 +856,7 @@ func BenchmarkFacadeQuickstart(b *testing.B) {
 
 // BenchmarkGround scales the repair-program grounding over violations and
 // bulk, comparing the semi-naive fixpoint (default) against the naive
-// round-robin ablation and the parallel instantiation pool. The allocs/op
+// round-robin ablation. The allocs/op
 // column doubles as the hot-path hygiene gate: grounding interns atoms by
 // hash, with no string keys on the fixpoint or instantiation path.
 func BenchmarkGround(b *testing.B) {
@@ -884,7 +875,6 @@ func BenchmarkGround(b *testing.B) {
 		}{
 			{"seminaive", ground.Options{}},
 			{"naive", ground.Options{Naive: true}},
-			{"seminaive-workers=4", ground.Options{Workers: 4}},
 		} {
 			b.Run(fmt.Sprintf("violations=%d/bulk=%d/%s", cfg.n, cfg.bulk, mode.name), func(b *testing.B) {
 				b.ReportAllocs()

@@ -247,10 +247,6 @@ func TestEngineValidation(t *testing.T) {
 			[]string{"-db", db, "-ic", ic, "-query", q, "-engine", "progam", "answers"}, "unknown engine"},
 		{"classic outside repairs",
 			[]string{"-db", db, "-ic", ic, "-query", q, "-classic", "answers"}, "-classic only applies"},
-		{"workers must be positive",
-			[]string{"-db", db, "-ic", ic, "-workers", "0", "repairs"}, "-workers must be >= 1"},
-		{"workers outside repairs/answers",
-			[]string{"-db", db, "-ic", ic, "-workers", "4", "check"}, "-workers only applies"},
 		{"typo'd engine on check", // used to be silently ignored
 			[]string{"-db", db, "-ic", ic, "-engine", "serach", "check"}, "unknown engine"},
 		{"engine outside repairs/answers",
@@ -268,33 +264,32 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterministic pins the tentpole guarantee at the CLI level:
-// both the parallel search and the parallel stable-model engine print
-// byte-identical repair listings and answers. The fixture keeps even the
-// search engine's states-explored line deterministic (at most one
-// insertable atom per state, so expansion is content-determined; see the
-// repair.Options.Workers contract), and the answers query is non-boolean,
-// so no scheduling-dependent short-circuit diagnostics are printed. The
-// program engines' model stream is deterministic outright.
+// TestWorkersDeterministic pins that the CLI is a function of its input:
+// repeated runs print byte-identical repair listings, answers and
+// diagnostics on every engine — the search engine's states-explored line
+// and a boolean query's short-circuit included.
 func TestWorkersDeterministic(t *testing.T) {
 	db, ic, q := writeFixtures(t)
 	for _, cmd := range [][]string{
 		{"-db", db, "-ic", ic, "repairs"},
 		{"-db", db, "-ic", ic, "-query", q, "answers"},
+		{"-db", db, "-ic", ic, "-query", "q :- r(a, b).", "answers"},
 		{"-db", db, "-ic", ic, "-engine", "program", "repairs"},
 		{"-db", db, "-ic", ic, "-engine", "program", "-query", q, "answers"},
 		{"-db", db, "-ic", ic, "-engine", "cautious", "-query", q, "answers"},
 	} {
-		seq, err := capture(t, func() error { return run(cmd) })
+		first, err := capture(t, func() error { return run(cmd) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := capture(t, func() error { return run(append([]string{"-workers", "4"}, cmd...)) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != par {
-			t.Errorf("workers=4 output differs from sequential for %v:\n--- seq ---\n%s--- par ---\n%s", cmd, seq, par)
+		for i := 1; i < 3; i++ {
+			again, err := capture(t, func() error { return run(cmd) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != first {
+				t.Errorf("run %d output differs for %v:\n--- first ---\n%s--- again ---\n%s", i, cmd, first, again)
+			}
 		}
 	}
 }

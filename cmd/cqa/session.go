@@ -29,8 +29,8 @@ import (
 // text: wire.AnswerResponse for query lines, wire.ApplyResponse for
 // insert/delete lines — the same documents the cqad daemon serves, so a
 // script replayed over HTTP is byte-comparable to this output.
-func cmdSession(d *relational.Instance, set *constraint.Set, script string, engineName string, workers int, jsonOut bool) error {
-	opts, err := engine.Options(engineName, workers)
+func cmdSession(d *relational.Instance, set *constraint.Set, script string, engineName string, jsonOut bool) error {
+	opts, err := engine.Options(engineName, 0)
 	if err != nil {
 		return err
 	}

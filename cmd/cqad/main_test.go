@@ -58,3 +58,20 @@ func TestRunStopsOnSIGTERM(t *testing.T) {
 		t.Fatal("run did not return within 10s of SIGTERM")
 	}
 }
+
+// TestHTTPServerTimeouts pins the listener deadlines of the server run
+// builds: headers and idle keep-alives are bounded, while whole-request
+// reads and response writes are not, so SSE streams stay open and large
+// creates can upload.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer("127.0.0.1:0", newServer(config{}))
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout < 120*time.Second {
+		t.Errorf("IdleTimeout = %v, want >= 120s", hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout/WriteTimeout = %v/%v, want none", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}

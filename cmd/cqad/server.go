@@ -270,10 +270,23 @@ func shed(w http.ResponseWriter, t *tenant) bool {
 	return true
 }
 
+// maxBodyBytes caps every request body, so no request can make the daemon
+// buffer more than this. The largest body the benchmark workloads send (a
+// fd-live create) is about 1.3 MB.
+const maxBodyBytes = 64 << 20
+
+// decode reads one JSON request body into v. A body over maxBodyBytes is
+// answered with 413, any other decoding failure with 400.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return false
+		}
 		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: "+err.Error())
 		return false
 	}
@@ -281,9 +294,10 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // engineOptions maps a request's engine selection onto session options via
-// the shared registry, adding the per-session load-shedding budgets.
-func engineOptions(name string, workers, maxStates, maxCandidates int) (session.Options, error) {
-	opts, err := engine.Options(name, workers)
+// the shared registry, adding the per-session load-shedding budgets. The
+// request's workers field is ignored.
+func engineOptions(name string, maxStates, maxCandidates int) (session.Options, error) {
+	opts, err := engine.Options(name, 0)
 	if err != nil {
 		return opts, err
 	}
@@ -348,7 +362,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	opts, err := engineOptions(req.Engine, req.Workers, req.MaxStates, req.MaxCandidates)
+	opts, err := engineOptions(req.Engine, req.MaxStates, req.MaxCandidates)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_engine", err.Error())
 		return
@@ -506,7 +520,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // correct, but without s's caches.
 func answerQuery(ctx context.Context, s *session.Session, q *query.Q, req queryRequest) (wire.AnswerResponse, error) {
 	if req.Engine != "" {
-		opts, err := engineOptions(req.Engine, req.Workers, 0, 0)
+		opts, err := engineOptions(req.Engine, 0, 0)
 		if err != nil {
 			return wire.AnswerResponse{}, err
 		}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -473,6 +474,69 @@ func TestErrorPaths(t *testing.T) {
 	if code != http.StatusConflict || !strings.Contains(resp, "query_exists") {
 		t.Errorf("conflicting standing query: %d %s, want 409 query_exists", code, resp)
 	}
+}
+
+// TestOversizedBody pins the body cap: a create and an apply whose bodies
+// run one byte past maxBodyBytes get 413 with a JSON error, and the
+// tenant's sessions are exactly as before. The bodies are generated
+// lazily and stay valid JSON prefixes, so only the cap can stop them.
+func TestOversizedBody(t *testing.T) {
+	// The server buffers up to maxBodyBytes per request before the cap
+	// trips; collect garbage early so the test's peak memory stays near
+	// that instead of twice it.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	srv, hs := newTestServer(t, config{})
+	createSession(t, hs.URL, "acme", "s1", "")
+	s1 := hs.URL + "/v1/tenants/acme/sessions/s1"
+	probe := `{"query":"q(X, Y) :- r(X, Y)."}`
+	_, before := doJSON(t, "POST", s1+"/query", probe)
+
+	for _, tc := range []struct{ path, prefix string }{
+		{"/v1/tenants/acme/sessions", `{"name":"big","instance_text":"`},
+		{"/v1/tenants/acme/sessions/s1/apply", `{"insert_text":"`},
+	} {
+		body := io.MultiReader(strings.NewReader(tc.prefix), &fillReader{c: 'a', n: maxBodyBytes + 1 - len(tc.prefix)})
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %.200s", tc.path, rec.Code, rec.Body.String())
+		}
+		var e struct{ Error, Code string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != "body_too_large" {
+			t.Errorf("%s: error body %q (%v), want code body_too_large", tc.path, rec.Body.String(), err)
+		}
+	}
+
+	tn := srv.tenantFor("acme", false)
+	tn.mu.Lock()
+	n, has := len(tn.sessions), tn.sessions["s1"] != nil
+	tn.mu.Unlock()
+	if n != 1 || !has {
+		t.Errorf("tenant holds %d sessions (s1 present: %v), want only s1", n, has)
+	}
+	if _, after := doJSON(t, "POST", s1+"/query", probe); after != before {
+		t.Errorf("s1 changed after the rejected apply:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// fillReader yields n copies of c without materializing them.
+type fillReader struct {
+	c byte
+	n int
+}
+
+func (r *fillReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	if len(p) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = r.c
+	}
+	r.n -= len(p)
+	return len(p), nil
 }
 
 // TestApplyCountsNNCViolations pins the apply response of a session whose

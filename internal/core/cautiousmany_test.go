@@ -78,14 +78,14 @@ func TestCautiousManyMatchesSingle(t *testing.T) {
 }
 
 // TestGroundOptionsDifferential runs the program engines with every
-// grounding configuration — semi-naive, naive ablation, parallel — and
-// checks the answers are identical: grounding options must never change
+// grounding configuration — semi-naive and the naive ablation — and checks
+// the answers are identical: grounding options must never change
 // semantics.
 func TestGroundOptionsDifferential(t *testing.T) {
 	dsrc, setSrc := cautiousFixture()
 	d := parser.MustInstance(dsrc)
 	set := parser.MustConstraints(setSrc)
-	grounds := []ground.Options{{}, {Naive: true}, {Workers: 4}, {Naive: true, Workers: 4}}
+	grounds := []ground.Options{{}, {Naive: true}}
 	for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
 		for _, qsrc := range cautiousQueries {
 			q := parser.MustQuery(qsrc)

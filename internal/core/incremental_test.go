@@ -19,8 +19,8 @@ import (
 // the CQA level: consistent answers, possible answers, and repair listings
 // computed with the incremental probes and base-anchored patched evaluation
 // must be byte-identical to the scratch search probe combined with full
-// per-repair query evaluation, at workers ∈ {1, 4}. This is the acceptance
-// differential for the tentpole.
+// per-repair query evaluation. This is the acceptance differential for the
+// delta-driven stack.
 func TestIncrementalAnswersMatchScratch(t *testing.T) {
 	sets := []*constraint.Set{
 		parser.MustConstraints(`course(Id, Code) -> student(Id, Name).`),
@@ -62,28 +62,25 @@ func TestIncrementalAnswersMatchScratch(t *testing.T) {
 				}
 			}
 
-			// Repair listings: incremental vs scratch, both worker counts.
+			// Repair listings: incremental vs scratch.
 			scratchOpts := session.NewOptions()
 			scratchOpts.Repair.ScratchProbe = true
 			scratch, err := session.New(d, set, scratchOpts).Repairs()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				opts := session.NewOptions()
-				opts.Repair.Workers = workers
-				inc, err := session.New(d, set, opts).Repairs()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(inc) != len(scratch) {
-					t.Fatalf("round %d set %d workers %d: %d repairs incremental, %d scratch\nD=%v",
-						round, si, workers, len(inc), len(scratch), d)
-				}
-				for i := range scratch {
-					if inc[i].Key() != scratch[i].Key() {
-						t.Fatalf("round %d set %d workers %d: repair %d differs\nD=%v", round, si, workers, i, d)
-					}
+			opts := session.NewOptions()
+			inc, err := session.New(d, set, opts).Repairs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(inc) != len(scratch) {
+				t.Fatalf("round %d set %d: %d repairs incremental, %d scratch\nD=%v",
+					round, si, len(inc), len(scratch), d)
+			}
+			for i := range scratch {
+				if inc[i].Key() != scratch[i].Key() {
+					t.Fatalf("round %d set %d: repair %d differs\nD=%v", round, si, i, d)
 				}
 			}
 
@@ -97,28 +94,24 @@ func TestIncrementalAnswersMatchScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{1, 4} {
-					opts := session.NewOptions()
-					opts.Repair.Workers = workers
-					got, err := session.New(d, set, opts).Answer(q)
-					if err != nil {
-						t.Fatalf("round %d set %d q=%q workers %d: %v", round, si, qsrc, workers, err)
-					}
-					if err := sameAnswerTuples(want, got, q); err != nil {
-						t.Fatalf("round %d set %d q=%q workers %d: %v\nD=%v", round, si, qsrc, workers, err, d)
-					}
-					gotPossible, err := session.New(d, set, opts).Possible(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(gotPossible) != len(wantPossible) {
-						t.Fatalf("round %d set %d q=%q workers %d: possible %d vs %d\nD=%v",
-							round, si, qsrc, workers, len(gotPossible), len(wantPossible), d)
-					}
-					for i := range wantPossible {
-						if !gotPossible[i].Equal(wantPossible[i]) {
-							t.Fatalf("round %d set %d q=%q workers %d: possible tuple %d differs", round, si, qsrc, workers, i)
-						}
+				got, err := session.New(d, set, opts).Answer(q)
+				if err != nil {
+					t.Fatalf("round %d set %d q=%q: %v", round, si, qsrc, err)
+				}
+				if err := sameAnswerTuples(want, got, q); err != nil {
+					t.Fatalf("round %d set %d q=%q: %v\nD=%v", round, si, qsrc, err, d)
+				}
+				gotPossible, err := session.New(d, set, opts).Possible(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(gotPossible) != len(wantPossible) {
+					t.Fatalf("round %d set %d q=%q: possible %d vs %d\nD=%v",
+						round, si, qsrc, len(gotPossible), len(wantPossible), d)
+				}
+				for i := range wantPossible {
+					if !gotPossible[i].Equal(wantPossible[i]) {
+						t.Fatalf("round %d set %d q=%q: possible tuple %d differs", round, si, qsrc, i)
 					}
 				}
 			}
@@ -179,7 +172,7 @@ func scratchPossible(d *relational.Instance, set *constraint.Set, q *query.Q, re
 	return sortedTuples(seen), nil
 }
 
-// sameAnswerTuples compares the cross-worker-stable parts of an answer:
+// sameAnswerTuples compares the engine-independent parts of an answer:
 // boolean verdict and the certain tuples (NumRepairs is skipped — the
 // reference never short-circuits, the engine may).
 func sameAnswerTuples(want, got session.Answer, q *query.Q) error {

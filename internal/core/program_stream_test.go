@@ -19,7 +19,7 @@ import (
 // streaming answers — cautious (Answer) and brave (Possible), with the boolean short-circuit in play and with it
 // sidestepped by full materialization — agree with the direct search
 // engine, and the program-engine repair sets are byte-identical to the
-// search-engine repair sets at every grounding worker count.
+// search-engine repair sets.
 func TestProgramEngineStreamDifferential(t *testing.T) {
 	sets := []*constraint.Set{
 		parser.MustConstraints(`course(Id, Code) -> student(Id, Name).`),
@@ -73,36 +73,32 @@ func TestProgramEngineStreamDifferential(t *testing.T) {
 		return d
 	}
 
-	workerCounts := []int{1, 4}
 	trials := 0
 	for round := 0; round < 10; round++ {
 		for si, set := range sets {
 			d := gen(si)
 			trials++
 
-			// Repairs: search baseline vs program engine per worker count,
-			// byte-identical content and order.
+			// Repairs: search baseline vs program engine, byte-identical
+			// content and order.
 			searchRes, err := repair.Repairs(d, set, repair.Options{})
 			if err != nil {
 				t.Fatalf("search repairs failed on D=%v, set %d: %v", d, si, err)
 			}
-			for _, workers := range workerCounts {
-				opts := session.NewOptions()
-				opts.Engine = session.EngineProgram
-				opts.Ground.Workers = workers
-				progRepairs, err := session.New(d, set, opts).Repairs()
-				if err != nil {
-					t.Fatalf("program repairs failed on D=%v, set %d, workers=%d: %v", d, si, workers, err)
-				}
-				if len(progRepairs) != len(searchRes.Repairs) {
-					t.Fatalf("repair counts differ on D=%v, set %d, workers=%d: search %d, program %d",
-						d, si, workers, len(searchRes.Repairs), len(progRepairs))
-				}
-				for i := range progRepairs {
-					if !progRepairs[i].Equal(searchRes.Repairs[i]) {
-						t.Fatalf("repair %d differs on D=%v, set %d, workers=%d:\nsearch:  %v\nprogram: %v",
-							i, d, si, workers, searchRes.Repairs[i], progRepairs[i])
-					}
+			progOpts := session.NewOptions()
+			progOpts.Engine = session.EngineProgram
+			progRepairs, err := session.New(d, set, progOpts).Repairs()
+			if err != nil {
+				t.Fatalf("program repairs failed on D=%v, set %d: %v", d, si, err)
+			}
+			if len(progRepairs) != len(searchRes.Repairs) {
+				t.Fatalf("repair counts differ on D=%v, set %d: search %d, program %d",
+					d, si, len(searchRes.Repairs), len(progRepairs))
+			}
+			for i := range progRepairs {
+				if !progRepairs[i].Equal(searchRes.Repairs[i]) {
+					t.Fatalf("repair %d differs on D=%v, set %d:\nsearch:  %v\nprogram: %v",
+						i, d, si, searchRes.Repairs[i], progRepairs[i])
 				}
 			}
 
@@ -130,35 +126,32 @@ func TestProgramEngineStreamDifferential(t *testing.T) {
 				}
 
 				for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
-					for _, workers := range workerCounts {
-						opts := session.NewOptions()
-						opts.Engine = engine
-						opts.Ground.Workers = workers
-						got, err := session.New(d, set, opts).Answer(q)
-						if err != nil {
-							t.Fatalf("%v failed on D=%v, set %d, q=%q, workers=%d: %v", engine, d, si, qsrc, workers, err)
+					opts := session.NewOptions()
+					opts.Engine = engine
+					got, err := session.New(d, set, opts).Answer(q)
+					if err != nil {
+						t.Fatalf("%v failed on D=%v, set %d, q=%q: %v", engine, d, si, qsrc, err)
+					}
+					if err := sameAnswer(base, got, q); err != nil {
+						t.Fatalf("engines disagree on D=%v, set %d, q=%q: %v\nsearch: %+v\n%v: %+v",
+							d, si, qsrc, err, base, engine, got)
+					}
+					if q.IsBoolean() {
+						if got.Boolean != refBool {
+							t.Fatalf("streaming boolean %v != materialized %v on D=%v, set %d, q=%q",
+								got.Boolean, refBool, d, si, qsrc)
 						}
-						if err := sameAnswer(base, got, q); err != nil {
-							t.Fatalf("engines disagree on D=%v, set %d, q=%q, workers=%d: %v\nsearch: %+v\n%v: %+v",
-								d, si, qsrc, err, workers, base, engine, got)
+						if got.ShortCircuited && got.Boolean {
+							t.Fatalf("short-circuit with a certain yes on D=%v, set %d, q=%q", d, si, qsrc)
 						}
-						if q.IsBoolean() {
-							if got.Boolean != refBool {
-								t.Fatalf("streaming boolean %v != materialized %v on D=%v, set %d, q=%q",
-									got.Boolean, refBool, d, si, qsrc)
-							}
-							if got.ShortCircuited && got.Boolean {
-								t.Fatalf("short-circuit with a certain yes on D=%v, set %d, q=%q", d, si, qsrc)
-							}
-						}
-						brave, err := session.New(d, set, opts).Possible(q)
-						if err != nil {
-							t.Fatalf("%v possible answers failed on D=%v, set %d, q=%q: %v", engine, d, si, qsrc, err)
-						}
-						if err := sameTuples(baseBrave, brave); err != nil {
-							t.Fatalf("possible answers disagree (%v, workers=%d) on D=%v, set %d, q=%q: %v\nsearch: %v\nprogram: %v",
-								engine, workers, d, si, qsrc, err, baseBrave, brave)
-						}
+					}
+					brave, err := session.New(d, set, opts).Possible(q)
+					if err != nil {
+						t.Fatalf("%v possible answers failed on D=%v, set %d, q=%q: %v", engine, d, si, qsrc, err)
+					}
+					if err := sameTuples(baseBrave, brave); err != nil {
+						t.Fatalf("possible answers disagree (%v) on D=%v, set %d, q=%q: %v\nsearch: %v\nprogram: %v",
+							engine, d, si, qsrc, err, baseBrave, brave)
 					}
 				}
 			}
@@ -225,10 +218,9 @@ func TestProgramBooleanShortCircuit(t *testing.T) {
 	}
 }
 
-// TestStableWorkersMatchSequentialAnswers pins cmd/cqa's -workers contract
-// one level down: answers and diagnostics from the program engines are
-// identical for every Ground.Workers value, which is what -workers sets for
-// them, including under cancellation (boolean short-circuits).
+// TestStableWorkersMatchSequentialAnswers pins the program engines'
+// determinism: answers and diagnostics from repeated fresh sessions are
+// identical, including under cancellation (boolean short-circuits).
 func TestStableWorkersMatchSequentialAnswers(t *testing.T) {
 	d, setSrc := violatingCourses(4)
 	set := parser.MustConstraints(setSrc)
@@ -238,26 +230,23 @@ func TestStableWorkersMatchSequentialAnswers(t *testing.T) {
 		parser.MustQuery(`q :- student(21, "Ann").`),
 	}
 	for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
+		opts := session.NewOptions()
+		opts.Engine = engine
 		for _, q := range qs {
-			seqOpts := session.NewOptions()
-			seqOpts.Engine = engine
-			seq, err := session.New(d, set, seqOpts).Answer(q)
+			first, err := session.New(d, set, opts).Answer(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4, 8} {
-				parOpts := session.NewOptions()
-				parOpts.Engine = engine
-				parOpts.Ground.Workers = workers
-				par, err := session.New(d, set, parOpts).Answer(q)
+			for run := 1; run < 4; run++ {
+				again, err := session.New(d, set, opts).Answer(q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// The model stream is deterministic, so even the
 				// diagnostics must match exactly.
-				if seq.Boolean != par.Boolean || seq.NumRepairs != par.NumRepairs ||
-					seq.ShortCircuited != par.ShortCircuited || len(seq.Tuples) != len(par.Tuples) {
-					t.Fatalf("%v workers=%d diverges on %v:\nseq: %+v\npar: %+v", engine, workers, q, seq, par)
+				if first.Boolean != again.Boolean || first.NumRepairs != again.NumRepairs ||
+					first.ShortCircuited != again.ShortCircuited || len(first.Tuples) != len(again.Tuples) {
+					t.Fatalf("%v run %d diverges on %v:\nfirst: %+v\nagain: %+v", engine, run, q, first, again)
 				}
 			}
 		}

@@ -70,10 +70,9 @@ func TestBooleanShortCircuit(t *testing.T) {
 	}
 }
 
-// TestAnswersParallelMatchesSequential asserts the streamed consistent and
-// possible answers are identical for workers=1 and workers=4 across query
-// shapes (run under -race in CI, this also exercises concurrent query
-// evaluation against the shared frozen base).
+// TestAnswersParallelMatchesSequential asserts that two fresh sessions
+// stream identical consistent answers (diagnostics included) and possible
+// answers across query shapes.
 func TestAnswersParallelMatchesSequential(t *testing.T) {
 	scenarios := []struct {
 		db, ic  string
@@ -102,34 +101,35 @@ func TestAnswersParallelMatchesSequential(t *testing.T) {
 		set := parser.MustConstraints(sc.ic)
 		for _, qsrc := range sc.queries {
 			q := parser.MustQuery(qsrc)
-			seqOpts := session.NewOptions()
-			parOpts := session.NewOptions()
-			parOpts.Repair.Workers = 4
-			seq, err := session.New(d, set, seqOpts).Answer(q)
+			opts := session.NewOptions()
+			first, err := session.New(d, set, opts).Answer(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := session.New(d, set, parOpts).Answer(q)
+			again, err := session.New(d, set, opts).Answer(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameAnswer(seq, par, q); err != nil {
-				t.Errorf("scenario %d %q: workers=4 disagrees: %v\nseq: %+v\npar: %+v", si, qsrc, err, seq, par)
+			if err := sameAnswer(first, again, q); err != nil {
+				t.Errorf("scenario %d %q: second run disagrees: %v\nfirst: %+v\nagain: %+v", si, qsrc, err, first, again)
 			}
-			seqPoss, err := session.New(d, set, seqOpts).Possible(q)
+			if again.NumRepairs != first.NumRepairs || again.StatesExplored != first.StatesExplored || again.ShortCircuited != first.ShortCircuited {
+				t.Errorf("scenario %d %q: diagnostics differ: %+v vs %+v", si, qsrc, first, again)
+			}
+			firstPoss, err := session.New(d, set, opts).Possible(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parPoss, err := session.New(d, set, parOpts).Possible(q)
+			againPoss, err := session.New(d, set, opts).Possible(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(seqPoss) != len(parPoss) {
-				t.Fatalf("scenario %d %q: possible answers differ: %v vs %v", si, qsrc, seqPoss, parPoss)
+			if len(firstPoss) != len(againPoss) {
+				t.Fatalf("scenario %d %q: possible answers differ: %v vs %v", si, qsrc, firstPoss, againPoss)
 			}
-			for i := range seqPoss {
-				if !seqPoss[i].Equal(parPoss[i]) {
-					t.Errorf("scenario %d %q: possible answer %d differs: %v vs %v", si, qsrc, i, seqPoss[i], parPoss[i])
+			for i := range firstPoss {
+				if !firstPoss[i].Equal(againPoss[i]) {
+					t.Errorf("scenario %d %q: possible answer %d differs: %v vs %v", si, qsrc, i, firstPoss[i], againPoss[i])
 				}
 			}
 		}

@@ -17,8 +17,7 @@ import (
 // engines agree on certain answers (tuples and boolean verdicts), possible
 // answers, and — when no engine short-circuited — the exact repair count.
 // 45 seeds × 8 queries, random violation structure, null-exempt rows,
-// joins, negation, builtins, unions, across repair worker counts; run it
-// under -race to pin the parallel search side too.
+// joins, negation, builtins, unions.
 
 // diffQueries builds the query battery for a KeyWidth-1 fdgen workload
 // (relations r0[, r1] of arity 3: key, dep, unique id; unconstrained s/2).
@@ -96,12 +95,7 @@ func TestDirectDifferential(t *testing.T) {
 				name string
 				sess *session.Session
 			}
-			sides := []side{}
-			for _, workers := range []int{1, 3} {
-				opts := session.NewOptions()
-				opts.Repair.Workers = workers
-				sides = append(sides, side{fmt.Sprintf("search/w%d", workers), session.New(d, set, opts)})
-			}
+			sides := []side{{"search", session.New(d, set, session.NewOptions())}}
 			progOpts := session.NewOptions()
 			progOpts.Engine = session.EngineProgram
 			sides = append(sides, side{"program", session.New(d, set, progOpts)})

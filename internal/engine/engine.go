@@ -114,10 +114,12 @@ func (e *UnknownError) Error() string {
 		e.Name, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
 }
 
-// Options maps an engine name and worker count onto session options. Every
-// worker knob is set uniformly — each engine reads only its own section —
-// so one mapping serves the CLI flags, the daemon's wire fields, and the
-// facade. Unknown names fail with *UnknownError.
+// Options maps an engine name onto session options, so one mapping serves
+// the CLI flags, the daemon's wire fields, and the facade. Unknown names
+// fail with *UnknownError.
+//
+// workers is ignored: every engine runs on the calling goroutine. The
+// parameter stays only for callers that still pass a worker count.
 func Options(name string, workers int) (session.Options, error) {
 	opts := session.NewOptions()
 	spec, ok := Lookup(name)
@@ -125,9 +127,5 @@ func Options(name string, workers int) (session.Options, error) {
 		return opts, &UnknownError{Name: name}
 	}
 	opts.Engine = spec.Engine
-	if workers > 0 {
-		opts.Repair.Workers = workers
-		opts.Ground.Workers = workers
-	}
 	return opts, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/session"
@@ -29,8 +30,12 @@ func TestOptions(t *testing.T) {
 	if opts.Engine != session.EngineDirect {
 		t.Errorf("engine = %v, want direct", opts.Engine)
 	}
-	if opts.Repair.Workers != 3 || opts.Ground.Workers != 3 {
-		t.Errorf("workers not applied uniformly: %+v", opts)
+	base, err := Options("direct", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(opts, base) {
+		t.Errorf("worker count changed the options: %+v vs %+v", opts, base)
 	}
 
 	_, err = Options("warp", 1)

@@ -1,9 +1,6 @@
 package ground
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/logic"
 	"repro/internal/relational"
 	"repro/internal/term"
@@ -21,124 +18,76 @@ type extState struct {
 	in        *interner
 	rs        *ruleSet
 	guardRels map[relational.RelKey]bool
-	workers   int
 }
 
 // pendingRule is one simplified rule instance before interning: the
 // surviving literals as facts, each part duplicate-free and in source
-// literal order. Workers produce pendingRules; the sequential merge assigns
-// atom ids.
+// literal order. A rule instance may still be dropped while its literals
+// are collected, so atom ids are assigned only once it survives.
 type pendingRule struct {
 	head, pos, neg []relational.Fact
 }
 
-// emit instantiates rules over the canonical possible set and merges the
-// survivors into st.rs (dedup) and st.in (atom ids). With workers > 1 the
-// per-rule instantiation fans out over a pool; the merge happens
-// sequentially in source-rule order either way, so the emitted program is
-// byte-identical at every worker count. st.canon must be frozen; each
-// worker reads through its own O(|Δ|) view of it, since a single Instance
-// view is not safe for concurrent use.
+// emit instantiates rules over the canonical possible set, in source-rule
+// order, and merges each surviving instance into st.rs (dedup) and st.in
+// (atom ids) as the join finds it.
 func emit(st *extState, rules []logic.Rule) {
-	workers := st.workers
-	if workers > len(rules) {
-		workers = len(rules)
-	}
-	if workers > 1 {
-		pend := make([][]pendingRule, len(rules))
-		var next int32
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ew := &emitWorker{st: st, canon: st.canon.Clone(), subst: term.Subst{}}
-				for {
-					i := int(atomic.AddInt32(&next, 1)) - 1
-					if i >= len(rules) {
-						return
-					}
-					pend[i] = ew.emitRule(rules[i])
-				}
-			}()
+	e := &emitter{st: st, subst: term.Subst{}}
+	for _, r := range rules {
+		steps, ready := relational.PlanJoin(st.canon, r.Pos, r.Builtins, nil)
+		if !relational.BuiltinsHold(ready, e.subst) {
+			continue
 		}
-		wg.Wait()
-		for _, ps := range pend {
-			for _, pr := range ps {
+		relational.Join(st.canon, steps, e.subst, func() bool {
+			if pr, keep := e.simplify(r); keep {
 				merge(st, pr)
 			}
-		}
-		return
-	}
-	ew := &emitWorker{st: st, canon: st.canon, subst: term.Subst{}}
-	for _, r := range rules {
-		for _, pr := range ew.emitRule(r) {
-			merge(st, pr)
-		}
+			return true
+		})
 	}
 }
 
-// emitWorker holds one instantiation goroutine's scratch state and private
-// view of the canonical possible set.
-type emitWorker struct {
+// emitter holds emit's substitution and literal scratch storage.
+type emitter struct {
 	st      *extState
-	canon   *relational.Instance
 	subst   term.Subst
 	scratch relational.Tuple
 }
 
-// emitRule enumerates the rule's substitutions over the canonical possible
-// set and simplifies each instance, returning the survivors in enumeration
-// order.
-func (w *emitWorker) emitRule(r logic.Rule) []pendingRule {
-	var out []pendingRule
-	steps, ready := relational.PlanJoin(w.canon, r.Pos, r.Builtins, nil)
-	if !relational.BuiltinsHold(ready, w.subst) {
-		return nil
-	}
-	relational.Join(w.canon, steps, w.subst, func() bool {
-		if pr, keep := w.simplify(r); keep {
-			out = append(out, pr)
-		}
-		return true
-	})
-	return out
-}
-
-// simplify builds one ground rule instance under the worker's current
-// substitution, simplifying it against the possible and fact sets: a head
-// that is a fact satisfies the rule (drop it); a positive literal that is a
-// fact is always true (omit it) and one that is not possible can never hold
-// (drop the rule); a negated fact is false (drop the rule) and a negated
-// non-possible atom is true (omit it).
-func (w *emitWorker) simplify(r logic.Rule) (pendingRule, bool) {
+// simplify builds one ground rule instance under the current substitution,
+// simplifying it against the possible and fact sets: a head that is a fact
+// satisfies the rule (drop it); a positive literal that is a fact is always
+// true (omit it) and one that is not possible can never hold (drop the
+// rule); a negated fact is false (drop the rule) and a negated non-possible
+// atom is true (omit it).
+func (e *emitter) simplify(r logic.Rule) (pendingRule, bool) {
 	var pr pendingRule
 	for _, h := range r.Head {
-		w.scratch = groundAtomInto(w.scratch, h, w.subst)
-		f := relational.Fact{Pred: h.Pred, Args: w.scratch}
-		if w.st.facts.has(f) {
+		e.scratch = groundAtomInto(e.scratch, h, e.subst)
+		f := relational.Fact{Pred: h.Pred, Args: e.scratch}
+		if e.st.facts.has(f) {
 			return pendingRule{}, false
 		}
 		pr.head = appendUniqFact(pr.head, f)
 	}
 	for _, a := range r.Pos {
-		w.scratch = groundAtomInto(w.scratch, a, w.subst)
-		f := relational.Fact{Pred: a.Pred, Args: w.scratch}
-		if w.st.facts.has(f) {
+		e.scratch = groundAtomInto(e.scratch, a, e.subst)
+		f := relational.Fact{Pred: a.Pred, Args: e.scratch}
+		if e.st.facts.has(f) {
 			continue
 		}
-		if !w.st.poss.has(f) {
+		if !e.st.poss.has(f) {
 			return pendingRule{}, false
 		}
 		pr.pos = appendUniqFact(pr.pos, f)
 	}
 	for _, a := range r.Neg {
-		w.scratch = groundAtomInto(w.scratch, a, w.subst)
-		f := relational.Fact{Pred: a.Pred, Args: w.scratch}
-		if w.st.facts.has(f) {
+		e.scratch = groundAtomInto(e.scratch, a, e.subst)
+		f := relational.Fact{Pred: a.Pred, Args: e.scratch}
+		if e.st.facts.has(f) {
 			return pendingRule{}, false
 		}
-		if !w.st.poss.has(f) {
+		if !e.st.poss.has(f) {
 			continue
 		}
 		pr.neg = appendUniqFact(pr.neg, f)

@@ -94,7 +94,8 @@ func (p *Program) Extend(rules []logic.Rule) (*Program, error) {
 		canon.Insert(f)
 	}
 	// A large extension may have flattened the overlay back into an owner
-	// engine; re-freeze so emission workers can clone views race-free.
+	// engine; re-freeze so concurrent Extends of the returned program can
+	// clone it race-free.
 	canon.Freeze()
 
 	child := &extState{
@@ -104,7 +105,6 @@ func (p *Program) Extend(rules []logic.Rule) (*Program, error) {
 		in:        st.in.extend(),
 		rs:        st.rs.extend(),
 		guardRels: guardRels(st.guardRels, rules, canon),
-		workers:   st.workers,
 	}
 	ep := &Program{Facts: p.Facts[:len(p.Facts):len(p.Facts)]}
 	emit(child, rules)

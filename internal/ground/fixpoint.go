@@ -61,7 +61,6 @@ func GroundWith(p *logic.Program, opts Options) (*Program, error) {
 		in:        newInterner(),
 		rs:        newRuleSet(),
 		guardRels: guardRels(nil, p.Rules, canon),
-		workers:   opts.Workers,
 	}
 	gp := &Program{}
 	for _, f := range seedFacts {

@@ -21,8 +21,8 @@
 // Rule instantiation (emit.go) runs over a canonicalized possible set — the
 // fixpoint result re-inserted in sorted fact order — so the emitted program
 // is a pure function of the possible *set*, not of the fixpoint's derivation
-// order: naive and semi-naive grounding, and every Options.Workers setting,
-// produce byte-identical programs by construction.
+// order: naive and semi-naive grounding produce byte-identical programs by
+// construction.
 //
 // A grounded Program can be extended with further rules (extend.go) without
 // re-grounding: Extend grounds only the new rules against the retained
@@ -38,12 +38,8 @@ import (
 )
 
 // Options tunes grounding. The zero value is the default configuration:
-// semi-naive fixpoint, sequential instantiation.
+// the semi-naive fixpoint.
 type Options struct {
-	// Workers sets the size of the rule-instantiation worker pool; values
-	// below 2 instantiate sequentially. The output is byte-identical at
-	// every worker count.
-	Workers int
 	// Naive selects the naive fixpoint (every rule re-joined over the whole
 	// possible set on every round, builtins evaluated at the join leaf) — an
 	// ablation and differential-testing reference for the semi-naive

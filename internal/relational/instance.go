@@ -24,8 +24,8 @@ import (
 // (sorted fact caches). Distinct views of one frozen engine, however, may be
 // read concurrently from many goroutines — the shared engine's lazy index
 // and sorted-view builds are internally synchronized once frozen (see
-// Freeze) — which is what the parallel repair search relies on: each worker
-// owns its private overlay states while all of them probe the same base.
+// Freeze), so each goroutine may own private overlay views while all of
+// them read the same base.
 type Instance struct {
 	eng *engine
 

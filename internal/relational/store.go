@@ -390,9 +390,10 @@ func cap32(bindings []Binding) int {
 // engine is the physical store shared by an owner Instance and the overlay
 // views cloned from it. Once any overlay exists the engine is frozen and
 // becomes immutable, so its caches and indexes stay valid for every view —
-// including views probed concurrently from multiple goroutines (the parallel
-// repair search): all remaining writes are lazy cache builds, serialized per
-// store by relStore.mu and per engine by mu.
+// including views read concurrently from multiple goroutines (cqad's
+// sessions, concurrent ground.Program.Extend calls): all remaining writes
+// are lazy cache builds, serialized per store by relStore.mu and per engine
+// by mu.
 type engine struct {
 	stores map[RelKey]*relStore
 	order  []RelKey // first-insertion order of relations

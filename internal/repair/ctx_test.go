@@ -9,9 +9,9 @@ import (
 	"repro/internal/relational"
 )
 
-// TestEnumerateCtxCancel pins the cancellation contract for both drivers:
-// cancelling the context mid-stream aborts the search with ctx.Err(), after
-// strictly fewer leaves than the full enumeration delivers.
+// TestEnumerateCtxCancel pins the cancellation contract: cancelling the
+// context mid-stream aborts the search with ctx.Err(), after strictly fewer
+// leaves than the full enumeration delivers.
 func TestEnumerateCtxCancel(t *testing.T) {
 	// Eight FD-violating pairs: 2^8 = 256 repairs and a much larger state
 	// space, so a cancellation fired at the first leaf always lands while
@@ -31,24 +31,22 @@ func TestEnumerateCtxCancel(t *testing.T) {
 		t.Fatalf("fixture too small: %d leaves", fullStats.Leaves)
 	}
 
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		leaves := 0
-		_, err := EnumerateCtx(ctx, d, set, Options{Workers: workers}, func(*relational.Instance) bool {
-			leaves++
-			cancel() // cancel mid-stream, keep yielding true
-			return true
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if leaves >= fullStats.Leaves {
-			t.Errorf("workers=%d: cancelled run still delivered all %d leaves", workers, leaves)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	leaves := 0
+	_, err = EnumerateCtx(ctx, d, set, Options{}, func(*relational.Instance) bool {
+		leaves++
+		cancel() // cancel mid-stream, keep yielding true
+		return true
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if leaves >= fullStats.Leaves {
+		t.Errorf("cancelled run still delivered all %d leaves", leaves)
 	}
 
 	// A pre-cancelled context aborts before any exploration.
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel = context.WithCancel(context.Background())
 	cancel()
 	if _, err := RepairsCtx(ctx, d, set, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled RepairsCtx err = %v, want context.Canceled", err)

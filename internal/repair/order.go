@@ -197,7 +197,7 @@ func deltaOrder(mode Mode) func(dl1, dl2 relational.Delta) bool {
 // MinimalUnder compares against every candidate, not only the minimal ones,
 // and ≤_D transitivity is a tested property, not an assumption), so the
 // final minimal set is exactly MinimalUnder over the whole stream, no matter
-// in which order a parallel search delivered it. Each leaf's Δ(D, leaf) is
+// in which order the leaves arrive. Each leaf's Δ(D, leaf) is
 // computed once on entry — together with its per-fact key encodings, key
 // sets, and fact fingerprints — and cached for every later comparison and
 // for Result.Deltas.
@@ -219,8 +219,7 @@ func deltaOrder(mode Mode) func(dl1, dl2 relational.Delta) bool {
 // per-Add cost thus scales with the entries sharing facts with the new
 // delta, not with the antichain size.
 //
-// Antichain is not safe for concurrent use; the streaming search calls Add
-// from the single collector goroutine.
+// Antichain is not safe for concurrent use.
 type Antichain struct {
 	d            *relational.Instance
 	classic      bool

@@ -12,12 +12,10 @@ import (
 	"repro/internal/value"
 )
 
-// TestParallelMatchesSequential is the tentpole differential test: for
-// randomized instances and constraint sets, the parallel search (workers=4)
-// must produce byte-identical Repairs and Deltas — content and order — to
-// the sequential search, along with the same states-explored and leaf
-// counts. Run under -race this also exercises the concurrent probes of the
-// shared frozen base.
+// TestParallelMatchesSequential pins that the search is a function of its
+// input: on randomized instances and constraint sets, two runs produce
+// byte-identical Repairs and Deltas — content and order — and the same
+// states-explored and leaf counts.
 func TestParallelMatchesSequential(t *testing.T) {
 	universe := atomUniverse()
 	sets := bruteSets()
@@ -31,36 +29,36 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		set := sets[trial%len(sets)]
 		for _, mode := range []Mode{NullBased, Classic} {
-			seq, err := Repairs(d, set, Options{Mode: mode, Workers: 1})
+			first, err := Repairs(d, set, Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Repairs(d, set, Options{Mode: mode, Workers: 4})
+			again, err := Repairs(d, set, Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// StatesExplored/Leaves are deliberately NOT asserted equal
-			// here: when one content is reachable through different
-			// insertion orders, the parallel race picks which overlay
-			// representative enters the memo, and its iteration order can
-			// steer firstViolation to a different (equally valid)
-			// violation. The repair set is schedule-independent anyway —
-			// every leaf set the search can produce is a consistent
-			// superset of Rep(D, IC), and the antichain filters any such
-			// superset to exactly Rep.
-			if len(seq.Repairs) != len(par.Repairs) {
-				t.Fatalf("trial %d mode %v: %d vs %d repairs", trial, mode, len(seq.Repairs), len(par.Repairs))
-			}
-			for i := range seq.Repairs {
-				if seq.Repairs[i].Key() != par.Repairs[i].Key() {
-					t.Fatalf("trial %d mode %v: repair %d differs: %v vs %v",
-						trial, mode, i, seq.Repairs[i], par.Repairs[i])
-				}
-				if !sameDelta(seq.Deltas[i], par.Deltas[i]) {
-					t.Fatalf("trial %d mode %v: delta %d differs: %v vs %v",
-						trial, mode, i, seq.Deltas[i], par.Deltas[i])
-				}
-			}
+			assertSameResult(t, fmt.Sprintf("trial %d mode %v", trial, mode), first, again)
+		}
+	}
+}
+
+// assertSameResult fails unless two enumerations agree on every repair and
+// delta (content and order) and on both diagnostics.
+func assertSameResult(t *testing.T, label string, want, got Result) {
+	t.Helper()
+	if got.StatesExplored != want.StatesExplored || got.Leaves != want.Leaves {
+		t.Fatalf("%s: %d states / %d leaves, want %d / %d",
+			label, got.StatesExplored, got.Leaves, want.StatesExplored, want.Leaves)
+	}
+	if len(got.Repairs) != len(want.Repairs) {
+		t.Fatalf("%s: %d vs %d repairs", label, len(want.Repairs), len(got.Repairs))
+	}
+	for i := range want.Repairs {
+		if want.Repairs[i].Key() != got.Repairs[i].Key() {
+			t.Fatalf("%s: repair %d differs: %v vs %v", label, i, want.Repairs[i], got.Repairs[i])
+		}
+		if !sameDelta(want.Deltas[i], got.Deltas[i]) {
+			t.Fatalf("%s: delta %d differs: %v vs %v", label, i, want.Deltas[i], got.Deltas[i])
 		}
 	}
 }
@@ -82,9 +80,8 @@ func sameDelta(a, b relational.Delta) bool {
 	return true
 }
 
-// TestParallelChainedFixes runs the worker pool on a deeper workload — bulk
-// FD violations whose fixes chain — under every worker count, pinning the
-// result against the sequential baseline.
+// TestParallelChainedFixes repeats the search on a deeper workload — bulk
+// FD violations whose fixes chain — and pins every run against the first.
 func TestParallelChainedFixes(t *testing.T) {
 	d := relational.NewInstance()
 	for i := 0; i < 4; i++ {
@@ -96,31 +93,19 @@ func TestParallelChainedFixes(t *testing.T) {
 		d.Insert(relational.F("r", value.Str(fmt.Sprintf("u%d", i)), value.Str("v")))
 	}
 	fd := constraint.MustSet(constraint.FD("r", 2, []int{0}, []int{1}), nil)
-	seq, err := Repairs(d, fd, Options{Workers: 1})
+	first, err := Repairs(d, fd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Repairs) != 16 {
-		t.Fatalf("sequential repairs = %d, want 16", len(seq.Repairs))
+	if len(first.Repairs) != 16 {
+		t.Fatalf("repairs = %d, want 16", len(first.Repairs))
 	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := Repairs(d, fd, Options{Workers: workers})
+	for run := 1; run < 4; run++ {
+		again, err := Repairs(d, fd, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Exact StatesExplored equality is safe to assert on this
-		// workload: FD fixes are deletions only, and deletion-only states
-		// iterate in base order regardless of the path that produced
-		// them, so expansion is content-determined.
-		if par.StatesExplored != seq.StatesExplored || len(par.Repairs) != len(seq.Repairs) {
-			t.Fatalf("workers=%d: %d states / %d repairs, want %d / %d",
-				workers, par.StatesExplored, len(par.Repairs), seq.StatesExplored, len(seq.Repairs))
-		}
-		for i := range seq.Repairs {
-			if seq.Repairs[i].Key() != par.Repairs[i].Key() {
-				t.Fatalf("workers=%d: repair %d differs", workers, i)
-			}
-		}
+		assertSameResult(t, fmt.Sprintf("run %d", run), first, again)
 	}
 }
 
@@ -248,7 +233,7 @@ func TestConfirmMinimal(t *testing.T) {
 }
 
 // TestIsRepairParallel re-runs the Example 17 membership checks through the
-// short-circuiting IsRepair under both worker counts.
+// short-circuiting IsRepair.
 func TestIsRepairParallel(t *testing.T) {
 	d := inst(fact("P", s("a"), n()), fact("P", s("b"), s("c")), fact("R", s("a"), s("b")))
 	set := example17RIC()
@@ -257,19 +242,16 @@ func TestIsRepairParallel(t *testing.T) {
 	d3 := d.Clone()
 	d3.Insert(fact("R", s("b"), s("d")))
 	inconsistent := inst(fact("P", s("b"), s("c")))
-	for _, workers := range []int{1, 4} {
-		opts := Options{Workers: workers}
-		for _, tc := range []struct {
-			cand *relational.Instance
-			want bool
-		}{{d1, true}, {d3, false}, {inconsistent, false}} {
-			got, err := IsRepair(d, set, tc.cand, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Errorf("workers=%d: IsRepair(%v) = %v, want %v", workers, tc.cand, got, tc.want)
-			}
+	for _, tc := range []struct {
+		cand *relational.Instance
+		want bool
+	}{{d1, true}, {d3, false}, {inconsistent, false}} {
+		got, err := IsRepair(d, set, tc.cand, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("IsRepair(%v) = %v, want %v", tc.cand, got, tc.want)
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/constraint"
 	"repro/internal/nullsem"
@@ -44,20 +42,6 @@ type Options struct {
 	// before giving up (0 means DefaultMaxStates). Exceeding it returns
 	// ErrStateLimit.
 	MaxStates int
-	// Workers sets the number of goroutines expanding search states.
-	// 0 and 1 both mean a single worker. Result.Repairs and Result.Deltas
-	// (content and order) are identical for every worker count: any leaf
-	// set the search can produce is a consistent superset of Rep(D, IC),
-	// and the minimality filter reduces every such superset to exactly
-	// Rep. StatesExplored/Leaves are diagnostics: deterministic for
-	// Workers <= 1, but with more workers the race for the memo can pick
-	// a different overlay representative of an equal-content state, whose
-	// iteration order may steer the violation probe — and with it the
-	// explored fringe — differently. Likewise, when a consumer cancels
-	// the stream while a MaxStates limit is in flight, the race resolves
-	// by schedule: a cancellation that wins reports the partial stats,
-	// where another schedule might hit ErrStateLimit first.
-	Workers int
 	// ScratchProbe disables the delta-driven incremental violation probes
 	// and re-checks every constraint from scratch at every search node, as
 	// the pre-incremental engine did. Repairs and Deltas are byte-identical
@@ -135,10 +119,9 @@ func Repairs(d *relational.Instance, set *constraint.Set, opts Options) (Result,
 }
 
 // RepairsCtx is Repairs under a context: cancellation aborts the enumeration
-// (workers stop popping states) and returns ctx.Err(), wrapped so errors.Is
-// matches context.Canceled / context.DeadlineExceeded. Results delivered
-// before cancellation are discarded — a Result is only returned for complete
-// enumerations, preserving the byte-identical-output contract.
+// before the next state is expanded and returns ctx.Err(). Leaves found
+// before cancellation are discarded — a Result is only returned for
+// complete enumerations.
 func RepairsCtx(ctx context.Context, d *relational.Instance, set *constraint.Set, opts Options) (Result, error) {
 	if opts.Mode == NullBased && !set.NonConflicting() {
 		return Result{}, fmt.Errorf("%w (%v); use RepairsD", ErrConflictingSet, set.Conflicts()[0])
@@ -148,27 +131,23 @@ func RepairsCtx(ctx context.Context, d *relational.Instance, set *constraint.Set
 
 // Enumerate runs the violation-driven search and streams every distinct
 // consistent leaf — a pre-minimality repair candidate — to yield as it is
-// found, instead of materializing the full set first. yield is always
-// invoked from the calling goroutine, one leaf at a time, in a deterministic
-// order for Workers <= 1 (arrival order is scheduling-dependent for larger
-// worker counts, but the leaf *set* is not); returning false cancels the
-// remaining search, and Enumerate returns the stats accumulated so far with
-// a nil error. Feed the leaves to an Antichain to recover Rep(D, IC), or
-// short-circuit on a ConfirmMinimal certificate without waiting for the
-// enumeration to finish.
+// found, instead of materializing the full set first. The search runs on
+// the calling goroutine and yields one leaf at a time, in a deterministic
+// order; returning false cancels the remaining search, and Enumerate
+// returns the stats accumulated so far with a nil error. Feed the leaves to
+// an Antichain to recover Rep(D, IC), or short-circuit on a ConfirmMinimal
+// certificate without waiting for the enumeration to finish.
 //
 // Like Repairs, Enumerate requires a non-conflicting set in NullBased mode.
 func Enumerate(d *relational.Instance, set *constraint.Set, opts Options, yield func(*relational.Instance) bool) (Stats, error) {
 	return EnumerateCtx(context.Background(), d, set, opts, yield)
 }
 
-// EnumerateCtx is Enumerate under a context. Cancellation halts the search
-// as soon as the drivers observe it — no further states are admitted after
-// the sequential driver sees the cancellation, and parallel workers stop at
-// their next pop — and EnumerateCtx returns ctx.Err(). Leaves already
-// yielded remain valid (each is a self-contained consistent instance), but
-// the enumeration is incomplete, so antichain post-processing must be
-// abandoned on error.
+// EnumerateCtx is Enumerate under a context. The context is checked before
+// each state is expanded; once it is done no further state is admitted, and
+// EnumerateCtx returns ctx.Err(). Leaves already yielded remain valid (each
+// is a self-contained consistent instance), but the enumeration is
+// incomplete, so antichain post-processing must be abandoned on error.
 func EnumerateCtx(ctx context.Context, d *relational.Instance, set *constraint.Set, opts Options, yield func(*relational.Instance) bool) (Stats, error) {
 	if opts.Mode == NullBased && !set.NonConflicting() {
 		return Stats{}, fmt.Errorf("%w (%v); use RepairsD", ErrConflictingSet, set.Conflicts()[0])
@@ -258,27 +237,18 @@ func run(ctx context.Context, d *relational.Instance, set *constraint.Set, opts 
 }
 
 // enumerate performs the violation-driven search as an explicit work-list
-// drained by opts.Workers goroutines. adomICs, when non-nil, names the ICs
+// drained on the calling goroutine. adomICs, when non-nil, names the ICs
 // whose existential positions must range over the active domain in addition
 // to null (used by RepairsD for conflicting RICs).
 //
-// Every distinct state is admitted exactly once through a sharded,
-// mutex-striped fingerprint memo; admission is content-determined, which is
-// what makes the final repair set independent of worker count and
-// scheduling (see Options.Workers for the exact contract — the explored
-// fringe itself can vary when equal-content states are reachable through
-// different insertion orders). Leaves are delivered to the collector (the
-// calling goroutine) over a channel; workers block on a full channel rather
-// than dropping results, and the collector keeps draining after
-// cancellation so workers always unwind.
+// Every distinct state is admitted exactly once through a fingerprint +
+// Equal memo, so leaves are distinct by construction, and the whole run —
+// leaf order, StatesExplored, Leaves, and where a MaxStates limit or a
+// cancellation cuts it off — is a function of the input alone.
 func enumerate(ctx context.Context, d *relational.Instance, set *constraint.Set, opts Options, adomICs map[string]bool, yield func(*relational.Instance) bool) (Stats, error) {
 	maxStates := opts.MaxStates
 	if maxStates == 0 {
 		maxStates = DefaultMaxStates
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
 	}
 	if opts.Seed != nil && len(opts.Seed.Viols) != len(set.ICs) {
 		return Stats{}, fmt.Errorf("repair: seed has %d violation lists for %d ICs", len(opts.Seed.Viols), len(set.ICs))
@@ -300,8 +270,8 @@ func enumerate(ctx context.Context, d *relational.Instance, set *constraint.Set,
 	}
 
 	// Seal the root: every state of the search is an overlay view of this
-	// one frozen engine, which is what makes concurrent probes of the
-	// shared base race-free and Diff/Equal between states O(|Δ|).
+	// one frozen engine, which is what makes Diff/Equal between states
+	// O(|Δ|) instead of O(|D|).
 	d.Freeze()
 
 	s := &searcher{
@@ -311,8 +281,8 @@ func enumerate(ctx context.Context, d *relational.Instance, set *constraint.Set,
 		mode:         opts.Mode,
 		insertDomain: insertDomain,
 		adomICs:      adomICs,
-		memo:         newStateMemo(),
-		maxStates:    int64(maxStates),
+		memo:         relational.NewInstanceSet(),
+		maxStates:    maxStates,
 		scratchProbe: opts.ScratchProbe,
 	}
 	if !opts.ScratchProbe {
@@ -322,102 +292,47 @@ func enumerate(ctx context.Context, d *relational.Instance, set *constraint.Set,
 		}
 		s.seed = opts.Seed
 	}
-	s.cond = sync.NewCond(&s.mu)
 	if s.admit(d) {
 		s.stack = append(s.stack, node{inst: d})
 	}
-	if workers == 1 {
-		return s.runSequential(yield)
-	}
-	return s.runParallel(workers, yield)
+	return s.run(yield)
 }
 
-// runSequential drains the work-list on the calling goroutine: no worker
-// goroutines, no channel. Beyond avoiding scheduling overhead on the default
-// path, this makes cancellation exact — after yield returns false not a
-// single further state is admitted — which is what the short-circuit
-// regression tests pin StatesExplored against.
-func (s *searcher) runSequential(yield func(*relational.Instance) bool) (Stats, error) {
+// run drains the work-list depth-first. Cancellation is exact: after yield
+// returns false or the context is done, not a single further state is
+// admitted, which is what the short-circuit regression tests pin
+// StatesExplored against.
+func (s *searcher) run(yield func(*relational.Instance) bool) (Stats, error) {
 	var stats Stats
-	for !s.stopped.Load() {
+	for s.failure == nil {
 		if err := s.ctx.Err(); err != nil {
-			s.stop(err)
+			s.failure = err
 			break
 		}
-		s.mu.Lock()
 		n := len(s.stack)
 		if n == 0 {
-			s.mu.Unlock()
 			break
 		}
 		cur := s.stack[n-1]
 		s.stack = s.stack[:n-1]
-		s.mu.Unlock()
-		s.expand(cur, func(leaf *relational.Instance) bool {
+		if leaf := s.expand(cur); leaf != nil {
 			stats.Leaves++
-			return yield(leaf)
-		})
+			if !yield(leaf) {
+				break
+			}
+		}
 	}
-	stats.StatesExplored = int(s.visited.Load())
-	if err := s.err(); err != nil {
-		return Stats{}, err
+	if s.failure != nil {
+		return Stats{}, s.failure
 	}
+	stats.StatesExplored = s.memo.Len()
 	return stats, nil
 }
 
-// runParallel spawns the worker pool and collects leaves on the calling
-// goroutine. Cancellation is best-effort: in-flight workers finish their
-// current expansion, so a short-circuiting consumer may see a few more
-// states admitted than the sequential search would have — never different
-// results, since full enumerations explore the identical state set.
-func (s *searcher) runParallel(workers int, yield func(*relational.Instance) bool) (Stats, error) {
-	s.leaves = make(chan *relational.Instance, leafBuffer)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.work()
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(s.leaves)
-	}()
-
-	var stats Stats
-	cancelled := false
-	for leaf := range s.leaves {
-		if cancelled {
-			continue // drain so blocked workers can unwind
-		}
-		stats.Leaves++
-		if !yield(leaf) {
-			cancelled = true
-			s.stop(nil)
-		}
-	}
-	stats.StatesExplored = int(s.visited.Load())
-	// A deliberate consumer cancellation outranks a concurrent state-limit
-	// failure: the leaves already delivered are valid regardless of how
-	// much of the space remained (a ConfirmMinimal certificate in
-	// particular does not depend on enumeration completeness), and the
-	// sequential driver would likewise have returned success had the
-	// cancelling leaf arrived before the limit.
-	if err := s.err(); err != nil && !cancelled {
-		return Stats{}, err
-	}
-	return stats, nil
-}
-
-// leafBuffer decouples workers from the collector without letting leaves
-// pile up unboundedly.
-const leafBuffer = 64
-
-// searcher is the shared state of one streaming enumeration: the work-list,
-// the visited memo, and the leaf channel to the collector.
+// searcher is the state of one streaming enumeration: the constraint
+// analysis, the work-list, and the visited-state memo.
 type searcher struct {
-	ctx          context.Context // the enumeration's context; checked by the drivers
+	ctx          context.Context // the enumeration's context; checked by run
 	set          *constraint.Set
 	sem          nullsem.Semantics
 	mode         Mode
@@ -427,18 +342,10 @@ type searcher struct {
 	scratchProbe bool
 	seed         *Seed // root violation lists handed in by a session, if any
 
-	memo      *stateMemo
-	visited   atomic.Int64
-	maxStates int64
-	stopped   atomic.Bool
-
-	leaves chan *relational.Instance
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	stack   []node
-	active  int // workers currently expanding a state
-	failure error
+	memo      *relational.InstanceSet // every admitted state; Len() is StatesExplored
+	maxStates int
+	stack     []node
+	failure   error // ErrStateLimit or the context's error; ends the search
 }
 
 // node is one work-list entry: a search state plus the delta that produced
@@ -480,128 +387,43 @@ func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
-// work is one worker's loop: pop a state, expand it, repeat until the
-// work-list drains (stack empty with no expansion in flight), the search
-// stops, or the context is cancelled.
-func (s *searcher) work() {
-	for {
-		cur, ok := s.pop()
-		if !ok {
-			return
-		}
-		if err := s.ctx.Err(); err != nil {
-			s.stop(err)
-			s.release()
-			return
-		}
-		s.expand(cur, s.sendLeaf)
-		s.release()
-	}
-}
-
-// sendLeaf is the parallel emit: publish to the collector and keep going.
-func (s *searcher) sendLeaf(leaf *relational.Instance) bool {
-	s.leaves <- leaf
-	return true
-}
-
-func (s *searcher) pop() (node, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stopped.Load() {
-			return node{}, false
-		}
-		if n := len(s.stack); n > 0 {
-			cur := s.stack[n-1]
-			s.stack = s.stack[:n-1]
-			s.active++
-			return cur, true
-		}
-		if s.active == 0 {
-			return node{}, false
-		}
-		s.cond.Wait()
-	}
-}
-
-func (s *searcher) release() {
-	s.mu.Lock()
-	s.active--
-	if s.active == 0 && len(s.stack) == 0 {
-		s.cond.Broadcast() // work-list drained: wake waiters so they exit
-	}
-	s.mu.Unlock()
-}
-
-func (s *searcher) push(next node) {
-	s.mu.Lock()
-	s.stack = append(s.stack, next)
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-// stop halts the search, recording err (if any) as its failure. The leaf
-// channel is left to the workers/closer; the collector drains it.
-func (s *searcher) stop(err error) {
-	s.mu.Lock()
-	if err != nil && s.failure == nil {
-		s.failure = err
-	}
-	s.stopped.Store(true)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-func (s *searcher) err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failure
-}
-
-// admit registers a candidate state: false if it was already visited or the
-// state limit is hit, true if the caller should push it. Admitted states are
-// sealed for shared reads first, so every instance reachable from the memo
-// or the work-list is safe to probe from any goroutine.
+// admit registers a candidate state: false if it was already visited or it
+// exceeds the state limit (which fails the search), true if the caller
+// should push it. Freezing is a no-op on the overlay views Clone makes; it
+// re-seals a state whose edits outgrew the base and flattened it back into
+// a privately owned engine, so every state and leaf is a view of a frozen
+// engine, like the root.
 func (s *searcher) admit(next *relational.Instance) bool {
 	next.Freeze()
-	if !s.memo.tryVisit(next) {
+	if !s.memo.Add(next) {
 		return false
 	}
-	if s.visited.Add(1) > s.maxStates {
-		s.stop(ErrStateLimit)
+	if s.memo.Len() > s.maxStates {
+		s.failure = ErrStateLimit
 		return false
 	}
 	return true
 }
 
 // expand processes one state — the single definition of the search's
-// transition relation, shared by the sequential and parallel drivers: emit
-// it as a leaf if consistent (emit returning false stops the search),
-// otherwise admit and push its paper-sanctioned successor states, which
-// inherit this probe's snapshot so they can be probed incrementally.
-func (s *searcher) expand(cur node, emit func(*relational.Instance) bool) {
-	if s.stopped.Load() {
-		return
-	}
+// transition relation. A consistent state is returned as a leaf; otherwise
+// expand admits and pushes the state's paper-sanctioned successor states,
+// which inherit this probe's snapshot so they can be probed incrementally,
+// and returns nil.
+func (s *searcher) expand(cur node) *relational.Instance {
 	viol, nncViol, snap, bad := s.probe(cur)
 	if !bad {
-		// Each state is admitted once, so leaves are distinct by
-		// construction.
-		if !emit(cur.inst) {
-			s.stopped.Store(true)
-		}
-		return
+		return cur.inst
 	}
 	for _, next := range fixes(cur.inst, viol, nncViol, s.mode, s.insertDomain, s.adomICs) {
-		if s.stopped.Load() {
-			return
-		}
 		next.snap = snap
 		if s.admit(next.inst) {
-			s.push(next)
+			s.stack = append(s.stack, next)
+		} else if s.failure != nil {
+			return nil
 		}
 	}
+	return nil
 }
 
 // probe decides a state's status: its first violation, if any, plus the
@@ -626,7 +448,7 @@ func (s *searcher) expand(cur node, emit func(*relational.Instance) bool) {
 // pick different violations of an inconsistent state (the incremental list
 // keeps survivors in inherited order, the scratch join re-enumerates in
 // instance order), which is covered by the policy-independence contract
-// documented on Options.Workers.
+// documented on Options.ScratchProbe.
 func (s *searcher) probe(nd node) (*nullsem.Violation, *nullsem.NNCViolation, *probeSnap, bool) {
 	if s.scratchProbe {
 		viol, nncViol, bad := firstViolation(nd.inst, s.set, s.sem)
@@ -699,49 +521,6 @@ func (s *searcher) probe(nd node) (*nullsem.Violation, *nullsem.NNCViolation, *p
 		sat.set(bit)
 	}
 	return nil, nil, nil, false
-}
-
-// memoShards stripes the visited-state memo; fingerprints spread uniformly,
-// so contention concentrates only under adversarial hash collisions.
-const memoShards = 64
-
-// stateMemo is the visited-state set of a streaming search: fingerprint
-// buckets with full Equal confirmation (as in the sequential memo), sharded
-// and mutex-striped so concurrent workers rarely touch the same lock. Shards
-// are padded to cache-line size to avoid false sharing between stripes.
-type stateMemo struct {
-	shards [memoShards]memoShard
-}
-
-type memoShard struct {
-	mu      sync.Mutex
-	buckets map[uint64][]*relational.Instance
-	_       [64 - 16]byte
-}
-
-func newStateMemo() *stateMemo {
-	m := &stateMemo{}
-	for i := range m.shards {
-		m.shards[i].buckets = map[uint64][]*relational.Instance{}
-	}
-	return m
-}
-
-// tryVisit reports whether d is a new state, inserting it if so. The
-// outcome is content-determined (fingerprint bucket plus Equal), so the
-// visited set is independent of which worker gets here first.
-func (m *stateMemo) tryVisit(d *relational.Instance) bool {
-	fp := d.Fingerprint()
-	sh := &m.shards[fp%memoShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, o := range sh.buckets[fp] {
-		if o.Equal(d) {
-			return false
-		}
-	}
-	sh.buckets[fp] = append(sh.buckets[fp], d)
-	return true
 }
 
 // firstViolation returns a deterministic first violation of the set, if

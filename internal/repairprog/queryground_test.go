@@ -41,30 +41,27 @@ var queryZoo = []string{
 // TestGroundWithQueryMatchesMonolithic pins the grounding-reuse contract at
 // the translation level: extending the cached base grounding with the query
 // rules renders byte-identically to re-grounding WithQuery(q) from scratch,
-// for every query shape and at several worker counts.
+// for every query shape.
 func TestGroundWithQueryMatchesMonolithic(t *testing.T) {
 	d, set := example19Parsed()
-	for _, workers := range []int{0, 4} {
-		tr := mustBuild(t, d, set, VariantCorrected)
-		tr.GroundOptions = ground.Options{Workers: workers}
-		for _, qsrc := range queryZoo {
-			q := parser.MustQuery(qsrc)
-			got, err := tr.GroundWithQuery(q)
-			if err != nil {
-				t.Fatalf("workers %d, query %q: %v", workers, qsrc, err)
-			}
-			prog, err := tr.WithQuery(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mono, err := ground.GroundWith(prog, tr.GroundOptions)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.String() != mono.String() {
-				t.Errorf("workers %d, query %q: extension diverges from monolithic:\n--- monolithic\n%s\n--- extension\n%s",
-					workers, qsrc, mono, got)
-			}
+	tr := mustBuild(t, d, set, VariantCorrected)
+	for _, qsrc := range queryZoo {
+		q := parser.MustQuery(qsrc)
+		got, err := tr.GroundWithQuery(q)
+		if err != nil {
+			t.Fatalf("query %q: %v", qsrc, err)
+		}
+		prog, err := tr.WithQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono, err := ground.GroundWith(prog, tr.GroundOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != mono.String() {
+			t.Errorf("query %q: extension diverges from monolithic:\n--- monolithic\n%s\n--- extension\n%s",
+				qsrc, mono, got)
 		}
 	}
 }

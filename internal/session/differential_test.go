@@ -18,7 +18,7 @@ import (
 // maintained violations, repair set, one-shot answers and standing-query
 // answers are byte-identical to a fresh scratch computation (a throwaway
 // session.New(...).Answer et al.) on an independently built copy of the
-// mutated instance — for all three engines, workers {1, 4}, under -race.
+// mutated instance — for all three engines, under -race.
 
 // diffCase is one (IC set, query battery) scenario. The t relation is
 // deliberately unconstrained so random updates exercise the
@@ -29,7 +29,7 @@ type diffCase struct {
 	queries []string
 	// seedN/steps size the run; the cyclic-RIC case stays small because
 	// its model count grows steeply with the instance (and the race
-	// detector multiplies every worker-pool step).
+	// detector multiplies every step).
 	seedN, steps int
 }
 
@@ -177,6 +177,8 @@ func TestSessionEqualsScratchDifferential(t *testing.T) {
 			queries = append(queries, parser.MustQuery(src))
 		}
 		for _, engine := range engines {
+			// The "workers" labels name two independent random Δ streams:
+			// each stream's seed derives from its label.
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("%s/%s/workers=%d", tc.name, engine, workers)
 				t.Run(name, func(t *testing.T) {
@@ -185,8 +187,6 @@ func TestSessionEqualsScratchDifferential(t *testing.T) {
 
 					opts := session.NewOptions()
 					opts.Engine = engine
-					opts.Repair.Workers = workers
-					opts.Ground.Workers = workers
 
 					s := session.New(db.instance(), set, opts)
 					var prepared []*session.Prepared

@@ -99,9 +99,8 @@ func (b *searchBackend) certain(ctx context.Context, q *query.Q) (Answer, error)
 	if short {
 		ans.ShortCircuited = true
 		// Exactly one repair — the confirmed counterexample — has been
-		// established; report that, deterministically across worker
-		// counts (the surviving-candidate count at the cancellation
-		// point is scheduling-dependent for Workers > 1).
+		// established; report that rather than the surviving-candidate
+		// count at the cancellation point.
 		ans.NumRepairs = 1
 		return ans, nil
 	}

@@ -100,7 +100,7 @@ type Options struct {
 	// Stable configures the model enumeration: Stable.MaxCandidates is
 	// the work bound.
 	Stable stable.Options
-	// Ground configures the grounding of the repair program (worker pool,
+	// Ground configures the grounding of the repair program (the
 	// naive-fixpoint ablation). The answers are identical for every
 	// setting.
 	Ground ground.Options
@@ -129,10 +129,7 @@ type Answer struct {
 	NumRepairs int
 	// StatesExplored counts the search states visited when the search
 	// engine produced the answer (0 for the program engines). After a
-	// short-circuit with Workers <= 1 it is strictly below the
-	// full-enumeration count; parallel cancellation is best-effort, so
-	// in-flight workers may have admitted further states by the time the
-	// stop propagates.
+	// short-circuit it is strictly below the full-enumeration count.
 	StatesExplored int
 	// ShortCircuited reports that the engine stopped at the first
 	// counterexample instead of enumerating exhaustively. Only boolean
@@ -146,14 +143,10 @@ type Answer struct {
 	// NumRepairs counts the distinct repairs seen up to and including the
 	// counterexample.
 	//
-	// Boolean and Tuples are identical for every Repair.Workers and
-	// Ground.Workers value; NumRepairs, StatesExplored and ShortCircuited
-	// are diagnostics that are deterministic for the program engines and
-	// for search Workers <= 1, but can vary with scheduling for larger
-	// search worker counts (leaf arrival order decides which falsifying
-	// candidates spend the certificate budget). A session answering from
-	// its cached repair set reports the full-enumeration diagnostics of
-	// the run that filled the cache, never a short-circuit.
+	// NumRepairs, StatesExplored and ShortCircuited are deterministic
+	// diagnostics on every engine. A session answering from its cached
+	// repair set reports the full-enumeration diagnostics of the run that
+	// filled the cache, never a short-circuit.
 	ShortCircuited bool
 }
 

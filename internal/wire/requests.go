@@ -18,8 +18,9 @@ type CreateSessionRequest struct {
 	InstanceText    string         `json:"instance_text,omitempty"`
 	Constraints     *ConstraintSet `json:"constraints,omitempty"`
 	ConstraintsText string         `json:"constraints_text,omitempty"`
-	// Engine (an internal/engine registry name), Workers, and the
-	// shedding budgets configure every request served by this session.
+	// Engine (an internal/engine registry name) and the shedding budgets
+	// configure every request served by this session. Workers is accepted
+	// and ignored: every engine runs on the request's goroutine.
 	Engine        string `json:"engine,omitempty"`
 	Workers       int    `json:"workers,omitempty"`
 	MaxStates     int    `json:"max_states,omitempty"`
@@ -53,10 +54,10 @@ type QueryRequest struct {
 	Query string `json:"query"`
 	// Semantics selects certain (default) or possible (brave) answers.
 	Semantics string `json:"semantics,omitempty"`
-	// Engine and Workers override the session's engine for this request
-	// only, with any registry name (including direct and auto). An
-	// override answers from a throwaway session over the current head:
-	// correct, but without the session's caches.
+	// Engine overrides the session's engine for this request only, with
+	// any registry name (including direct and auto). An override answers
+	// from a throwaway session over the current head: correct, but without
+	// the session's caches. Workers is accepted and ignored.
 	Engine  string `json:"engine,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 }

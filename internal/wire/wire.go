@@ -8,8 +8,8 @@
 //   - Database constants map to JSON natives: null is JSON null, integer
 //     constants are JSON numbers, string constants are JSON strings. The
 //     mapping is injective (the string "42" and the integer 42 stay
-//     distinct) and decoding goes through json.Number, so the full int64
-//     range survives a round trip.
+//     distinct) and integers decode through strconv.ParseInt, so the full
+//     int64 range survives a round trip.
 //   - Constraints and queries travel as source text in the syntax of
 //     internal/parser, the one concrete syntax the repo already has. The
 //     renderers here emit canonical text (string constants always quoted,
@@ -23,7 +23,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -61,25 +60,24 @@ func (v Value) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes a JSON native back into a constant. Numbers must be
 // integers (the domain U has no floats); anything but null, an integer, or
-// a string is rejected.
+// a string is rejected. encoding/json hands over exactly one value's bytes,
+// so the first byte tells the kind.
 func (v *Value) UnmarshalJSON(b []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.UseNumber()
-	var raw any
-	if err := dec.Decode(&raw); err != nil {
-		return err
-	}
-	switch x := raw.(type) {
-	case nil:
+	switch {
+	case string(b) == "null":
 		v.V = value.Null()
-	case json.Number:
-		i, err := strconv.ParseInt(string(x), 10, 64)
+	case len(b) > 0 && b[0] == '"':
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		v.V = value.Str(s)
+	case len(b) > 0 && (b[0] == '-' || '0' <= b[0] && b[0] <= '9'):
+		i, err := strconv.ParseInt(string(b), 10, 64)
 		if err != nil {
-			return fmt.Errorf("wire: constant %s is not a 64-bit integer", x)
+			return fmt.Errorf("wire: constant %s is not a 64-bit integer", b)
 		}
 		v.V = value.Int(i)
-	case string:
-		v.V = value.Str(x)
 	default:
 		return fmt.Errorf("wire: constant must be null, an integer, or a string (got %s)", b)
 	}

@@ -52,8 +52,18 @@ func TestValueRoundTrip(t *testing.T) {
 		t.Errorf("int 42 and string %q marshal identically: %s", "42", bi)
 	}
 
-	// Non-integer numbers and composite values are rejected.
-	for _, bad := range []string{"1.5", "1e3", "[1]", "{}", "true"} {
+	// String escapes decode as JSON defines them.
+	var esc Value
+	if err := json.Unmarshal([]byte(`"a\"b\u00e9"`), &esc); err != nil {
+		t.Fatal(err)
+	}
+	if want := value.Str("a\"bé"); !esc.V.Eq(want) || esc.V.Kind() != want.Kind() {
+		t.Errorf("escaped string decoded to %v (%v), want %v", esc.V, esc.V.Kind(), want)
+	}
+
+	// Non-integer numbers, integers outside int64, and composite values
+	// are rejected.
+	for _, bad := range []string{"1.5", "1e3", "9223372036854775808", "-9223372036854775809", "[1]", "{}", "true"} {
 		var v Value
 		if err := json.Unmarshal([]byte(bad), &v); err == nil {
 			t.Errorf("unmarshal %s: want error, got %v", bad, v.V)

@@ -101,10 +101,9 @@ type (
 	// Engine selects the pipeline; each engine reads its own section and
 	// ignores the rest:
 	//
-	//   - EngineSearch reads Repair (Mode, MaxStates, Workers; Repair.Seed
-	//     is session-owned and any caller value is ignored).
-	//   - EngineProgram reads Variant, Stable (MaxCandidates) and Ground
-	//     (Workers).
+	//   - EngineSearch reads Repair (Mode, MaxStates; Repair.Seed is
+	//     session-owned and any caller value is ignored).
+	//   - EngineProgram reads Variant and Stable (MaxCandidates).
 	//   - EngineProgramCautious reads the same fields as EngineProgram.
 	//   - EngineDirect reads Repair.Mode only (classic mode is out of its
 	//     scope); Session.Repairs on a direct session runs the search and
@@ -115,7 +114,7 @@ type (
 	// path, and neither changes any answer.
 	CQAOptions = session.Options
 	// RepairOptions configures direct repair enumeration (mode, state
-	// budget, worker pool).
+	// budget).
 	RepairOptions = repair.Options
 	// StableOptions configures stable-model enumeration: its one field,
 	// MaxCandidates, is the candidate-solve budget.
@@ -213,11 +212,11 @@ func EngineNames() []string { return engine.Names() }
 func Engines() []EngineSpec { return engine.All() }
 
 // EngineOptionsByName maps a registry name ("search", "program",
-// "cautious", "direct", "auto") and a worker count onto CQA options —
-// exactly the mapping the cqa CLI and cqad daemon apply to their engine
-// selections. Unknown names fail with *engine.UnknownError.
-func EngineOptionsByName(name string, workers int) (CQAOptions, error) {
-	return engine.Options(name, workers)
+// "cautious", "direct", "auto") onto CQA options — exactly the mapping the
+// cqa CLI and cqad daemon apply to their engine selections. Unknown names
+// fail with *engine.UnknownError.
+func EngineOptionsByName(name string) (CQAOptions, error) {
+	return engine.Options(name, 0)
 }
 
 // Query evaluation modes for the open |=q_N choice (see internal/query).
