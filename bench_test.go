@@ -439,6 +439,60 @@ func BenchmarkCautiousRepairScaling(b *testing.B) {
 	}
 }
 
+// hrColdDB is the FD + FK + NOT NULL shape of Example 19 at 80 depts, 320
+// emps and 160 projs: 3 depts carry a second manager and 2 emps reference
+// a missing dept, so there are 2^5 = 32 repairs.
+func hrColdDB() (*relational.Instance, *constraint.Set) {
+	const depts, emps, projs, fdConf, fkConf = 80, 320, 160, 3, 2
+	d := relational.NewInstance()
+	for i := 0; i < depts; i++ {
+		d.Insert(relational.F("dept", value.Str(fmt.Sprintf("d%d", i)), value.Str(fmt.Sprintf("m%d", i))))
+		if i < fdConf {
+			d.Insert(relational.F("dept", value.Str(fmt.Sprintf("d%d", i)), value.Str(fmt.Sprintf("x%d", i))))
+		}
+	}
+	for j := 0; j < emps; j++ {
+		d.Insert(relational.F("emp", value.Str(fmt.Sprintf("e%d", j)), value.Str(fmt.Sprintf("d%d", j%depts))))
+	}
+	for j := 0; j < fkConf; j++ {
+		d.Insert(relational.F("emp", value.Str(fmt.Sprintf("z%d", j)), value.Str(fmt.Sprintf("dz%d", j))))
+	}
+	for l := 0; l < projs; l++ {
+		d.Insert(relational.F("proj", value.Str(fmt.Sprintf("e%d", l%emps)), value.Str(fmt.Sprintf("p%d", l))))
+	}
+	return d, parser.MustConstraints(`
+		dept(D, M1), dept(D, M2) -> M1 = M2.
+		emp(E, D) -> dept(D, M).
+		dept(D, M), isnull(D) -> false.
+	`)
+}
+
+// BenchmarkCautiousColdQuery is the first cautious query after a
+// constraint-relevant apply: the apply swaps a conflicting manager, which
+// drops the translation, so the query rebuilds and grounds the repair
+// program, solves every component to count the 32 repairs, and answers.
+// The applies alternate between two contents, both with 32 repairs.
+func BenchmarkCautiousColdQuery(b *testing.B) {
+	d, set := hrColdDB()
+	opts := session.NewOptions()
+	opts.Engine = session.EngineProgramCautious
+	s := session.New(d, set, opts)
+	q := parser.MustQuery(`q(M) :- emp("e7", D), dept(D, M).`)
+	old, fresh := relational.F("dept", value.Str("d0"), value.Str("x0")), relational.F("dept", value.Str("d0"), value.Str("y0"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Apply(relational.Delta{Added: []relational.Fact{fresh}, Removed: []relational.Fact{old}}); err != nil {
+			b.Fatal(err)
+		}
+		old, fresh = fresh, old
+		ans, err := s.Answer(q)
+		if err != nil || len(ans.Tuples) != 1 || ans.NumRepairs != 32 {
+			b.Fatalf("ans=%+v err=%v", ans, err)
+		}
+	}
+}
+
 // --- query evaluation modes -------------------------------------------------------------------------
 
 func BenchmarkQueryModes(b *testing.B) {

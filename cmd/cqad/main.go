@@ -66,7 +66,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("cqad", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address")
 	ttl := fs.Duration("session-ttl", 30*time.Minute, "evict sessions idle for this long (0 disables)")
-	inflight := fs.Int("max-inflight", 4, "concurrent apply/query/prepare requests per tenant before shedding 429s")
+	inflight := fs.Int("max-inflight", 4, "concurrent create/apply/query/prepare requests per tenant before shedding 429s")
 	maxSessions := fs.Int("max-sessions", 64, "live sessions per tenant")
 	if err := fs.Parse(args); err != nil {
 		return err

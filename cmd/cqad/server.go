@@ -26,8 +26,8 @@ import (
 type config struct {
 	// SessionTTL evicts sessions idle for longer (0 disables eviction).
 	SessionTTL time.Duration
-	// MaxInflight caps concurrently executing expensive requests (apply,
-	// query, prepare) per tenant; excess requests are shed with 429.
+	// MaxInflight caps concurrently executing expensive requests (create,
+	// apply, query, prepare) per tenant; excess requests are shed with 429.
 	MaxInflight int
 	// MaxSessions caps live sessions per tenant.
 	MaxSessions int
@@ -318,13 +318,29 @@ type (
 	prepareRequest        = wire.PrepareRequest
 )
 
+// handleCreate builds a session on an in-flight slot of its tenant. It
+// refuses a taken name or a full tenant before it parses anything, and
+// checks both again when it inserts the session, which covers concurrent
+// creates of one name.
 func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	t := s.tenantFor(r.PathValue("tenant"), true)
+	if !shed(w, t) {
+		return
+	}
+	defer t.release()
 	var req createSessionRequest
 	if !decode(w, r, &req) {
 		return
 	}
 	if req.Name == "" || strings.ContainsAny(req.Name, "/ ") {
 		writeError(w, http.StatusBadRequest, "bad_name", "session name must be non-empty without '/' or spaces")
+		return
+	}
+	t.mu.Lock()
+	status, code, msg := s.refusal(t, req.Name)
+	t.mu.Unlock()
+	if status != 0 {
+		writeError(w, status, code, msg)
 		return
 	}
 
@@ -368,7 +384,6 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	t := s.tenantFor(r.PathValue("tenant"), true)
 	ls := &liveSession{
 		tenant:   t.name,
 		name:     req.Name,
@@ -378,20 +393,14 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		subs:     map[int]chan []byte{},
 	}
 	t.mu.Lock()
-	switch {
-	case t.sessions[req.Name] != nil:
-		t.mu.Unlock()
-		writeError(w, http.StatusConflict, "session_exists",
-			fmt.Sprintf("tenant %q already has a session %q", t.name, req.Name))
-		return
-	case len(t.sessions) >= s.cfg.MaxSessions:
-		t.mu.Unlock()
-		writeError(w, http.StatusTooManyRequests, "session_limit",
-			fmt.Sprintf("tenant %q is at its session limit (%d)", t.name, s.cfg.MaxSessions))
+	if status, code, msg = s.refusal(t, req.Name); status == 0 {
+		t.sessions[req.Name] = ls
+	}
+	t.mu.Unlock()
+	if status != 0 {
+		writeError(w, status, code, msg)
 		return
 	}
-	t.sessions[req.Name] = ls
-	t.mu.Unlock()
 
 	ls.mu.Lock()
 	consistent := ls.s.Consistent()
@@ -405,6 +414,19 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Consistent:  consistent,
 		Engine:      resolved,
 	})
+}
+
+// refusal returns the error a create of a session called name must get,
+// or status 0 when tenant t can take it. The caller holds t.mu.
+func (s *server) refusal(t *tenant, name string) (status int, code, msg string) {
+	switch {
+	case t.sessions[name] != nil:
+		return http.StatusConflict, "session_exists", fmt.Sprintf("tenant %q already has a session %q", t.name, name)
+	case len(t.sessions) >= s.cfg.MaxSessions:
+		return http.StatusTooManyRequests, "session_limit",
+			fmt.Sprintf("tenant %q is at its session limit (%d)", t.name, s.cfg.MaxSessions)
+	}
+	return 0, "", ""
 }
 
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {

@@ -426,6 +426,72 @@ func TestLoadShedding(t *testing.T) {
 	}
 }
 
+// TestCreateBounded pins the bounds on session creation: a create takes an
+// in-flight slot like every expensive request, and a taken name or a full
+// tenant is refused before the instance is parsed, so such a create costs
+// nothing and an unparsable instance cannot mask the refusal.
+func TestCreateBounded(t *testing.T) {
+	srv, hs := newTestServer(t, config{MaxInflight: 1, MaxSessions: 2})
+	base := hs.URL + "/v1/tenants/acme/sessions"
+	createSession(t, hs.URL, "acme", "s1", "")
+
+	tn := srv.tenantFor("acme", false)
+	if tn == nil || !tn.acquire() {
+		t.Fatal("could not claim the in-flight slot")
+	}
+	code, resp := doJSON(t, "POST", base, fmt.Sprintf(`{"name":"s2","instance_text":%q}`, fixtureDB))
+	if code != http.StatusTooManyRequests || !strings.Contains(resp, "tenant_busy") {
+		t.Errorf("create on a busy tenant: %d %s, want 429 tenant_busy", code, resp)
+	}
+	tn.release()
+
+	unparsable := `{"name":"s1","instance_text":"r(a, "}`
+	code, resp = doJSON(t, "POST", base, unparsable)
+	if code != http.StatusConflict || !strings.Contains(resp, "session_exists") {
+		t.Errorf("taken name, unparsable instance: %d %s, want 409 session_exists", code, resp)
+	}
+	createSession(t, hs.URL, "acme", "s2", "")
+	code, resp = doJSON(t, "POST", base, strings.Replace(unparsable, "s1", "s3", 1))
+	if code != http.StatusTooManyRequests || !strings.Contains(resp, "session_limit") {
+		t.Errorf("full tenant, unparsable instance: %d %s, want 429 session_limit", code, resp)
+	}
+	// Every refused create released its slot.
+	if !tn.acquire() {
+		t.Fatal("a refused create kept its in-flight slot")
+	}
+	tn.release()
+
+	// Concurrent creates of one name all pass the early check; the check
+	// at insertion lets exactly one of them in.
+	const racers = 4
+	_, hs = newTestServer(t, config{MaxInflight: racers})
+	body := fmt.Sprintf(`{"name":"same","instance_text":%q,"constraints_text":%q}`, fixtureDB, fixtureIC)
+	codes := make(chan int, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(hs.URL+"/v1/tenants/acme/sessions", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	close(codes)
+	count := map[int]int{}
+	for code := range codes {
+		count[code]++
+	}
+	if count[http.StatusCreated] != 1 || count[http.StatusConflict] != racers-1 {
+		t.Errorf("concurrent creates of one name: status counts %v, want one 201 and %d 409", count, racers-1)
+	}
+}
+
 // TestErrorPaths pins the HTTP mapping of the remaining typed errors.
 func TestErrorPaths(t *testing.T) {
 	_, hs := newTestServer(t, config{})

@@ -8,9 +8,16 @@ import (
 
 // extState is the grounding snapshot a Program retains so Extend can ground
 // further rules against it: the canonical (sorted, frozen) possible-set
-// instance, the possible/fact membership sets, the atom interner and rule
-// dedup state, and the relations extension heads must avoid. All of it is
-// frozen once the program is built; extensions layer child sets on top.
+// instance, the possible/fact membership sets, the atom interner, the
+// folded rules' dedup state, each atom's folded value, and the relations
+// extension heads must avoid. All of it is frozen once the program is
+// built; extensions layer child sets on top.
+//
+// facts holds the input facts only, never the folded ones: emission
+// decides rule instances against it before interning their atoms, and a
+// monolithic grounding folds only after its whole emission, so an
+// extension that dropped instances on folded base facts would intern
+// different atoms than the monolithic grounding of the same rules.
 type extState struct {
 	canon     *relational.Instance
 	poss      *factSet
@@ -18,6 +25,9 @@ type extState struct {
 	in        *interner
 	rs        *ruleSet
 	guardRels map[relational.RelKey]bool
+	// val is the folded value of every atom id, input facts true; an
+	// extension's val shares its parent's as a capacity-capped prefix.
+	val []truth
 }
 
 // pendingRule is one simplified rule instance before interning: the
@@ -29,10 +39,11 @@ type pendingRule struct {
 }
 
 // emit instantiates rules over the canonical possible set, in source-rule
-// order, and merges each surviving instance into st.rs (dedup) and st.in
-// (atom ids) as the join finds it.
-func emit(st *extState, rules []logic.Rule) {
+// order, interning each surviving instance's atoms into st.in as the join
+// finds it, and returns the instances in that order for settle to fold.
+func emit(st *extState, rules []logic.Rule) []Rule {
 	e := &emitter{st: st, subst: term.Subst{}}
+	var raw []Rule
 	for _, r := range rules {
 		steps, ready := relational.PlanJoin(st.canon, r.Pos, r.Builtins, nil)
 		if !relational.BuiltinsHold(ready, e.subst) {
@@ -40,11 +51,12 @@ func emit(st *extState, rules []logic.Rule) {
 		}
 		relational.Join(st.canon, steps, e.subst, func() bool {
 			if pr, keep := e.simplify(r); keep {
-				merge(st, pr)
+				raw = append(raw, internRule(st.in, pr))
 			}
 			return true
 		})
 	}
+	return raw
 }
 
 // emitter holds emit's substitution and literal scratch storage.
@@ -106,18 +118,18 @@ func appendUniqFact(xs []relational.Fact, f relational.Fact) []relational.Fact {
 	return append(xs, relational.Fact{Pred: f.Pred, Args: f.Args.Clone()})
 }
 
-// merge interns one pending rule's atoms and adds it to the rule set unless
-// an equal rule was already emitted.
-func merge(st *extState, pr pendingRule) {
+// internRule interns one pending rule's atoms, returning the rule over their
+// ids.
+func internRule(in *interner, pr pendingRule) Rule {
 	var r Rule
 	for _, f := range pr.head {
-		r.Head = append(r.Head, st.in.intern(f))
+		r.Head = append(r.Head, in.intern(f))
 	}
 	for _, f := range pr.pos {
-		r.Pos = append(r.Pos, st.in.intern(f))
+		r.Pos = append(r.Pos, in.intern(f))
 	}
 	for _, f := range pr.neg {
-		r.Neg = append(r.Neg, st.in.intern(f))
+		r.Neg = append(r.Neg, in.intern(f))
 	}
-	st.rs.add(r)
+	return r
 }

@@ -31,6 +31,9 @@ var ErrExtendConflict = errors.New("ground: extension head collides with a base 
 //
 // The returned program is byte-identical (Program.String, atom ids, rule
 // order) to grounding the base program with the extension rules appended.
+// Only the extension's rules and atoms are folded; the base atoms' folded
+// values are read from the snapshot, and no extension rule can change
+// them.
 // The receiver is not modified, and a base program may be extended
 // concurrently from multiple goroutines; extensions themselves are
 // extendable in turn.
@@ -105,9 +108,10 @@ func (p *Program) Extend(rules []logic.Rule) (*Program, error) {
 		in:        st.in.extend(),
 		rs:        st.rs.extend(),
 		guardRels: guardRels(st.guardRels, rules, canon),
+		val:       st.val[:len(st.val):len(st.val)],
 	}
 	ep := &Program{Facts: p.Facts[:len(p.Facts):len(p.Facts)]}
-	emit(child, rules)
+	ep.Facts = append(ep.Facts, settle(child, emit(child, rules))...)
 	finish(ep, child, p.Names, p.Rules)
 	return ep, nil
 }

@@ -65,8 +65,9 @@ func GroundWith(p *logic.Program, opts Options) (*Program, error) {
 	gp := &Program{}
 	for _, f := range seedFacts {
 		gp.Facts = append(gp.Facts, st.in.intern(f))
+		st.val = append(st.val, decidedTrue)
 	}
-	emit(st, p.Rules)
+	gp.Facts = append(gp.Facts, settle(st, emit(st, p.Rules))...)
 	finish(gp, st, nil, nil)
 	return gp, nil
 }
@@ -98,7 +99,7 @@ func guardRels(base map[relational.RelKey]bool, rules []logic.Rule, canon *relat
 // finish assembles the program from the grounding state. For an extension,
 // baseNames and baseRules are the parent program's slices, shared as
 // capacity-capped prefixes so appends never clobber the parent; the level's
-// ruleSet holds only the rules emitted at this level.
+// ruleSet holds only the rules settled at this level.
 func finish(gp *Program, st *extState, baseNames []string, baseRules []Rule) {
 	gp.Rules = append(baseRules[:len(baseRules):len(baseRules)], st.rs.rules...)
 	gp.Atoms = st.in.atoms

@@ -10,6 +10,13 @@
 // are facts are dropped as well. The result is typically a small fraction
 // of the naive instantiation.
 //
+// The emitted rules are then folded down to their undecided core (fold.go):
+// one linear propagation decides the atoms that facts alone derive (true)
+// and those no remaining rule can derive (false), turns the former into
+// facts, and drops the decided literals and every rule they settle. This is
+// the lower-bound half of the well-founded approximation, where the
+// possible set is the upper-bound half; the stable models are unchanged.
+//
 // The fixpoint is semi-naive (fixpoint.go): each round joins rules only
 // through substitutions anchored on an atom derived in the previous round,
 // with the remaining positive literals planned and joined by the relational
@@ -27,6 +34,9 @@
 // A grounded Program can be extended with further rules (extend.go) without
 // re-grounding: Extend grounds only the new rules against the retained
 // possible-set snapshot and shares the base program's slices copy-on-write.
+// It folds only the new rules, reading the base atoms' values from the
+// snapshot, and the result is byte-identical to folding a monolithic
+// grounding.
 package ground
 
 import (
@@ -53,17 +63,19 @@ type Program struct {
 	Names []string
 	// Atoms maps each atom id back to predicate and arguments.
 	Atoms []relational.Fact
-	// Facts are atom ids that are unconditionally true.
+	// Facts are atom ids that are unconditionally true: the input facts,
+	// then the atoms the fold decided true, level by level in id order.
 	Facts []int
-	// Rules are the instantiated non-fact rules.
+	// Rules are the instantiated rules left undecided by the fold; no rule
+	// mentions a fact. Atoms in no rule and no fact are false.
 	Rules []Rule
 
 	// idx indexes Atoms for O(1) AtomID lookups; nil on hand-built
 	// programs, which fall back to a linear scan.
 	idx *interner
 	// ext retains the grounding snapshot (canonical possible set, member-
-	// ship sets, dedup state) that Extend grounds additional rules against;
-	// nil on hand-built programs.
+	// ship sets, dedup state, folded values) that Extend grounds additional
+	// rules against; nil on hand-built programs.
 	ext *extState
 }
 

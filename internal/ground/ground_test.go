@@ -24,20 +24,22 @@ func mustGround(t *testing.T, p *logic.Program) *Program {
 }
 
 func TestGroundPositiveChain(t *testing.T) {
-	// q(a). q(b). p(x) :- q(x). r(x) :- p(x).
+	// q(a). q(b). p(x) v s(x) :- q(x). r(x) :- p(x).
+	// The disjunctive head keeps p undecided, so the chain stays in rules.
 	p := &logic.Program{
 		Facts: []term.Atom{atom("q", ca("a")), atom("q", ca("b"))},
 		Rules: []logic.Rule{
-			{Head: []term.Atom{atom("p", v("x"))}, Pos: []term.Atom{atom("q", v("x"))}},
+			{Head: []term.Atom{atom("p", v("x")), atom("s", v("x"))}, Pos: []term.Atom{atom("q", v("x"))}},
 			{Head: []term.Atom{atom("r", v("x"))}, Pos: []term.Atom{atom("p", v("x"))}},
 		},
 	}
 	gp := mustGround(t, p)
-	// Facts q(a), q(b); possible p(a),p(b),r(a),r(b).
+	// Facts q(a), q(b); possible p(a),p(b),s(a),s(b),r(a),r(b).
 	if len(gp.Facts) != 2 {
 		t.Errorf("facts = %d", len(gp.Facts))
 	}
-	// Rule instances: p(a):-, p(b):- (q facts dropped), r(a):-p(a), etc.
+	// Rule instances: p(a) v s(a), p(b) v s(b) (q facts dropped),
+	// r(a):-p(a), r(b):-p(b).
 	if len(gp.Rules) != 4 {
 		t.Errorf("rules = %d:\n%s", len(gp.Rules), gp)
 	}
@@ -49,12 +51,13 @@ func TestGroundPositiveChain(t *testing.T) {
 }
 
 func TestGroundDropsUnderivableNegation(t *testing.T) {
-	// p(x) :- q(x), not r(x). with no way to derive r: negation dropped.
+	// p(x) v s(x) :- q(x), not r(x). with no way to derive r: negation
+	// dropped. The disjunctive head keeps the rule from folding to a fact.
 	p := &logic.Program{
 		Facts: []term.Atom{atom("q", ca("a"))},
 		Rules: []logic.Rule{
 			{
-				Head: []term.Atom{atom("p", v("x"))},
+				Head: []term.Atom{atom("p", v("x")), atom("s", v("x"))},
 				Pos:  []term.Atom{atom("q", v("x"))},
 				Neg:  []term.Atom{atom("r", v("x"))},
 			},
@@ -67,11 +70,12 @@ func TestGroundDropsUnderivableNegation(t *testing.T) {
 }
 
 func TestGroundKeepsDerivableNegation(t *testing.T) {
-	// r is derivable, so the negation must stay.
+	// r is derivable but not decided (it is one disjunct of a choice), so
+	// the negation must stay.
 	p := &logic.Program{
 		Facts: []term.Atom{atom("q", ca("a")), atom("s", ca("a"))},
 		Rules: []logic.Rule{
-			{Head: []term.Atom{atom("r", v("x"))}, Pos: []term.Atom{atom("s", v("x"))}},
+			{Head: []term.Atom{atom("r", v("x")), atom("t", v("x"))}, Pos: []term.Atom{atom("s", v("x"))}},
 			{
 				Head: []term.Atom{atom("p", v("x"))},
 				Pos:  []term.Atom{atom("q", v("x"))},
@@ -110,12 +114,13 @@ func TestGroundNegatedFactKillsRule(t *testing.T) {
 }
 
 func TestGroundBuiltins(t *testing.T) {
-	// p(x,y) :- q(x), q(y), x != y.
+	// p(x,y) v s(x,y) :- q(x), q(y), x != y. (disjunctive, so its
+	// instances stay rules)
 	p := &logic.Program{
 		Facts: []term.Atom{atom("q", ca("a")), atom("q", ca("b"))},
 		Rules: []logic.Rule{
 			{
-				Head:     []term.Atom{atom("p", v("x"), v("y"))},
+				Head:     []term.Atom{atom("p", v("x"), v("y")), atom("s", v("x"), v("y"))},
 				Pos:      []term.Atom{atom("q", v("x")), atom("q", v("y"))},
 				Builtins: []term.Builtin{{Op: term.NEQ, L: v("x"), R: v("y")}},
 			},
@@ -219,12 +224,13 @@ func TestGroundUnsafeRejected(t *testing.T) {
 }
 
 func TestGroundDeduplicatesRules(t *testing.T) {
-	// Two source rules that instantiate identically collapse.
+	// Two source rules that instantiate identically collapse. Their
+	// disjunctive heads keep the instances from folding to facts.
 	p := &logic.Program{
 		Facts: []term.Atom{atom("q", ca("a"))},
 		Rules: []logic.Rule{
-			{Head: []term.Atom{atom("p", ca("a"))}, Pos: []term.Atom{atom("q", v("x"))}},
-			{Head: []term.Atom{atom("p", v("x"))}, Pos: []term.Atom{atom("q", v("x"))}},
+			{Head: []term.Atom{atom("p", ca("a")), atom("s", ca("a"))}, Pos: []term.Atom{atom("q", v("x"))}},
+			{Head: []term.Atom{atom("p", v("x")), atom("s", v("x"))}, Pos: []term.Atom{atom("q", v("x"))}},
 		},
 	}
 	gp := mustGround(t, p)
@@ -257,6 +263,54 @@ func TestRecursiveGrounding(t *testing.T) {
 	} {
 		if _, ok := gp.AtomID(want); !ok {
 			t.Errorf("missing possible atom %v:\n%s", want, gp)
+		}
+	}
+}
+
+// TestGroundFoldsDecidedRules pins the fold of rules that facts decide:
+// derived facts leave rules as facts, an atom no live rule can derive is
+// false and vanishes with every rule it blocks, a rule whose head holds is
+// dropped, and rules that become equal merge.
+func TestGroundFoldsDecidedRules(t *testing.T) {
+	// q(a).  p(x) :- q(x).  r(x) :- p(x), not u(x).  u(x) :- w(x), q(x).
+	// w(x) :- q(x), not p(x).  t(x) v s(x) :- q(x), not u(x).
+	// t(x) v s(x) :- r(x).  r(x) v t(x) :- p(x).  :- t(x), p(x).
+	p := &logic.Program{
+		Facts: []term.Atom{atom("q", ca("a"))},
+		Rules: []logic.Rule{
+			{Head: []term.Atom{atom("p", v("x"))}, Pos: []term.Atom{atom("q", v("x"))}},
+			{
+				Head: []term.Atom{atom("r", v("x"))},
+				Pos:  []term.Atom{atom("p", v("x"))},
+				Neg:  []term.Atom{atom("u", v("x"))},
+			},
+			{Head: []term.Atom{atom("u", v("x"))}, Pos: []term.Atom{atom("w", v("x")), atom("q", v("x"))}},
+			{
+				Head: []term.Atom{atom("w", v("x"))},
+				Pos:  []term.Atom{atom("q", v("x"))},
+				Neg:  []term.Atom{atom("p", v("x"))},
+			},
+			{
+				Head: []term.Atom{atom("t", v("x")), atom("s", v("x"))},
+				Pos:  []term.Atom{atom("q", v("x"))},
+				Neg:  []term.Atom{atom("u", v("x"))},
+			},
+			{Head: []term.Atom{atom("t", v("x")), atom("s", v("x"))}, Pos: []term.Atom{atom("r", v("x"))}},
+			{Head: []term.Atom{atom("r", v("x")), atom("t", v("x"))}, Pos: []term.Atom{atom("p", v("x"))}},
+			{Pos: []term.Atom{atom("t", v("x")), atom("p", v("x"))}},
+		},
+	}
+	gp := mustGround(t, p)
+	// p(a) follows from the fact q(a), so w(a) has no live rule and is
+	// false, u(a) with it, and r(a) follows; r(a) v t(a) then holds. The
+	// two t v s rules merge, and the constraint keeps only t(a).
+	want := "q(a).\np(a).\nr(a).\nt(a) v s(a).\n:- t(a).\n"
+	if got := gp.String(); got != want {
+		t.Errorf("folded program:\n%s\nwant:\n%s", got, want)
+	}
+	for _, name := range []string{"u", "w"} {
+		if _, ok := gp.AtomID(relational.F(name, value.Str("a"))); !ok {
+			t.Errorf("%s(a) must stay interned: atom ids do not depend on the fold", name)
 		}
 	}
 }

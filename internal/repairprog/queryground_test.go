@@ -1,6 +1,7 @@
 package repairprog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"repro/internal/ground"
 	"repro/internal/parser"
 	"repro/internal/relational"
+	"repro/internal/stable"
+	"repro/internal/value"
 )
 
 // example19Parsed is the Example 19 scenario in parser-friendly lower-case
@@ -177,5 +180,55 @@ func TestGeneratedNamesAvoidBaseRelations(t *testing.T) {
 	}
 	if !pruned.AffectedBy(relational.Delta{Added: []relational.Fact{fact("q_ans", s("x"))}}) {
 		t.Error("a relation named like the answer predicate was rebased onto the translation")
+	}
+}
+
+// TestFoldedAnswersStayWithTheirQuery answers two queries that share the
+// answer predicate on one translation, in both orders. Each query's
+// answers over unconflicted tuples fold into answer facts on its own
+// extension of the base grounding; neither query may see the other's.
+func TestFoldedAnswersStayWithTheirQuery(t *testing.T) {
+	d := parser.MustInstance(`
+		r(a, b).
+		r(a, c).
+		r(d, e).
+		r(f, g).
+	`)
+	set := parser.MustConstraints(`r(X, Y), r(X, Z) -> Y = Z.`)
+	queries := []struct {
+		src    string
+		folded string // an answer decided by facts alone
+		want   []string
+	}{
+		{`q(X) :- r(X, Y).`, "d", []string{"(a)", "(d)", "(f)"}},
+		{`q(Y) :- r(X, Y).`, "e", []string{"(e)", "(g)"}},
+	}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		tr := mustBuild(t, d, set, VariantCorrected)
+		for _, i := range append(order, order[0]) {
+			q := queries[i]
+			gp, err := tr.GroundWithQuery(parser.MustQuery(q.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, ok := gp.AtomID(relational.F(tr.AnswerPred(), value.Str(q.folded)))
+			if !ok || !slices.Contains(gp.Facts, id) {
+				t.Fatalf("order %v, %s: answer (%s) is not a folded fact:\n%s", order, q.src, q.folded, gp)
+			}
+			ms, err := stable.Models(gp, stable.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, a := range stable.Cautious(ms) {
+				if f := gp.Atoms[a]; f.Pred == tr.AnswerPred() {
+					got = append(got, f.Args.String())
+				}
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, q.want) {
+				t.Errorf("order %v, %s: certain answers %v, want %v", order, q.src, got, q.want)
+			}
+		}
 	}
 }

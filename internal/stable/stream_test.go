@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/ground"
 	"repro/internal/logic"
 	"repro/internal/term"
 )
@@ -25,9 +26,10 @@ func choiceProgram(n int) *logic.Program {
 }
 
 // linkedChoiceProgram is choiceProgram glued into one component: the seed
-// is derived by a head-only rule instead of being a fact (the grounder
-// simplifies facts out of rule bodies), so every choice rule shares the
-// seed atom and the ground program cannot be decomposed.
+// is derived by a head-only rule instead of being a fact, so every choice
+// rule shares the seed atom and, instantiated by handGround, the ground
+// program cannot be decomposed. (ground.Ground would fold the seed into a
+// fact and split the program into n components.)
 func linkedChoiceProgram(n int) *logic.Program {
 	p := &logic.Program{Rules: []logic.Rule{{Head: []term.Atom{atom("seed")}}}}
 	for i := 0; i < n; i++ {
@@ -39,13 +41,45 @@ func linkedChoiceProgram(n int) *logic.Program {
 	return p
 }
 
+// handGround instantiates a propositional program as written: atoms are
+// numbered in order of first occurrence, facts stay facts and every rule
+// is kept, with none of the grounder's simplification or folding. It keeps
+// fixtures whose shape is the point of a test, such as one component glued
+// by a derived atom, out of reach of the fold that would decide the glue.
+func handGround(p *logic.Program) *ground.Program {
+	gp := &ground.Program{}
+	ids := map[string]int{}
+	idsOf := func(atoms []term.Atom) []int {
+		var out []int
+		for _, a := range atoms {
+			name := a.String()
+			id, ok := ids[name]
+			if !ok {
+				id = len(gp.Names)
+				ids[name] = id
+				gp.Names = append(gp.Names, name)
+			}
+			out = append(out, id)
+		}
+		return out
+	}
+	gp.Facts = idsOf(p.Facts)
+	for _, r := range p.Rules {
+		gp.Rules = append(gp.Rules, ground.Rule{Head: idsOf(r.Head), Pos: idsOf(r.Pos), Neg: idsOf(r.Neg)})
+	}
+	return gp
+}
+
 // TestEnumerateStreamsFirstModel is the tentpole's streaming guarantee: the
 // first model must be observable before the enumeration completes. With a
 // candidate budget too small for the full single-component 2^8-model
 // enumeration, Models fails with ErrCandidateLimit — but a consumer that
 // cancels at the first model gets it without ever paying for the rest.
 func TestEnumerateStreamsFirstModel(t *testing.T) {
-	gp := groundProgram(t, linkedChoiceProgram(8))
+	gp := handGround(linkedChoiceProgram(8))
+	if n := Decompose(gp).Len(); n != 1 {
+		t.Fatalf("components = %d, want 1", n)
+	}
 	opts := Options{MaxCandidates: 40} // far below the 2^8 candidates
 
 	if _, err := Models(gp, opts); err != ErrCandidateLimit {
@@ -71,7 +105,10 @@ func TestEnumerateStreamsFirstModel(t *testing.T) {
 // those, so a budget far below the full 2^8-model enumeration admits them,
 // and they are the unbounded stream's first models.
 func TestWorkersCancelStaysWithinBudget(t *testing.T) {
-	gp := groundProgram(t, linkedChoiceProgram(8)) // single component, 2^8 models
+	gp := handGround(linkedChoiceProgram(8)) // single component, 2^8 models
+	if n := Decompose(gp).Len(); n != 1 {
+		t.Fatalf("components = %d, want 1", n)
+	}
 	all := mustModels(t, gp)
 	for _, stopAt := range []int{1, 2} {
 		var got []Model
@@ -93,9 +130,9 @@ func TestWorkersCancelStaysWithinBudget(t *testing.T) {
 // consumer capping the stream in yield gets the first models, and hits the
 // limit only if the budget cannot pay for them.
 func TestBudgetCutoffIdenticalAcrossWorkers(t *testing.T) {
-	// Two independent 2^6-model components plus one trivial one: the
-	// odometer exhausts the last component's models 64 times over while
-	// the first crawls.
+	// Two independent 2^6-model components, each glued by its derived
+	// seed: the odometer exhausts the last component's models 64 times
+	// over while the first crawls.
 	p := &logic.Program{Rules: []logic.Rule{
 		{Head: []term.Atom{atom("seedA")}},
 		{Head: []term.Atom{atom("seedB")}},
@@ -111,7 +148,10 @@ func TestBudgetCutoffIdenticalAcrossWorkers(t *testing.T) {
 				Pos:  []term.Atom{atom("seedB")},
 			})
 	}
-	gp := groundProgram(t, p)
+	gp := handGround(p)
+	if n := Decompose(gp).Len(); n != 2 {
+		t.Fatalf("components = %d, want 2", n)
+	}
 	all := mustModels(t, gp)
 	if len(all) != 1<<12 {
 		t.Fatalf("unbounded stream = %d models, want %d", len(all), 1<<12)
