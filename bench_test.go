@@ -1229,3 +1229,69 @@ func BenchmarkSessionPreparedQuery(b *testing.B) {
 		}
 	})
 }
+
+// sessionAge is the aged arm of BenchmarkSessionAged: the number of
+// insert/undo pairs applied before the timer starts.
+const sessionAge = 512
+
+// sessionAgeFact is the fresh fact of ageing pair i, alternately a student
+// (a constraint relation) and an enrollment (a passthrough relation).
+func sessionAgeFact(i int) relational.Fact {
+	id := value.Int(int64(20000 + i))
+	if i%2 == 0 {
+		return relational.F("student", id, value.Str("aged"))
+	}
+	return relational.F("enrolled", id, value.Str("aged"))
+}
+
+// BenchmarkSessionAged is the overlay-ageing tripwire: a search session
+// with cached repairs and three standing queries, fresh ("age=0") or after
+// sessionAge insert/undo pairs of fresh facts ("age=N"), which leave the
+// instance and the head's net drift where they were. Each iteration times
+// one constraint-relevant apply, which re-enumerates the repairs, and one
+// irrelevant apply, which rebases them; both toggle one probe fact in or
+// out, so the timed loop itself adds no churn. The aged arm reading slower
+// than the fresh one means the session still pays for edits it undid.
+func BenchmarkSessionAged(b *testing.B) {
+	d, set := sessionBenchDB()
+	// Two more dangling courses make 64 repairs, which lifts both arms
+	// well above cmd/benchdiff's 1 ms floor: below it only allocs/op is
+	// gated, and ageing costs bytes copied, not allocations.
+	d.Insert(relational.F("course", value.Int(104), value.Str("cx4")))
+	d.Insert(relational.F("course", value.Int(105), value.Str("cx5")))
+	queries := sessionBenchQueries()
+	opts := session.NewOptions()
+	opts.Engine = session.EngineSearch
+	relevant := relational.F("student", value.Int(9000), value.Str("probe"))
+	irrelevant := relational.F("enrolled", value.Int(9000), value.Str("probe"))
+	apply := func(b *testing.B, s *session.Session, f relational.Fact, add bool) {
+		dl := relational.Delta{Removed: []relational.Fact{f}}
+		if add {
+			dl = relational.Delta{Added: []relational.Fact{f}}
+		}
+		if _, err := s.Apply(dl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, age := range []int{0, sessionAge} {
+		b.Run(fmt.Sprintf("age=%d", age), func(b *testing.B) {
+			s := session.New(d.Clone(), set, opts)
+			for _, q := range queries {
+				if _, err := s.Prepare(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < age; i++ {
+				f := sessionAgeFact(i)
+				apply(b, s, f, true)
+				apply(b, s, f, false)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				apply(b, s, relevant, i%2 == 0)
+				apply(b, s, irrelevant, i%2 == 0)
+			}
+		})
+	}
+}

@@ -7,6 +7,12 @@ package relational
 // read the current instance; anything that wants O(|Δ|) patching diffs
 // against the anchor, whose distance from the current instance is Drift().
 //
+// Drift counts net edits only: an insert undone by a delete cancels, so a
+// stream of insert/undo pairs never re-anchors. That is safe because the
+// current instance's overlay keeps at most max(32, live adds) tombstones per
+// relation (see delta), so the pairs it undid leave nothing that grows with
+// their number.
+//
 // Head is not safe for concurrent mutation; readers of Anchor() are safe
 // because the anchor is never written after it becomes the anchor.
 type Head struct {

@@ -51,8 +51,14 @@ type Instance struct {
 // delta is the overlay Δ of one relation: added tuples (with their insertion
 // order) and deleted base tuples, both keyed by tuple key. Deleting an added
 // tuple tombstones its add entry (nil tuple) instead of removing it, so the
-// key's addOrder slot stays unique and a later re-add cannot duplicate it;
-// addN counts the live (non-tombstoned) adds.
+// key's addOrder slot stays unique and a later re-add revives the slot
+// rather than duplicating it; addN counts the live (non-tombstoned) adds, so
+// the tombstones number len(addOrder) - addN. Tombstones stay bounded by the
+// live adds: a copy (clone) keeps only live adds, and Delete compacts a
+// private delta once tombstones dominate (tombstonesDominate, the rule the
+// base stores use too), so an insert/undo stream leaves O(live adds)
+// entries however long it runs. A key re-added after its tombstone was
+// dropped takes a new slot, last in the relation's overlay order.
 type delta struct {
 	add      map[string]Tuple
 	addOrder []string
@@ -73,20 +79,30 @@ func newDelta() *delta {
 	return &delta{add: map[string]Tuple{}, del: map[string]Tuple{}}
 }
 
+// clone copies the live adds, in addOrder order, and the deletions; the
+// copy has no tombstones.
 func (dl *delta) clone() *delta {
-	c := &delta{
-		add:      make(map[string]Tuple, len(dl.add)),
-		del:      make(map[string]Tuple, len(dl.del)),
-		addOrder: append([]string(nil), dl.addOrder...),
-		addN:     dl.addN,
-	}
-	for k, t := range dl.add {
-		c.add[k] = t
-	}
+	c := &delta{del: make(map[string]Tuple, len(dl.del)), addN: dl.addN}
+	c.add, c.addOrder = dl.liveAdds()
 	for k, t := range dl.del {
 		c.del[k] = t
 	}
 	return c
+}
+
+// liveAdds returns fresh copies of the live adds and their order. Compaction
+// swaps them in for add and addOrder, so a Scan or ForEach still ranging over
+// the old order runs on and skips the keys the new add map lacks.
+func (dl *delta) liveAdds() (map[string]Tuple, []string) {
+	add := make(map[string]Tuple, dl.addN)
+	order := make([]string, 0, dl.addN)
+	for _, k := range dl.addOrder {
+		if t := dl.add[k]; t != nil {
+			add[k] = t
+			order = append(order, k)
+		}
+	}
+	return add, order
 }
 
 // NewInstance returns an empty instance, optionally populated with facts.
@@ -185,6 +201,9 @@ func (d *Instance) Delete(f Fact) bool {
 			dl = d.deltaFor(rk, false)
 			dl.add[key] = nil // tombstone; the addOrder slot stays unique
 			dl.addN--
+			if tombstonesDominate(len(dl.addOrder)-dl.addN, dl.addN) {
+				dl.add, dl.addOrder = dl.liveAdds()
+			}
 			d.deltaN--
 			d.size--
 			d.fp ^= factHash(Fact{Pred: f.Pred, Args: t})

@@ -187,16 +187,20 @@ func (s *relStore) has(key string) bool {
 	return ok
 }
 
+// tombstonesDominate is the compaction rule for tombstoned rows and for an
+// overlay's tombstoned adds: compact once more than 32 entries are dead and
+// the dead outnumber the live. A checked delete thus leaves at most
+// max(32, live) tombstones behind, and a compaction costs O(live + dead),
+// amortized O(1) over the deletes that made the tombstones.
+func tombstonesDominate(dead, live int) bool { return dead > 32 && dead > live }
+
 // maybeCompact rebuilds the row arrays once tombstones dominate, preserving
 // the relative (insertion) order of the surviving rows. Compaction renumbers
 // row positions, so it is deferred while any scan is in flight (a scan's
 // captured index entries reference positions; tombstoned rows are skipped by
 // the scan's liveness check, but renumbering would alias them to live rows).
 func (s *relStore) maybeCompact() {
-	if s.scanning > 0 {
-		return
-	}
-	if s.dead <= 32 || s.dead*2 <= len(s.rows) {
+	if s.scanning > 0 || !tombstonesDominate(s.dead, s.live()) {
 		return
 	}
 	rows := make([]Tuple, 0, s.live())

@@ -155,7 +155,11 @@ type Answer struct {
 // head flattens to a private engine, clones stop sharing the anchor's
 // engine and every Diff against the anchor degrades from O(|Δ|) to a full
 // scan. Re-anchoring earlier keeps that path permanently fast at an O(|D|)
-// cost amortized over rebaseThreshold updates.
+// cost amortized over rebaseThreshold updates. Drift is net: edits the
+// head undid do not count, and need not, because the overlays of the head,
+// the cached repairs and the search states keep at most max(32, live adds)
+// tombstones per relation (relational's delta), so undone edits leave them
+// nothing that grows with their number.
 const rebaseThreshold = 128
 
 // maxConfirmAttempts bounds how many falsifying leaves a boolean search
