@@ -16,6 +16,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/session"
+	"repro/internal/value"
 )
 
 // directBenchQuery projects the dependent values of one conflicted key
@@ -149,6 +150,56 @@ func BenchmarkDirectSessionUpdate(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDirectStandingApply measures what an apply costs a direct
+// session with standing queries, on the fd-live shape: fdgen's r0 of 20k
+// rows in two-row key groups, 100 of them conflicted, s with one row per
+// key group, and fd-live's two standing queries, whose ~10k answers each
+// are patched across every apply (direct.Engine.Patch) rather than
+// recomputed. One untimed iteration warms the indexes the patch joins use;
+// each iteration then inserts and undoes one row of a clean r0 group
+// (constraint-relevant, refreshing both queries) and one s row
+// (irrelevant, refreshing qb). B/op is gated too: the s insert and undo
+// each change qb's answers and so copy its list once (~240 KB each), and a
+// patch that copied more often, or copied lists it did not change, shows
+// there first.
+func BenchmarkDirectStandingApply(b *testing.B) {
+	cfg := fdgen.Config{Rows: 20000, GroupSize: 2, Violations: 100, Classes: 2}.Normalized()
+	d, set := fdgen.Generate(cfg)
+	groups := cfg.Rows / cfg.GroupSize
+	key := func(grp int) value.V { return value.Str(fmt.Sprintf("k%d_0", grp)) }
+	for grp := 0; grp < groups; grp++ {
+		d.Insert(relational.F(fdgen.UnconstrainedName, key(grp), value.Str(fmt.Sprintf("w%d", grp))))
+	}
+	opts := session.NewOptions()
+	opts.Engine = session.EngineAuto
+	s := session.New(d, set, opts)
+	for _, src := range []string{`qa(K, V) :- r0(K, V, I).`, `qb(K, W) :- s(K, W), r0(K, V, I).`} {
+		if _, err := s.Prepare(parser.MustQuery(src)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh := int64(cfg.Rows)
+	iteration := func(i int) {
+		fresh++
+		relevant := relational.F(fdgen.RelName(0), key(cfg.Violations+i%(groups-cfg.Violations)), value.Str("v0"), value.Int(fresh))
+		irrelevant := relational.F(fdgen.UnconstrainedName, key(i%groups), value.Str(fmt.Sprintf("x%d", fresh)))
+		for _, f := range []relational.Fact{relevant, irrelevant} {
+			if _, err := s.Apply(relational.Delta{Added: []relational.Fact{f}}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Apply(relational.Delta{Removed: []relational.Fact{f}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	iteration(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iteration(i + 1)
+	}
 }
 
 // BenchmarkSessionSustained drives a direct-engine session the way cqad

@@ -7,7 +7,10 @@
 //
 //	benchdiff -parse bench.txt -o BENCH_4.json
 //	    Parse benchmark output (possibly -count N repetitions; the median
-//	    per benchmark is kept) into JSON: name -> {ns_per_op, allocs_per_op}.
+//	    per benchmark is kept) into JSON: name -> {ns_per_op, allocs_per_op,
+//	    bytes_per_op}, the last only when the output has a B/op column.
+//	    Written as a new baseline, it gates B/op on every entry; keep
+//	    bytes_per_op only on the entries whose B/op spread was checked.
 //
 //	benchdiff -baseline bench/baseline.json -current BENCH_4.json [-threshold 25] [-min-ns 1000000] [-summary path]
 //	    Print a delta table and exit 1 when any tracked benchmark regressed
@@ -15,7 +18,10 @@
 //	    below min-ns (default 1ms) are compared on allocs/op only: with
 //	    -benchtime 1x a sub-millisecond timing is scheduler noise, while
 //	    allocation counts are deterministic, so the micro benchmarks are
-//	    gated on allocations and the macro workloads on wall time. A
+//	    gated on allocations and the macro workloads on wall time. An
+//	    entry whose baseline records bytes_per_op is also gated on B/op by
+//	    the same threshold: a copy that grows without allocating more
+//	    objects shows there and nowhere else. A
 //	    benchmark present in the baseline but missing from the current run
 //	    also fails the gate (delete it from the baseline deliberately, not
 //	    silently).
@@ -43,10 +49,13 @@ import (
 	"strings"
 )
 
-// Result is one tracked benchmark measurement.
+// Result is one tracked benchmark measurement. BytesPerOp is nil when the
+// output had no B/op column; the gate checks it only for baseline entries
+// that record it.
 type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	AllocsPerOp float64  `json:"allocs_per_op"`
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 }
 
 // File is the BENCH_*.json schema.
@@ -135,8 +144,11 @@ func readFile(path string) (File, error) {
 // benchLine matches one benchmark result line of `go test -bench` output.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$`)
 
-// allocsField matches the -benchmem allocation column.
-var allocsField = regexp.MustCompile(`([\d.]+) allocs/op`)
+// allocsField and bytesField match the -benchmem columns.
+var (
+	allocsField = regexp.MustCompile(`([\d.]+) allocs/op`)
+	bytesField  = regexp.MustCompile(`([\d.]+) B/op`)
+)
 
 // parseBenchOutput reads `go test -bench` text, keeping the per-benchmark
 // median over repeated runs (-count N).
@@ -149,6 +161,7 @@ func parseBenchOutput(path string) (File, error) {
 
 	ns := map[string][]float64{}
 	allocs := map[string][]float64{}
+	bytes := map[string][]float64{}
 	var order []string
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -173,6 +186,13 @@ func parseBenchOutput(path string) (File, error) {
 			}
 			allocs[name] = append(allocs[name], a)
 		}
+		if bm := bytesField.FindStringSubmatch(rest); bm != nil {
+			b, err := strconv.ParseFloat(bm[1], 64)
+			if err != nil {
+				return File{}, fmt.Errorf("%s: bad B/op in %q", path, sc.Text())
+			}
+			bytes[name] = append(bytes[name], b)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return File{}, err
@@ -182,10 +202,15 @@ func parseBenchOutput(path string) (File, error) {
 	}
 	f := File{Benchmarks: map[string]Result{}}
 	for _, name := range order {
-		f.Benchmarks[name] = Result{
+		r := Result{
 			NsPerOp:     median(ns[name]),
 			AllocsPerOp: median(allocs[name]),
 		}
+		if bs := bytes[name]; len(bs) > 0 {
+			m := median(bs)
+			r.BytesPerOp = &m
+		}
+		f.Benchmarks[name] = r
 	}
 	return f, nil
 }
@@ -237,6 +262,10 @@ func compare(w io.Writer, base, cur File, threshold, minNs float64) error {
 				name, dAllocs, b.AllocsPerOp, c.AllocsPerOp, threshold))
 			flag = "  << REGRESSION"
 		}
+		if msg := bytesRegression(name, b, c, threshold); msg != "" {
+			failures = append(failures, msg)
+			flag = "  << REGRESSION"
+		}
 		fmt.Fprintf(w, "%-60s %14.0f %14.0f %+7.1f%% %+7.1f%%%s\n", name, b.NsPerOp, c.NsPerOp, dNs, dAllocs, flag)
 	}
 	var untracked []string
@@ -254,6 +283,22 @@ func compare(w io.Writer, base, cur File, threshold, minNs float64) error {
 	}
 	fmt.Fprintf(w, "gate ok: %d tracked benchmarks within %.0f%%\n", len(names), threshold)
 	return nil
+}
+
+// bytesRegression returns why entry name fails the B/op gate, or "" when
+// it passes or its baseline records no B/op.
+func bytesRegression(name string, b, c Result, threshold float64) string {
+	switch {
+	case b.BytesPerOp == nil:
+		return ""
+	case c.BytesPerOp == nil:
+		return fmt.Sprintf("%s: B/op missing from current run (run with -benchmem)", name)
+	}
+	if d := pctDelta(*b.BytesPerOp, *c.BytesPerOp); d > threshold {
+		return fmt.Sprintf("%s: B/op regressed %.1f%% (%.0f -> %.0f, threshold %.0f%%)",
+			name, d, *b.BytesPerOp, *c.BytesPerOp, threshold)
+	}
+	return ""
 }
 
 // pctDelta is the percentage change from base to cur; 0 when base is 0.
@@ -278,7 +323,8 @@ func appendSummary(path string, base, cur File, threshold, minNs float64) error 
 // flavored markdown table: a row per tracked benchmark with old/new values
 // and percentage deltas, regressions flagged (the same rules as the gate:
 // ns/op only at or above minNs, allocs always, zero-alloc baselines must
-// stay at zero), then the untracked current-only benchmarks.
+// stay at zero, B/op where the baseline records it), then the untracked
+// current-only benchmarks.
 func renderMarkdown(w io.Writer, base, cur File, threshold, minNs float64) error {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
@@ -303,7 +349,8 @@ func renderMarkdown(w io.Writer, base, cur File, threshold, minNs float64) error
 		dNs := pctDelta(b.NsPerOp, c.NsPerOp)
 		dAllocs := pctDelta(b.AllocsPerOp, c.AllocsPerOp)
 		bad := (b.NsPerOp >= minNs && dNs > threshold) ||
-			dAllocs > threshold || (b.AllocsPerOp == 0 && c.AllocsPerOp > 0)
+			dAllocs > threshold || (b.AllocsPerOp == 0 && c.AllocsPerOp > 0) ||
+			bytesRegression(name, b, c, threshold) != ""
 		flag := ""
 		if bad {
 			regressions++

@@ -238,3 +238,50 @@ func TestParseRejectsEmptyInput(t *testing.T) {
 		t.Fatal("empty benchmark output accepted")
 	}
 }
+
+func bytesPtr(b float64) *float64 { return &b }
+
+// TestGateFailsOnBytesRegression pins the B/op gate: an entry whose
+// baseline records B/op fails on a +30% B/op with ns/op and allocs/op
+// flat, and an entry whose baseline has no B/op is not gated on it.
+func TestGateFailsOnBytesRegression(t *testing.T) {
+	base := benchJSON(t, "base.json", File{Benchmarks: map[string]Result{
+		"BenchmarkSplice": {NsPerOp: 2_000_000, AllocsPerOp: 100, BytesPerOp: bytesPtr(1_000_000)},
+		"BenchmarkPlain":  {NsPerOp: 2_000_000, AllocsPerOp: 100},
+	}})
+	cur := benchJSON(t, "cur.json", File{Benchmarks: map[string]Result{
+		"BenchmarkSplice": {NsPerOp: 2_000_000, AllocsPerOp: 100, BytesPerOp: bytesPtr(1_300_000)},
+		"BenchmarkPlain":  {NsPerOp: 2_000_000, AllocsPerOp: 100, BytesPerOp: bytesPtr(9_000_000)},
+	}})
+	var buf bytes.Buffer
+	err := run([]string{"-baseline", base, "-current", cur, "-summary", filepath.Join(t.TempDir(), "s.md")}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkSplice: B/op regressed 30.0%") {
+		t.Fatalf("gate err = %v, want a B/op regression of BenchmarkSplice\n%s", err, buf.String())
+	}
+	if strings.Contains(err.Error(), "BenchmarkPlain") {
+		t.Errorf("gated B/op of an entry whose baseline has none: %v", err)
+	}
+
+	base2 := benchJSON(t, "base2.json", File{Benchmarks: map[string]Result{
+		"BenchmarkPlain": {NsPerOp: 2_000_000, AllocsPerOp: 100},
+	}})
+	if err := run([]string{"-baseline", base2, "-current", cur, "-summary", filepath.Join(t.TempDir(), "s.md")}, &buf); err != nil {
+		t.Errorf("baseline without B/op failed the gate: %v", err)
+	}
+}
+
+// TestParseBytesPerOp pins the B/op column: its median is kept, and
+// output without -benchmem leaves the field out.
+func TestParseBytesPerOp(t *testing.T) {
+	f, err := parseBenchOutput(writeSample(t, "bench.txt", sampleBench+
+		"BenchmarkNoMem-4 \t 10\t 2000 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := f.Benchmarks["BenchmarkStableRepairs/violations=3"].BytesPerOp; b == nil || *b != 298242 {
+		t.Errorf("B/op = %v, want 298242", b)
+	}
+	if b := f.Benchmarks["BenchmarkNoMem"].BytesPerOp; b != nil {
+		t.Errorf("B/op without -benchmem = %v, want none", *b)
+	}
+}

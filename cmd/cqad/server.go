@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -113,6 +115,8 @@ type liveSession struct {
 	prepared map[string]*standing // keyed by query head name
 	order    []*standing          // registration order, for deterministic diffs
 	lastUsed time.Time
+	// dropped marks a session a panic left half-updated (see locked).
+	dropped bool
 
 	subMu   sync.Mutex
 	subs    map[int]chan []byte
@@ -434,11 +438,65 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	drop(t, ls)
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// drop removes ls from its tenant, unless a later session already took
+// its name, and terminates its subscriber streams.
+func drop(t *tenant, ls *liveSession) {
 	t.mu.Lock()
-	delete(t.sessions, ls.name)
+	if t.sessions[ls.name] == ls {
+		delete(t.sessions, ls.name)
+	}
 	t.mu.Unlock()
 	ls.closeSubs()
-	w.WriteHeader(http.StatusNoContent)
+}
+
+// locked runs fn on ls under its mutex and reports whether fn returned. A
+// session dropped by an earlier panic answers 404 unknown_session, even to
+// a request that found it before the drop. A panic in fn (an engine fault)
+// leaves the session half-updated, so it costs that session alone: it is
+// marked dropped before its mutex is released, so that no request queued
+// on the mutex runs on it, then removed from its tenant as a delete would,
+// the panic is logged with its stack, and the request is answered 500
+// internal. Without this, net/http would recover the goroutine with ls.mu
+// still held, and every later request to the session would block on it
+// while holding a tenant in-flight slot.
+func (s *server) locked(w http.ResponseWriter, t *tenant, ls *liveSession, fn func()) (ok bool) {
+	var (
+		fault any
+		stack []byte
+	)
+	func() {
+		ls.mu.Lock()
+		defer ls.mu.Unlock()
+		if ls.dropped {
+			return
+		}
+		// Deferred after Lock, so it runs before Unlock.
+		defer func() {
+			if fault = recover(); fault != nil {
+				ls.dropped, stack = true, debug.Stack()
+			}
+		}()
+		ls.lastUsed = s.cfg.now()
+		fn()
+		ok = true
+	}()
+	switch {
+	case ok:
+	case fault == nil:
+		writeError(w, http.StatusNotFound, "unknown_session", fmt.Sprintf("unknown session %q", ls.name))
+	default:
+		// drop takes t.mu, which evictIdle holds while it takes ls.mu, so
+		// it runs only after ls.mu is released.
+		log.Printf("cqad: panic in session %s/%s, session dropped: %v\n%s", ls.tenant, ls.name, fault, stack)
+		drop(t, ls)
+		writeError(w, http.StatusInternalServerError, "internal",
+			fmt.Sprintf("internal error in session %q; the session was dropped", ls.name))
+	}
+	return ok
 }
 
 func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
@@ -472,29 +530,34 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 		delta.Removed = append(delta.Removed, inst.Facts()...)
 	}
 
-	ls.mu.Lock()
-	ls.lastUsed = s.cfg.now()
-	res, err := ls.s.ApplyCtx(r.Context(), delta)
-	if err != nil {
-		// The update itself is applied; only the refresh was
-		// interrupted. Drop any partial diffs — the affected standing
-		// queries are marked stale and revalidate on the next apply.
+	var (
+		resp wire.ApplyResponse
+		err  error
+	)
+	if !s.locked(w, t, ls, func() {
+		var res session.ApplyResult
+		res, err = ls.s.ApplyCtx(r.Context(), delta)
+		var updates []session.QueryUpdate
 		for _, st := range ls.order {
-			st.diff = nil
+			if st.diff != nil {
+				updates = append(updates, *st.diff)
+				st.diff = nil
+			}
 		}
-		ls.mu.Unlock()
+		// On error the update itself is applied and only the refresh was
+		// interrupted: the partial diffs collected above are dropped, and
+		// the affected standing queries are marked stale and revalidate
+		// on the next apply.
+		if err == nil {
+			resp = wire.NewApplyResponse(ls.s, res, updates)
+		}
+	}) {
+		return
+	}
+	if err != nil {
 		writeEngineError(w, err)
 		return
 	}
-	var updates []session.QueryUpdate
-	for _, st := range ls.order {
-		if st.diff != nil {
-			updates = append(updates, *st.diff)
-			st.diff = nil
-		}
-	}
-	resp := wire.NewApplyResponse(ls.s, res, updates)
-	ls.mu.Unlock()
 
 	for _, u := range resp.Updates {
 		if msg, err := json.Marshal(u); err == nil {
@@ -526,10 +589,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ls.mu.Lock()
-	ls.lastUsed = s.cfg.now()
-	resp, err := answerQuery(r.Context(), ls.s, q, req)
-	ls.mu.Unlock()
+	var resp wire.AnswerResponse
+	if !s.locked(w, t, ls, func() { resp, err = answerQuery(r.Context(), ls.s, q, req) }) {
+		return
+	}
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -584,47 +647,58 @@ func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		name = "q"
 	}
 
-	ls.mu.Lock()
-	ls.lastUsed = s.cfg.now()
-	if st := ls.prepared[name]; st != nil {
-		defer ls.mu.Unlock()
-		if st.q.String() == q.String() {
-			// Idempotent re-prepare of the same query.
-			writeJSON(w, http.StatusOK, wire.PreparedResponse(st.p))
+	var (
+		resp    wire.AnswerResponse
+		status  = http.StatusCreated
+		clashes bool
+	)
+	if !s.locked(w, t, ls, func() {
+		if st := ls.prepared[name]; st != nil {
+			// An idempotent re-prepare of the same query, or a clash.
+			if clashes = st.q.String() != q.String(); !clashes {
+				resp, status = wire.PreparedResponse(st.p), http.StatusOK
+			}
 			return
 		}
+		var p *session.Prepared
+		if p, err = ls.s.PrepareCtx(r.Context(), q); err != nil {
+			return
+		}
+		st := &standing{q: q, p: p}
+		p.Subscribe(func(u session.QueryUpdate) { st.diff = &u })
+		ls.prepared[name] = st
+		ls.order = append(ls.order, st)
+		resp = wire.PreparedResponse(p)
+	}) {
+		return
+	}
+	switch {
+	case clashes:
 		writeError(w, http.StatusConflict, "query_exists",
 			fmt.Sprintf("session already has a different standing query named %q", name))
-		return
-	}
-	p, err := ls.s.PrepareCtx(r.Context(), q)
-	if err != nil {
-		ls.mu.Unlock()
+	case err != nil:
 		writeEngineError(w, err)
-		return
+	default:
+		writeJSON(w, status, resp)
 	}
-	st := &standing{q: q, p: p}
-	p.Subscribe(func(u session.QueryUpdate) { st.diff = &u })
-	ls.prepared[name] = st
-	ls.order = append(ls.order, st)
-	resp := wire.PreparedResponse(p)
-	ls.mu.Unlock()
-	writeJSON(w, http.StatusCreated, resp)
 }
 
 func (s *server) handleAnswers(w http.ResponseWriter, r *http.Request) {
-	_, ls, ok := s.lookup(w, r)
+	t, ls, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	ls.mu.Lock()
-	ls.lastUsed = s.cfg.now()
-	st := ls.prepared[r.PathValue("query")]
-	var resp wire.AnswerResponse
-	if st != nil {
-		resp = wire.PreparedResponse(st.p)
+	var (
+		st   *standing
+		resp wire.AnswerResponse
+	)
+	if !s.locked(w, t, ls, func() {
+		if st = ls.prepared[r.PathValue("query")]; st != nil {
+			resp = wire.PreparedResponse(st.p)
+		}
+	}) {
+		return
 	}
-	ls.mu.Unlock()
 	if st == nil {
 		writeError(w, http.StatusNotFound, "unknown_query",
 			fmt.Sprintf("no standing query named %q; POST it to .../prepare first", r.PathValue("query")))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -667,5 +668,129 @@ func TestSubscribeSSE(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no SSE event within 5s of the apply")
+	}
+}
+
+// TestDirectCoversBudget pins the direct engine's state budget: on a
+// session created with max_states 2, a boolean query whose one candidate
+// entangles three two-class key groups needs seven covering nodes and gets
+// 422 state_limit, and the session then answers a query whose candidates
+// each need one node.
+func TestDirectCoversBudget(t *testing.T) {
+	_, hs := newTestServer(t, config{})
+	db := "r(a, 1). r(a, 2). r(b, 1). r(b, 2). r(c, 1). r(c, 2)."
+	code, resp := doJSON(t, "POST", hs.URL+"/v1/tenants/acme/sessions",
+		fmt.Sprintf(`{"name":"fd","instance_text":%q,"constraints_text":%q,"engine":"auto","max_states":2}`,
+			db, "r(X, Y), r(X, Z) -> Y = Z."))
+	if code != http.StatusCreated || !strings.Contains(resp, `"engine":"direct"`) {
+		t.Fatalf("create: %d %s", code, resp)
+	}
+	fd := hs.URL + "/v1/tenants/acme/sessions/fd"
+	code, resp = doJSON(t, "POST", fd+"/query", `{"query":"q :- r(a, Y1), r(b, Y2), r(c, Y3)."}`)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(resp, `"code":"state_limit"`) {
+		t.Fatalf("entangled query: %d %s, want 422 state_limit", code, resp)
+	}
+	code, resp = doJSON(t, "POST", fd+"/query", `{"query":"q(X) :- r(X, Y)."}`)
+	if want := `"tuples":[["a"],["b"],["c"]]`; code != http.StatusOK || !strings.Contains(resp, want) {
+		t.Fatalf("cheap query after the limit: %d %s, want 200 with %s", code, resp, want)
+	}
+}
+
+// TestEnginePanicDropsSession pins what an engine panic costs: one
+// session. Each of apply, query and prepare runs on a session whose
+// *session.Session is swapped for nil, so the engine call panics; the
+// request gets a JSON 500, the panic is logged with its stack, the session
+// answers 404 afterwards, and a sibling session in the same tenant still
+// applies and answers, more times than the tenant has in-flight slots.
+func TestEnginePanicDropsSession(t *testing.T) {
+	var logged strings.Builder
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	srv, hs := newTestServer(t, config{MaxInflight: 2})
+	base := hs.URL + "/v1/tenants/acme/sessions/"
+	for _, name := range []string{"apply", "query", "prepare", "good"} {
+		createSession(t, hs.URL, "acme", name, "")
+	}
+	tn := srv.tenantFor("acme", false)
+	for _, name := range []string{"apply", "query", "prepare"} {
+		tn.mu.Lock()
+		ls := tn.sessions[name]
+		tn.mu.Unlock()
+		ls.mu.Lock()
+		ls.s = nil
+		ls.mu.Unlock()
+	}
+	for _, tc := range []struct{ name, path, body string }{
+		{"apply", "/apply", `{"delete_text":"r(a, c)."}`},
+		{"query", "/query", `{"query":"q(V) :- s(U, V)."}`},
+		{"prepare", "/prepare", `{"query":"q(V) :- s(U, V)."}`},
+	} {
+		code, resp := doJSON(t, "POST", base+tc.name+tc.path, tc.body)
+		if code != http.StatusInternalServerError || !strings.Contains(resp, `"code":"internal"`) {
+			t.Errorf("%s on a broken session: %d %s, want 500 internal", tc.name, code, resp)
+		}
+		code, resp = doJSON(t, "POST", base+tc.name+"/query", `{"query":"q(V) :- s(U, V)."}`)
+		if code != http.StatusNotFound || !strings.Contains(resp, "unknown_session") {
+			t.Errorf("%s after the panic: %d %s, want 404 unknown_session", tc.name, code, resp)
+		}
+	}
+	if !strings.Contains(logged.String(), "panic in session acme/apply") || !strings.Contains(logged.String(), "goroutine") {
+		t.Errorf("panic not logged with its stack:\n%s", logged.String())
+	}
+	if code, resp := doJSON(t, "POST", base+"good/apply", `{"delete_text":"r(a, c)."}`); code != http.StatusOK {
+		t.Fatalf("sibling apply: %d %s", code, resp)
+	}
+	want := `"tuples":[["a"]]`
+	for i := 0; i < 3*cap(tn.inflight); i++ {
+		if code, resp := doJSON(t, "POST", base+"good/query", `{"query":"q(V) :- s(U, V)."}`); code != http.StatusOK || !strings.Contains(resp, want) {
+			t.Fatalf("sibling query %d: %d %s, want 200 with %s", i, code, resp, want)
+		}
+	}
+}
+
+// TestEnginePanicFencesQueuedRequests pins that a request which found a
+// session before an engine panic does not run on the half-updated session.
+// Two applies find a broken session and queue on its mutex; whichever runs
+// first panics and gets 500, and the other gets 404 unknown_session.
+func TestEnginePanicFencesQueuedRequests(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	srv, hs := newTestServer(t, config{MaxInflight: 2})
+	createSession(t, hs.URL, "acme", "broken", "")
+	tn := srv.tenantFor("acme", false)
+	tn.mu.Lock()
+	ls := tn.sessions["broken"]
+	tn.mu.Unlock()
+
+	ls.mu.Lock()
+	ls.s = nil
+	codes := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			resp, err := http.Post(hs.URL+"/v1/tenants/acme/sessions/broken/apply", "application/json",
+				strings.NewReader(`{"delete_text":"r(a, c)."}`))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	// An apply takes an in-flight slot after its lookup, so two taken
+	// slots mean both requests found the session.
+	for deadline := time.Now().Add(5 * time.Second); len(tn.inflight) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			ls.mu.Unlock()
+			t.Fatal("the applies never found the session")
+		}
+	}
+	ls.mu.Unlock()
+	got := []int{<-codes, <-codes}
+	if got[0] > got[1] {
+		got[0], got[1] = got[1], got[0]
+	}
+	if got[0] != http.StatusNotFound || got[1] != http.StatusInternalServerError {
+		t.Fatalf("queued applies on a broken session got %v, want one 404 and one 500", got)
 	}
 }

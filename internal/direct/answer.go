@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/relational"
+	"repro/internal/repair"
 	"repro/internal/term"
 )
 
@@ -46,6 +47,17 @@ type evaluator struct {
 	d     *relational.Instance
 	ctx   context.Context
 	steps int
+	// nodes counts the covers calls of the current candidate; more than
+	// maxNodes fails the query with repair.ErrStateLimit.
+	nodes, maxNodes int
+}
+
+func (e *Engine) newEvaluator(ctx context.Context, d *relational.Instance) *evaluator {
+	limit := e.maxStates
+	if limit <= 0 {
+		limit = repair.DefaultMaxStates
+	}
+	return &evaluator{e: e, d: d, ctx: ctx, maxNodes: limit}
 }
 
 func (ev *evaluator) tick() error {
@@ -66,12 +78,12 @@ func (e *Engine) CertainCtx(ctx context.Context, d *relational.Instance, q *quer
 		return Result{}, err
 	}
 	res := Result{NumRepairs: e.NumRepairs()}
-	ev := &evaluator{e: e, d: d, ctx: ctx}
+	ev := e.newEvaluator(ctx, d)
 	var tuples []relational.Tuple
 	for _, c := range cands {
 		ok := c.certain
 		if !ok {
-			ok, err = ev.covers(c.witnesses)
+			ok, err = ev.decide(c.witnesses)
 			if err != nil {
 				return Result{}, err
 			}
@@ -116,7 +128,8 @@ func (e *Engine) collect(ctx context.Context, d *relational.Instance, q *query.Q
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	ev := &evaluator{e: e, d: d, ctx: ctx}
+	e.stats.FullPasses++
+	ev := e.newEvaluator(ctx, d)
 	cands := map[string]*cand{}
 	for _, disj := range q.Disjuncts {
 		var stop error
@@ -218,6 +231,15 @@ func (ev *evaluator) buildWitness(disj query.Conj, subst term.Subst) (*witness, 
 	return w, true
 }
 
+// decide reports whether one candidate's witnesses cover every class
+// choice, charging the candidate's covers nodes against the state budget
+// afresh: the budget bounds the branching of a single candidate, so no
+// polynomial workload trips it however many candidates it has.
+func (ev *evaluator) decide(ws []*witness) (bool, error) {
+	ev.nodes = 0
+	return ev.covers(ws)
+}
+
 // covers decides whether the witnesses jointly hold under every class
 // choice: pick a group mentioned by the first witness, branch over its
 // classes, restrict, recurse. Each level eliminates one group from every
@@ -226,6 +248,9 @@ func (ev *evaluator) buildWitness(disj query.Conj, subst term.Subst) (*witness, 
 func (ev *evaluator) covers(ws []*witness) (bool, error) {
 	if err := ev.tick(); err != nil {
 		return false, err
+	}
+	if ev.nodes++; ev.nodes > ev.maxNodes {
+		return false, repair.ErrStateLimit
 	}
 	if len(ws) == 0 {
 		return false, nil

@@ -39,7 +39,24 @@
 // conflict groups entangled by a single candidate's witnesses, which is the
 // irreducible hard core: certain answers for conjunctive queries under key
 // repairs are coNP-complete in general (Fuxman–Miller), and the branching
-// is exponential only where that hardness actually bites.
+// is exponential only where that hardness actually bites. SetMaxStates
+// bounds that branching per candidate (repair.ErrStateLimit).
+//
+// # Standing queries
+//
+// Patch moves a query's sorted certain answers across one delta. Only a
+// tuple with an assignment that puts a literal on an anchor can change
+// status: on the new instance an added fact, a removed fact under a
+// negated literal, or any fact of a key group a delta fact falls in; on the
+// pre-apply instance a removed fact under a positive literal. Every other assignment keeps its witness. A reached
+// tuple is certain if its anchored witnesses already cover, stays out if
+// only the pre-apply instance reached it and it was not certain, and is
+// otherwise decided by one head-bound probe. The changes are spliced into
+// a fresh copy of the answer list and returned as the exact diff; no index
+// over candidates or witnesses is kept. The work is the anchored joins, in
+// which a touched key group anchors every one of its facts: far below a
+// pass over the instance while key groups are small, but dearer than one
+// when a touched group spans its relation.
 package direct
 
 import (
@@ -109,12 +126,22 @@ type fdRel struct {
 	groups map[string]*group
 }
 
-// Stats counts classification work, for tests pinning the O(|Δ|) contract.
+// Stats counts classification and answering work, for tests pinning the
+// O(|Δ|) contract.
 type Stats struct {
 	// InitialFacts is the number of facts scanned by New.
 	InitialFacts int
 	// DeltaFacts is the number of delta facts processed by Update since New.
 	DeltaFacts int
+	// FullPasses counts the CertainCtx and PossibleCtx calls: each
+	// enumerates every assignment of the query over the instance.
+	FullPasses int
+	// TuplesReached counts, summed over Patch calls, the distinct tuples an
+	// anchored assignment reached (the only tuples whose status can change).
+	TuplesReached int
+	// Probes counts the head-bound probes Patch ran for reached tuples it
+	// could not settle from their anchored witnesses and prior status.
+	Probes int
 }
 
 // Engine holds the live classification of one instance under an FD-only
@@ -126,6 +153,7 @@ type Engine struct {
 	fds        map[relational.RelKey]*fdRel
 	conflicted map[*group]struct{}
 	stats      Stats
+	maxStates  int
 }
 
 // New analyzes the set and classifies d. It fails with a *ScopeError
@@ -153,6 +181,12 @@ func New(d *relational.Instance, set *constraint.Set) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// SetMaxStates bounds the covering check of each candidate answer: a
+// candidate whose check branches through more than n nodes fails the query
+// with repair.ErrStateLimit. n ≤ 0 means repair.DefaultMaxStates, as in the
+// repair search, which is also the bound before any call.
+func (e *Engine) SetMaxStates(n int) { e.maxStates = n }
 
 // groupClass computes the key-group and class encodings of a tuple under
 // fd; exempt is true when a key or dependent position is null, in which

@@ -44,7 +44,6 @@ type BaseEval struct {
 	tuples    []relational.Tuple          // sorted base answers
 	tupleKeys []string                    // keys aligned with tuples
 	keys      map[string]relational.Tuple // base answers by tuple key
-	pos       [][]term.Atom               // positive atoms per disjunct
 }
 
 // NewBaseEval validates q and evaluates it on the base instance.
@@ -59,15 +58,11 @@ func NewBaseEval(base *relational.Instance, q *Q) (*BaseEval, error) {
 		tuples:    tuples,
 		tupleKeys: make([]string, len(tuples)),
 		keys:      make(map[string]relational.Tuple, len(tuples)),
-		pos:       make([][]term.Atom, len(q.Disjuncts)),
 	}
 	for i, t := range tuples {
 		k := t.Key()
 		be.tupleKeys[i] = k
 		be.keys[k] = t
-	}
-	for i, c := range q.Disjuncts {
-		be.pos[i] = positiveAtoms(nil, c)
 	}
 	return be, nil
 }
@@ -106,9 +101,9 @@ func (be *BaseEval) DiffDelta(r *relational.Instance, delta relational.Delta) (f
 	}
 	gained := map[string]relational.Tuple{}
 	cands := map[string]relational.Tuple{}
-	for ci, c := range be.q.Disjuncts {
-		be.gainedFrom(r, c, be.pos[ci], delta, gained)
-		be.lostCandidates(c, be.pos[ci], delta, cands)
+	for _, c := range be.q.Disjuncts {
+		be.gainedFrom(r, c, delta, gained)
+		be.lostCandidates(c, delta, cands)
 	}
 	for k, t := range cands {
 		if _, inBase := be.keys[k]; !inBase {
@@ -174,20 +169,14 @@ func (be *BaseEval) EvalDelta(r *relational.Instance, delta relational.Delta) []
 // seeded by a removed fact through each negated literal (the blocker whose
 // disappearance enables the assignment). All conditions are re-checked over
 // r, so everything collected is a genuine answer on r.
-func (be *BaseEval) gainedFrom(r *relational.Instance, c Conj, pos []term.Atom, delta relational.Delta, gained map[string]relational.Tuple) {
-	for gi := range delta.Added {
-		g := &delta.Added[gi]
-		for j, a := range pos {
-			be.anchored(r, c, pos, j, a, *g, gained)
+func (be *BaseEval) gainedFrom(r *relational.Instance, c Conj, delta relational.Delta, gained map[string]relational.Tuple) {
+	for li, l := range c.Lits {
+		facts := delta.Added
+		if l.Neg {
+			facts = delta.Removed
 		}
-	}
-	for fi := range delta.Removed {
-		f := &delta.Removed[fi]
-		for _, l := range c.Lits {
-			if !l.Neg {
-				continue
-			}
-			be.anchored(r, c, pos, -1, l.Atom, *f, gained)
+		for fi := range facts {
+			be.anchored(r, c, li, facts[fi], gained)
 		}
 	}
 }
@@ -198,45 +187,24 @@ func (be *BaseEval) gainedFrom(r *relational.Instance, c Conj, pos []term.Atom, 
 // literal (the new blocker). Conditions are checked over the base, so every
 // candidate is a genuine base answer; whether it survives on r is decided by
 // the supported re-probe.
-func (be *BaseEval) lostCandidates(c Conj, pos []term.Atom, delta relational.Delta, cands map[string]relational.Tuple) {
-	for fi := range delta.Removed {
-		f := &delta.Removed[fi]
-		for j, a := range pos {
-			be.anchored(be.base, c, pos, j, a, *f, cands)
+func (be *BaseEval) lostCandidates(c Conj, delta relational.Delta, cands map[string]relational.Tuple) {
+	for li, l := range c.Lits {
+		facts := delta.Removed
+		if l.Neg {
+			facts = delta.Added
 		}
-	}
-	for gi := range delta.Added {
-		g := &delta.Added[gi]
-		for _, l := range c.Lits {
-			if !l.Neg {
-				continue
-			}
-			be.anchored(be.base, c, pos, -1, l.Atom, *g, cands)
+		for fi := range facts {
+			be.anchored(be.base, c, li, facts[fi], cands)
 		}
 	}
 }
 
-// anchored seeds a join of c's positive atoms over d with the bindings the
-// delta fact f imposes on atom a — pos[skip] when the anchor is a positive
-// literal (the atom is then excluded from the join), or a negated literal
-// (skip = -1, all positives joined) — and collects the head projections of
-// the assignments whose conditions hold on d.
-func (be *BaseEval) anchored(d *relational.Instance, c Conj, pos []term.Atom, skip int, a term.Atom, f relational.Fact, into map[string]relational.Tuple) {
-	if a.Pred != f.Pred || a.Arity() != len(f.Args) {
-		return
-	}
+// anchored collects the head projections of the assignments over d that
+// instantiate literal li to the delta fact f and whose negated literals
+// hold on d.
+func (be *BaseEval) anchored(d *relational.Instance, c Conj, li int, f relational.Fact, into map[string]relational.Tuple) {
 	subst := term.Subst{}
-	if _, ok := relational.MatchAtom(f.Args, a, subst); !ok {
-		return
-	}
-	var restbuf [8]term.Atom
-	rest := restbuf[:0]
-	for j, p := range pos {
-		if j != skip {
-			rest = append(rest, p)
-		}
-	}
-	joinConj(d, c, rest, subst, func() bool {
+	ForEachAnchored(d, c, li, f, subst, func() bool {
 		if negsHold(d, c, subst) {
 			t := projectHead(be.q.Head, subst)
 			into[t.Key()] = t
@@ -249,29 +217,12 @@ func (be *BaseEval) anchored(d *relational.Instance, c Conj, pos []term.Atom, sk
 // an assignment extending the head binding. The head variables make the join
 // highly selective, so the probe cost tracks the matching tuples.
 func (be *BaseEval) supported(r *relational.Instance, t relational.Tuple) bool {
-	for ci, c := range be.q.Disjuncts {
-		subst := term.Subst{}
-		ok := true
-		for j, v := range be.q.Head {
-			if prev, bound := subst[v]; bound {
-				if !prev.Eq(t[j]) {
-					ok = false
-					break
-				}
-				continue
-			}
-			subst[v] = t[j]
-		}
-		if !ok {
-			continue
-		}
+	for _, c := range be.q.Disjuncts {
 		found := false
-		joinConj(r, c, be.pos[ci], subst, func() bool {
-			if negsHold(r, c, subst) {
-				found = true
-				return false
-			}
-			return true
+		subst := term.Subst{}
+		ForEachBound(r, c, be.q.Head, t, subst, func() bool {
+			found = negsHold(r, c, subst)
+			return !found
 		})
 		if found {
 			return true

@@ -212,6 +212,58 @@ func ForEachAssignment(d *relational.Instance, c Conj, yield func(term.Subst) bo
 	joinConj(d, c, positiveAtoms(buf[:0], c), subst, func() bool { return yield(subst) })
 }
 
+// ForEachAnchored enumerates the assignments of c's positive literals over
+// d in which literal li — positive or negated — is instantiated to the fact
+// f: f's arguments seed the substitution through that literal's atom, and
+// the join completes the other positive literals (all of them when li is
+// negated) against d's indexes, checking c's builtins. It is the Δ-anchored
+// entry point of the join: f is typically a fact an update added or
+// removed, and f need not be in d. Negated literals are not applied, as in
+// ForEachAssignment. subst must be empty: it holds each assignment while
+// yield runs and is empty again on return, so one map serves every call.
+// yield returns false to stop.
+func ForEachAnchored(d *relational.Instance, c Conj, li int, f relational.Fact, subst term.Subst, yield func() bool) {
+	a := c.Lits[li].Atom
+	if a.Pred != f.Pred || a.Arity() != len(f.Args) {
+		return
+	}
+	bound, ok := relational.MatchAtom(f.Args, a, subst)
+	if !ok {
+		return
+	}
+	var buf [8]term.Atom
+	atoms := buf[:0]
+	for j, l := range c.Lits {
+		if !l.Neg && j != li {
+			atoms = append(atoms, l.Atom)
+		}
+	}
+	joinConj(d, c, atoms, subst, yield)
+	relational.Unbind(subst, bound)
+}
+
+// ForEachBound enumerates the assignments of c's positive literals over d
+// that give the head variables the values of t — the head-bound entry point
+// of the join, whose cost tracks the assignments of that one answer. A head
+// repeating a variable with two different values in t has none. Negated
+// literals are not applied, as in ForEachAssignment. subst must be empty:
+// it holds each assignment while yield runs and is empty again on return.
+// yield returns false to stop.
+func ForEachBound(d *relational.Instance, c Conj, head []string, t relational.Tuple, subst term.Subst, yield func() bool) {
+	defer clear(subst)
+	for j, v := range head {
+		if prev, bound := subst[v]; bound {
+			if !prev.Eq(t[j]) {
+				return
+			}
+			continue
+		}
+		subst[v] = t[j]
+	}
+	var buf [8]term.Atom
+	joinConj(d, c, positiveAtoms(buf[:0], c), subst, yield)
+}
+
 // positiveAtoms appends the positive literals of a disjunct, in order, to
 // dst.
 func positiveAtoms(dst []term.Atom, c Conj) []term.Atom {

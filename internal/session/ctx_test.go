@@ -102,3 +102,46 @@ func TestCancelledApplyLeavesSessionUsable(t *testing.T) {
 		t.Error("subscriber not notified on re-validation")
 	}
 }
+
+// TestCancelledApplyInvalidatesUnrefreshed pins that an interrupted apply
+// leaves no prepared query it reached claiming answers from before the
+// update: the first refresh fails on the cancelled context, so the later
+// queries are never refreshed and must be marked invalid with it. The next
+// apply revalidates them with the scratch answers.
+func TestCancelledApplyInvalidatesUnrefreshed(t *testing.T) {
+	s := fixtureSession(t, NewOptions())
+	var ps []*Prepared
+	for _, src := range []string{`q(X) :- r(a, X).`, `q(X, Y) :- r(X, Y).`, `q(X) :- t(X, Y).`} {
+		p, err := s.Prepare(parser.MustQuery(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	add := relational.F("r", str("d"), str("e"))
+	if _, err := s.ApplyCtx(ctx, relational.Delta{Added: []relational.Fact{add}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ApplyCtx err = %v, want context.Canceled", err)
+	}
+	for i, p := range ps {
+		if p.Valid() {
+			t.Errorf("query %d valid after an interrupted apply", i)
+		}
+	}
+	if _, err := s.Apply(relational.Delta{Added: []relational.Fact{relational.F("s", str("g"), str("h"))}}); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range ps {
+		if !p.Valid() {
+			t.Fatalf("query %d invalid after a successful apply", i)
+		}
+		want, err := New(s.Current(), s.Set(), s.Options()).Answer(p.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Answers()) != len(want.Tuples) {
+			t.Errorf("query %d: %v, scratch %v", i, p.Answers(), want.Tuples)
+		}
+	}
+}

@@ -26,18 +26,59 @@ func resolveAuto(set *constraint.Set, opts Options) Engine {
 // directBackend implements EngineDirect: certain and possible answers come
 // straight off the polynomial FD classification of internal/direct, which
 // is built lazily and then advanced by apply in O(|Δ|) — no re-scan, no
-// repair enumeration. The classification never materializes repairs, so
-// Repairs() on a direct session runs the seeded search.
+// repair enumeration — and standing queries are patched along each apply.
+// The classification never materializes repairs, so Repairs() on a direct
+// session runs the seeded search.
 type directBackend struct {
 	s   *Session
 	dir *direct.Engine
+	// pre is the head before the last apply, an overlay built by the first
+	// patch of an apply that removed facts (only those anchor there).
+	pre *relational.Instance
 }
 
 // apply moves the class counts and the conflicted-group set across eff.
 func (b *directBackend) apply(eff relational.Delta) {
+	b.pre = nil
 	if b.dir != nil {
 		b.dir.Update(eff)
 	}
+}
+
+// patch moves p's valid answers across eff with direct.Engine.Patch and
+// returns the tuples they gained and lost, sorted (a boolean query sets
+// p.boolAns, and the lists are not used). An apply that changes the
+// answers gives p a fresh list, as a recompute would. It costs the
+// anchored joins of eff (a touched key group anchors every one of its
+// facts) plus at most one head-bound probe per reached tuple.
+func (b *directBackend) patch(ctx context.Context, p *Prepared, eff relational.Delta) (added, removed []relational.Tuple, err error) {
+	cur := b.s.head.Current()
+	if b.pre == nil && len(eff.Removed) > 0 {
+		b.pre = cur.Clone()
+		for _, f := range eff.Added {
+			b.pre.Delete(f)
+		}
+		for _, f := range eff.Removed {
+			b.pre.Insert(f)
+		}
+	}
+	ans := p.tuples
+	if p.isBool {
+		ans = nil
+		if p.boolAns {
+			ans = []relational.Tuple{{}}
+		}
+	}
+	next, added, removed, err := b.dir.Patch(ctx, b.pre, cur, p.q, eff, ans)
+	if err != nil {
+		return nil, nil, err
+	}
+	if p.isBool {
+		p.boolAns = len(next) > 0
+	} else {
+		p.tuples = next
+	}
+	return added, removed, nil
 }
 
 func (b *directBackend) reanchor() {}
@@ -46,8 +87,8 @@ func (b *directBackend) enumerate(ctx context.Context) error {
 	return (&searchBackend{s: b.s}).enumerate(ctx)
 }
 
-// plan returns nil: standing queries are re-answered off the
-// classification.
+// plan returns nil: standing queries are answered off the classification
+// and then patched across each apply.
 func (b *directBackend) plan(*query.Q) (*query.BaseEval, error) { return nil, nil }
 
 // classification materializes the FD classification on first use. Scope
@@ -64,6 +105,7 @@ func (b *directBackend) classification() (*direct.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.SetMaxStates(b.s.opts.Repair.MaxStates)
 	b.dir = e
 	return e, nil
 }
@@ -91,9 +133,9 @@ func (b *directBackend) possible(ctx context.Context, q *query.Q) ([]relational.
 	return e.PossibleCtx(ctx, b.s.head.Current(), q)
 }
 
-// DirectStats exposes the classification work counters of the maintained
-// direct engine (zero Stats when none was built), for tests pinning the
-// O(|Δ|) incremental-maintenance contract.
+// DirectStats exposes the work counters of the maintained direct engine
+// (zero Stats when none was built), for tests pinning the O(|Δ|)
+// maintenance of its classification and of its standing queries.
 func (s *Session) DirectStats() direct.Stats {
 	if b, ok := s.eng.(*directBackend); ok && b.dir != nil {
 		return b.dir.Stats()

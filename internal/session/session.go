@@ -19,8 +19,9 @@
 // maintained violation lists seeded into the search root (repair.Seed), so
 // even the "from scratch" path never re-checks a constraint over the whole
 // instance; and each prepared query is re-answered by patching its base
-// evaluation along the per-repair deltas, with changed-answer diffs pushed
-// to Subscribe callbacks.
+// evaluation along the per-repair deltas (on the direct engine, its
+// answers along the update itself), with changed-answer diffs pushed to
+// Subscribe callbacks.
 //
 // One-shot answering is a throwaway session, New(d, set, opts).Answer(q),
 // so every engine runs on this machinery whether or not the caller keeps
@@ -220,7 +221,9 @@ type backend interface {
 	// repair cache (Session.fill). Cancellation leaves the cache cold.
 	enumerate(ctx context.Context) error
 	// plan returns the base evaluation a standing query is re-patched
-	// with across the repair cache, or nil when certain answers it.
+	// with across the repair cache, or nil when certain answers it (and,
+	// on the direct engine, directBackend.patch moves it across each
+	// apply).
 	plan(q *query.Q) (*query.BaseEval, error)
 	// certain returns the consistent answers to q (Definition 8).
 	certain(ctx context.Context, q *query.Q) (Answer, error)
@@ -301,8 +304,9 @@ type ApplyResult struct {
 // (irrelevant update) or selectively invalidated and re-enumerated from
 // the maintained violation seed (relevant update); prepared queries whose
 // predicates the update cannot reach are skipped, the rest are re-answered
-// by patching their base evaluations per repair, with changed-answer diffs
-// delivered to Subscribe callbacks before Apply returns.
+// by patching their base evaluations per repair (on the direct engine,
+// their answers along the update), with changed-answer diffs delivered to
+// Subscribe callbacks before Apply returns.
 func (s *Session) Apply(delta relational.Delta) (ApplyResult, error) {
 	return s.ApplyCtx(context.Background(), delta)
 }
@@ -366,15 +370,22 @@ func (s *Session) ApplyCtx(ctx context.Context, delta relational.Delta) (ApplyRe
 	}
 
 	// Prepared queries. Refreshing needs the repair set for the
-	// non-cautious engines, so a relevant update re-enumerates here
-	// (seeded from the maintained violation lists).
-	for _, p := range s.prepared {
+	// search and program engines, so a relevant update re-enumerates here
+	// (seeded from the maintained violation lists). An interrupted refresh
+	// leaves every query it did not reach invalid too, so that none keeps
+	// answers from before this update.
+	for i, p := range s.prepared {
 		if !relevant && !p.touches(eff) {
 			res.QueriesSkipped++
 			continue
 		}
 		wasEmpty := !s.repairsOK
-		if err := s.refresh(ctx, p); err != nil {
+		if err := s.refresh(ctx, p, eff); err != nil {
+			for _, rest := range s.prepared[i+1:] {
+				if relevant || rest.touches(eff) {
+					rest.valid = false
+				}
+			}
 			return res, err
 		}
 		res.QueriesRefreshed++
@@ -761,13 +772,24 @@ func (s *Session) compute(ctx context.Context, p *Prepared) error {
 	return nil
 }
 
-// refresh recomputes p and notifies subscribers of any change. On error
-// (cancellation included) p is marked invalid: its retained answers are
-// stale against the advanced head, and the next refresh recomputes and
-// notifies unconditionally.
-func (s *Session) refresh(ctx context.Context, p *Prepared) error {
+// refresh moves p across the effective delta eff and notifies subscribers
+// of any change. The direct backend patches valid answers along eff and
+// reports the exact diff; otherwise p is recomputed and diffed against its
+// old answers. On error (cancellation included) p is marked invalid: its
+// retained answers are stale against the advanced head, and the next
+// refresh recomputes and notifies unconditionally.
+func (s *Session) refresh(ctx context.Context, p *Prepared, eff relational.Delta) error {
 	oldTuples, oldBool, wasValid := p.tuples, p.boolAns, p.valid
-	if err := s.compute(ctx, p); err != nil {
+	var (
+		added, removed []relational.Tuple
+		err            error
+	)
+	if b, ok := s.eng.(*directBackend); ok && wasValid {
+		added, removed, err = b.patch(ctx, p, eff)
+	} else if err = s.compute(ctx, p); err == nil && !p.isBool && len(p.subs) > 0 {
+		added, removed = diffSorted(oldTuples, p.tuples)
+	}
+	if err != nil {
 		p.valid = false
 		return err
 	}
@@ -781,12 +803,9 @@ func (s *Session) refresh(ctx context.Context, p *Prepared) error {
 			upd.Boolean, upd.BooleanChanged = p.boolAns, true
 			changed = true
 		}
-	} else {
-		added, removed := diffSorted(oldTuples, p.tuples)
-		if !wasValid || len(added) > 0 || len(removed) > 0 {
-			upd.Added, upd.Removed = added, removed
-			changed = true
-		}
+	} else if !wasValid || len(added) > 0 || len(removed) > 0 {
+		upd.Added, upd.Removed = added, removed
+		changed = true
 	}
 	if changed {
 		upd.Prepared = p
