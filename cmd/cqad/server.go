@@ -601,11 +601,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // answerQuery answers q on s under the request's semantics. An engine
-// override answers from a throwaway session over s's current head instead:
-// correct, but without s's caches.
+// override answers from a throwaway session over s's current head instead,
+// under s's budgets: correct, but without s's caches.
 func answerQuery(ctx context.Context, s *session.Session, q *query.Q, req queryRequest) (wire.AnswerResponse, error) {
 	if req.Engine != "" {
-		opts, err := engineOptions(req.Engine, 0, 0)
+		o := s.Options()
+		opts, err := engineOptions(req.Engine, o.Repair.MaxStates, o.Stable.MaxCandidates)
 		if err != nil {
 			return wire.AnswerResponse{}, err
 		}

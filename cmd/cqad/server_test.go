@@ -696,6 +696,35 @@ func TestDirectCoversBudget(t *testing.T) {
 	}
 }
 
+// TestEngineOverrideKeepsBudgets pins that a per-request engine override
+// answers under the budgets its session was created with: a query that
+// exceeds the session's max_states or max_candidates fails the same way
+// whether or not the request names an engine.
+func TestEngineOverrideKeepsBudgets(t *testing.T) {
+	_, hs := newTestServer(t, config{})
+	db := "r(a, 1). r(a, 2). r(b, 1). r(b, 2). r(c, 1). r(c, 2)."
+	for _, tc := range []struct{ engine, budget, code string }{
+		{"search", `"max_states":2`, "state_limit"},
+		{"cautious", `"max_candidates":1`, "candidate_limit"},
+		{"program", `"max_candidates":1`, "candidate_limit"},
+	} {
+		code, resp := doJSON(t, "POST", hs.URL+"/v1/tenants/acme/sessions",
+			fmt.Sprintf(`{"name":%q,"instance_text":%q,"constraints_text":%q,"engine":%q,%s}`,
+				tc.engine, db, "r(X, Y), r(X, Z) -> Y = Z.", tc.engine, tc.budget))
+		if code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", tc.engine, code, resp)
+		}
+		url := hs.URL + "/v1/tenants/acme/sessions/" + tc.engine + "/query"
+		for _, override := range []string{"", fmt.Sprintf(`,"engine":%q`, tc.engine)} {
+			code, resp = doJSON(t, "POST", url, `{"query":"q(X) :- r(X, Y)."`+override+`}`)
+			if code != http.StatusUnprocessableEntity || !strings.Contains(resp, `"code":"`+tc.code+`"`) {
+				t.Errorf("%s session under %s, query%s: %d %s, want 422 %s",
+					tc.engine, tc.budget, override, code, resp, tc.code)
+			}
+		}
+	}
+}
+
 // TestEnginePanicDropsSession pins what an engine panic costs: one
 // session. Each of apply, query and prepare runs on a session whose
 // *session.Session is swapped for nil, so the engine call panics; the

@@ -18,28 +18,23 @@ package relational
 type Head struct {
 	anchor *Instance
 	cur    *Instance
-	// Cumulative effective delta from anchor to cur, keyed by Fact.Key so a
-	// removal re-added (or an addition re-removed) cancels instead of
-	// accumulating. Invariant: added/removed are disjoint and every entry is
-	// an actual difference between anchor and cur.
-	added   map[string]Fact
-	removed map[string]Fact
+	// drift is |Δ(anchor, cur)|. Apply moves it by one per effective edit:
+	// up when the edit makes cur differ from the anchor on the fact, down
+	// when it undoes such a difference. It is counted rather than read off
+	// cur's overlay because the anchor may itself be an overlay with edits
+	// of its own, and because a flattened cur has no overlay left.
+	drift int
 }
 
 // NewHead freezes d and returns a head anchored at d with an identical
 // current instance. d must not be mutated by the caller afterwards.
 func NewHead(d *Instance) *Head {
 	d.Freeze()
-	return &Head{
-		anchor:  d,
-		cur:     d.Clone(),
-		added:   make(map[string]Fact),
-		removed: make(map[string]Fact),
-	}
+	return &Head{anchor: d, cur: d.Clone()}
 }
 
-// Anchor returns the frozen snapshot the cumulative delta is relative to.
-// It is immutable until the next Rebase.
+// Anchor returns the frozen snapshot the drift is relative to. It is
+// immutable until the next Rebase.
 func (h *Head) Anchor() *Instance { return h.anchor }
 
 // Current returns the live instance. Callers must treat it as read-only;
@@ -55,13 +50,13 @@ func (h *Head) Apply(dl Delta) Delta {
 	for _, f := range dl.Removed {
 		if h.cur.Delete(f) {
 			eff.Removed = append(eff.Removed, f)
-			h.note(f, false)
+			h.move(!h.anchor.Has(f))
 		}
 	}
 	for _, f := range dl.Added {
 		if h.cur.Insert(f) {
 			eff.Added = append(eff.Added, f)
-			h.note(f, true)
+			h.move(h.anchor.Has(f))
 		}
 	}
 	SortFacts(eff.Removed)
@@ -69,48 +64,22 @@ func (h *Head) Apply(dl Delta) Delta {
 	return eff
 }
 
-func (h *Head) note(f Fact, added bool) {
-	key := f.Key()
-	if added {
-		if _, ok := h.removed[key]; ok {
-			delete(h.removed, key)
-			return
-		}
-		h.added[key] = f
+// move counts one effective edit: undo reports that it restores the
+// anchor's state of its fact (a removal of a fact the anchor lacks, an
+// addition of one it holds).
+func (h *Head) move(undo bool) {
+	if undo {
+		h.drift--
 	} else {
-		if _, ok := h.added[key]; ok {
-			delete(h.added, key)
-			return
-		}
-		h.removed[key] = f
+		h.drift++
 	}
 }
 
-// Delta returns the cumulative anchor→current delta with sorted halves.
-func (h *Head) Delta() Delta {
-	var dl Delta
-	if len(h.removed) > 0 {
-		dl.Removed = make([]Fact, 0, len(h.removed))
-		for _, f := range h.removed {
-			dl.Removed = append(dl.Removed, f)
-		}
-		SortFacts(dl.Removed)
-	}
-	if len(h.added) > 0 {
-		dl.Added = make([]Fact, 0, len(h.added))
-		for _, f := range h.added {
-			dl.Added = append(dl.Added, f)
-		}
-		SortFacts(dl.Added)
-	}
-	return dl
-}
-
-// Rebase makes the current contents the new anchor and resets the
-// cumulative delta to empty. Owners call it before the overlay's delta
-// outgrows the shared engine (see Instance flattening), which would
-// silently break the shared-engine O(|Δ|) diff path long-lived anchors
-// rely on. Costs O(|D|); amortize it over many Applies.
+// Rebase makes the current contents the new anchor and resets the drift
+// to zero. Owners call it before the overlay's delta outgrows the shared
+// engine (see Instance flattening), which would silently break the
+// shared-engine O(|Δ|) diff path long-lived anchors rely on. Costs O(|D|);
+// amortize it over many Applies.
 func (h *Head) Rebase() {
 	// Build the new anchor as a private owner so its overlay delta restarts
 	// at zero; clones of the old chain keep the old engine and stay valid.
@@ -122,10 +91,9 @@ func (h *Head) Rebase() {
 	na.Freeze()
 	h.anchor = na
 	h.cur = na.Clone()
-	h.added = make(map[string]Fact)
-	h.removed = make(map[string]Fact)
+	h.drift = 0
 }
 
 // Drift reports how many facts separate the current instance from the
-// anchor (the size of Delta()).
-func (h *Head) Drift() int { return len(h.added) + len(h.removed) }
+// anchor: the size of Diff(Anchor(), Current()).
+func (h *Head) Drift() int { return h.drift }

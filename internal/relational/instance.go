@@ -23,7 +23,7 @@ import (
 // logically read-only operations lazily build and cache per-view state
 // (sorted fact caches). Distinct views of one frozen engine, however, may be
 // read concurrently from many goroutines — the shared engine's lazy index
-// and sorted-view builds are internally synchronized once frozen (see
+// and sorted-fact builds are internally synchronized once frozen (see
 // Freeze), so each goroutine may own private overlay views while all of
 // them read the same base.
 type Instance struct {
@@ -508,31 +508,14 @@ func (d *Instance) hasFactAbove(f Fact) bool {
 }
 
 // Relation returns the sorted tuples of the given predicate with the given
-// arity. For an instance without overlay edits on the relation this is a
-// copy of the store's cached sorted view (no re-sort); overlay edits are
-// merged in.
+// arity, or nil when it has none. It scans and sorts on every call.
 func (d *Instance) Relation(pred string, arity int) []Tuple {
-	rk := RelKey{pred, arity}
-	s := d.eng.stores[rk]
-	var dl *delta
-	if d.overlay() {
-		dl = d.deltas[rk]
-	}
-	if dl == nil || (dl.addN == 0 && len(dl.del) == 0) {
-		if s == nil || s.live() == 0 {
-			return nil
-		}
-		return append([]Tuple(nil), s.sortedTuples()...)
-	}
-	out := make([]Tuple, 0, d.RelationSize(pred, arity))
+	var out []Tuple
 	d.Scan(pred, arity, nil, func(t Tuple) bool {
 		out = append(out, t)
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	if len(out) == 0 {
-		return nil
-	}
 	return out
 }
 

@@ -7,7 +7,6 @@
 package relational
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -149,86 +148,6 @@ func SortFacts(fs []Fact) []Fact {
 	return fs
 }
 
-// Relation describes one predicate of the schema: a name and an ordered list
-// of attribute names. R[i] in the paper denotes the attribute at (1-based)
-// position i; this package uses 0-based positions internally and formats them
-// 1-based to match the paper.
-type Relation struct {
-	Name  string
-	Attrs []string
-}
-
-// Arity returns the number of attributes.
-func (r Relation) Arity() int { return len(r.Attrs) }
-
-// Schema is the database schema: the set R of database predicates. The
-// domain U is implicit (all of package value) and the builtins B are fixed.
-type Schema struct {
-	rels  map[string]Relation
-	order []string
-}
-
-// NewSchema returns an empty schema.
-func NewSchema() *Schema {
-	return &Schema{rels: make(map[string]Relation)}
-}
-
-// MustAddRelation adds a relation, panicking on duplicates. Attribute names
-// are optional; pass generated names via Anon if unknown.
-func (s *Schema) MustAddRelation(name string, attrs ...string) *Schema {
-	if err := s.AddRelation(name, attrs...); err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// AddRelation adds a relation to the schema.
-func (s *Schema) AddRelation(name string, attrs ...string) error {
-	if name == "" {
-		return fmt.Errorf("relational: empty relation name")
-	}
-	if _, dup := s.rels[name]; dup {
-		return fmt.Errorf("relational: duplicate relation %q", name)
-	}
-	seen := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		if a == "" {
-			return fmt.Errorf("relational: relation %q has an empty attribute name", name)
-		}
-		if seen[a] {
-			return fmt.Errorf("relational: relation %q repeats attribute %q", name, a)
-		}
-		seen[a] = true
-	}
-	s.rels[name] = Relation{Name: name, Attrs: append([]string(nil), attrs...)}
-	s.order = append(s.order, name)
-	return nil
-}
-
-// Anon generates n anonymous attribute names A1..An.
-func Anon(n int) []string {
-	attrs := make([]string, n)
-	for i := range attrs {
-		attrs[i] = fmt.Sprintf("A%d", i+1)
-	}
-	return attrs
-}
-
-// Relation looks up a relation by name.
-func (s *Schema) Relation(name string) (Relation, bool) {
-	r, ok := s.rels[name]
-	return r, ok
-}
-
-// Relations returns the relations in declaration order.
-func (s *Schema) Relations() []Relation {
-	out := make([]Relation, 0, len(s.order))
-	for _, n := range s.order {
-		out = append(out, s.rels[n])
-	}
-	return out
-}
-
 // Delta is the symmetric difference Δ(D, D′) split into its two halves:
 // Removed = D \ D′ and Added = D′ \ D, each sorted.
 type Delta struct {
@@ -254,44 +173,4 @@ func (dl Delta) String() string {
 		parts[i] = f.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// FormatTable renders one relation as an aligned text table in the style of
-// the paper's examples, with attribute headers when the schema knows them.
-func FormatTable(d *Instance, rel Relation) string {
-	tuples := d.Relation(rel.Name, rel.Arity())
-	headers := append([]string{rel.Name}, rel.Attrs...)
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	rows := make([][]string, len(tuples))
-	for r, t := range tuples {
-		row := make([]string, len(headers))
-		row[0] = ""
-		for i, v := range t {
-			cell := v.String()
-			row[i+1] = cell
-			if len(cell) > widths[i+1] {
-				widths[i+1] = len(cell)
-			}
-		}
-		rows[r] = row
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(headers)
-	for _, row := range rows {
-		writeRow(row)
-	}
-	return b.String()
 }

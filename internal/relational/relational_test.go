@@ -1,7 +1,8 @@
 package relational
 
 import (
-	"strings"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -113,22 +114,130 @@ func TestInstanceCloneIndependent(t *testing.T) {
 	}
 }
 
+// relationOfFacts is the slice of d.Facts() that Relation(pred, arity)
+// must return, or nil when it is empty.
+func relationOfFacts(d *Instance, pred string, arity int) []Tuple {
+	var out []Tuple
+	for _, f := range d.Facts() {
+		if f.Pred == pred && len(f.Args) == arity {
+			out = append(out, f.Args)
+		}
+	}
+	return out
+}
+
+func checkRelation(t *testing.T, label string, d *Instance, pred string, arity int) {
+	t.Helper()
+	got, want := d.Relation(pred, arity), relationOfFacts(d, pred, arity)
+	if (got == nil) != (want == nil) || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: Relation(%s, %d) = %v, Facts() slice %v", label, pred, arity, got, want)
+	}
+}
+
+// TestInstanceRelationSorted checks Relation's order, and checks it
+// against the matching slice of Facts() on an owner with tombstoned rows,
+// before and after compaction, on an overlay with adds and deletes, and
+// on empty and absent relations.
 func TestInstanceRelationSorted(t *testing.T) {
-	d := NewInstance(
+	r := NewInstance(
 		F("R", s("b"), i(2)),
 		F("R", s("a"), i(9)),
 		F("R", s("a"), i(1)),
 		F("S", s("z")),
 	)
-	rows := d.Relation("R", 2)
+	rows := r.Relation("R", 2)
 	if len(rows) != 3 {
 		t.Fatalf("Relation rows = %d", len(rows))
 	}
 	if !rows[0].Equal(Tuple{s("a"), i(1)}) || !rows[2].Equal(Tuple{s("b"), i(2)}) {
 		t.Errorf("Relation not sorted: %v", rows)
 	}
-	if got := d.Relation("R", 3); len(got) != 0 {
+	if got := r.Relation("R", 3); len(got) != 0 {
 		t.Error("arity mismatch must return nothing")
+	}
+
+	d := NewInstance(F("q", s("z")))
+	for k := 99; k >= 0; k-- {
+		d.Insert(F("p", i(int64(k)), s("v")))
+	}
+	for k := 0; k < 100; k += 10 {
+		d.Delete(F("p", i(int64(k)), s("v")))
+	}
+	if st := d.eng.stores[RelKey{"p", 2}]; st.dead != 10 {
+		t.Fatalf("fixture lost its premise: %d tombstoned rows, want 10", st.dead)
+	}
+	checkRelation(t, "owner with tombstones", d, "p", 2)
+	for k := 1; k < 60; k++ {
+		d.Delete(F("p", i(int64(k)), s("v")))
+	}
+	if st := d.eng.stores[RelKey{"p", 2}]; len(st.rows) >= 100 {
+		t.Fatalf("fixture lost its premise: %d rows kept, want a compaction", len(st.rows))
+	}
+	checkRelation(t, "owner past compaction", d, "p", 2)
+
+	o := d.Clone()
+	o.Insert(F("p", i(-1), s("new")))
+	o.Insert(F("p", i(-2), s("new")))
+	o.Delete(F("p", i(-2), s("new"))) // a tombstoned add
+	o.Delete(F("p", i(75), s("v")))
+	o.Insert(F("p", i(10), s("v"))) // a base row deleted before the clone
+	checkRelation(t, "overlay", o, "p", 2)
+	checkRelation(t, "base under the overlay", d, "p", 2)
+
+	o.Delete(F("q", s("z")))
+	for _, tc := range []struct {
+		label string
+		pred  string
+		arity int
+	}{
+		{"emptied relation", "q", 1},
+		{"absent relation", "zz", 1},
+		{"absent arity", "p", 3},
+	} {
+		if got := o.Relation(tc.pred, tc.arity); got != nil {
+			t.Errorf("%s: Relation(%s, %d) = %v, want nil", tc.label, tc.pred, tc.arity, got)
+		}
+	}
+}
+
+// TestRelationConcurrentViews calls Relation from several goroutines, each
+// on its own view of one frozen engine.
+func TestRelationConcurrentViews(t *testing.T) {
+	base := NewInstance()
+	for k := 0; k < 200; k++ {
+		base.Insert(F("p", i(int64((k*37)%200)), s("v")))
+	}
+	base.Freeze()
+	views := []*Instance{base}
+	for w := 1; w < 4; w++ {
+		v := base.Clone()
+		v.Insert(F("p", i(int64(-w)), s("w")))
+		v.Delete(F("p", i(int64(w)), s("v")))
+		views = append(views, v)
+	}
+	want := make([]string, len(views))
+	for w, v := range views {
+		want[w] = fmt.Sprint(relationOfFacts(v, "p", 2))
+	}
+	var wg sync.WaitGroup
+	errs := make([]string, len(views))
+	for w, v := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				if got := fmt.Sprint(v.Relation("p", 2)); got != want[w] {
+					errs[w] = got
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, e := range errs {
+		if e != "" {
+			t.Errorf("view %d: Relation = %s, Facts() slice %s", w, e, want[w])
+		}
 	}
 }
 
@@ -214,29 +323,6 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestSchema(t *testing.T) {
-	sc := NewSchema().MustAddRelation("Course", "Code", "ID", "Term")
-	if err := sc.AddRelation("Course", "X"); err == nil {
-		t.Error("duplicate relation accepted")
-	}
-	if err := sc.AddRelation("Bad", "A", "A"); err == nil {
-		t.Error("duplicate attribute accepted")
-	}
-	if err := sc.AddRelation(""); err == nil {
-		t.Error("empty name accepted")
-	}
-	r, ok := sc.Relation("Course")
-	if !ok || r.Arity() != 3 || r.Attrs[2] != "Term" {
-		t.Errorf("Relation lookup = %+v, %v", r, ok)
-	}
-	if len(sc.Relations()) != 1 {
-		t.Error("Relations count wrong")
-	}
-	if got := Anon(3); got[0] != "A1" || got[2] != "A3" {
-		t.Errorf("Anon = %v", got)
-	}
-}
-
 func TestInstanceKeyCanonical(t *testing.T) {
 	d1 := NewInstance(F("P", s("a")), F("Q", s("b")))
 	d2 := NewInstance(F("Q", s("b")), F("P", s("a")))
@@ -246,20 +332,6 @@ func TestInstanceKeyCanonical(t *testing.T) {
 	d2.Insert(F("P", s("c")))
 	if d1.Key() == d2.Key() {
 		t.Error("distinct instances share a key")
-	}
-}
-
-func TestFormatTable(t *testing.T) {
-	sc := NewSchema().MustAddRelation("Student", "ID", "Name")
-	d := NewInstance(F("Student", i(21), s("Ann")), F("Student", i(45), s("Paul")))
-	r, _ := sc.Relation("Student")
-	out := FormatTable(d, r)
-	if !strings.Contains(out, "ID") || !strings.Contains(out, "Ann") || !strings.Contains(out, "Paul") {
-		t.Errorf("FormatTable output missing content:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Errorf("FormatTable lines = %d, want 3", len(lines))
 	}
 }
 

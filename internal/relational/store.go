@@ -103,16 +103,16 @@ func matchBindings(t Tuple, bindings []Binding) bool {
 
 // relStore holds the tuples of one relation. Rows keep their insertion
 // order (the store's deterministic iteration order); deletion tombstones a
-// row, and the store compacts itself when tombstones dominate. Secondary
-// structures — the sorted view and the per-bound-column-subset hash indexes —
-// are built lazily and dropped on any write.
+// row, and the store compacts itself when tombstones dominate. The
+// per-bound-column-subset hash indexes are built lazily, kept current by
+// inserts, and dropped when compaction renumbers the rows.
 //
 // Concurrency: an unfrozen store is confined to one goroutine (the owner
 // instance). Once the engine freezes (overlay views exist), rows/keys/pos
 // become immutable and any number of goroutines may scan concurrently; the
-// only remaining writes are the lazy builds of sorted and idx, which are
-// double-checked under mu. Scan bookkeeping (scanning / maybeCompact) is
-// skipped entirely on frozen stores — nothing can be tombstoned anymore.
+// only remaining write is the lazy build of idx, which is double-checked
+// under mu. Scan bookkeeping (scanning / maybeCompact) is skipped entirely
+// on frozen stores — nothing can be tombstoned anymore.
 type relStore struct {
 	rows []Tuple        // insertion order; nil = tombstone
 	keys []string       // tuple key per row, parallel to rows
@@ -123,9 +123,8 @@ type relStore struct {
 
 	frozen bool // rows/keys/pos immutable; lazy builds go through mu
 
-	mu     sync.RWMutex                // guards sorted/idx once frozen
-	sorted []Tuple                     // lazy: rows in Tuple.Compare order
-	idx    map[uint32]map[string][]int // lazy: position mask -> bound ids -> rows
+	mu  sync.RWMutex                // guards idx once frozen
+	idx map[uint32]map[string][]int // lazy: position mask -> bound ids -> rows
 }
 
 func newRelStore() *relStore {
@@ -133,11 +132,6 @@ func newRelStore() *relStore {
 }
 
 func (s *relStore) live() int { return len(s.rows) - s.dead }
-
-func (s *relStore) invalidate() {
-	s.sorted = nil
-	s.idx = nil
-}
 
 // insert adds a tuple (set semantics), reporting whether it was new. The
 // caller passes the precomputed tuple key. Existing hash indexes are kept
@@ -152,7 +146,6 @@ func (s *relStore) insert(key string, t Tuple) bool {
 	s.pos[key] = row
 	s.rows = append(s.rows, t.Clone())
 	s.keys = append(s.keys, key)
-	s.sorted = nil
 	var buf []byte
 	for mask, m := range s.idx {
 		buf = buf[:0]
@@ -177,7 +170,6 @@ func (s *relStore) delete(key string) bool {
 	delete(s.pos, key)
 	s.rows[i] = nil
 	s.dead++
-	s.sorted = nil
 	s.maybeCompact()
 	return true
 }
@@ -214,43 +206,7 @@ func (s *relStore) maybeCompact() {
 		keys = append(keys, s.keys[i])
 	}
 	s.rows, s.keys, s.dead = rows, keys, 0
-	s.invalidate()
-}
-
-// sortedTuples returns (and caches) the live rows in Tuple.Compare order.
-// Callers must not mutate the result; Instance.Relation copies. On a frozen
-// store the lazy build is double-checked under mu so concurrent readers
-// share one cached view.
-func (s *relStore) sortedTuples() []Tuple {
-	if s.frozen {
-		s.mu.RLock()
-		out := s.sorted
-		s.mu.RUnlock()
-		if out != nil {
-			return out
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.sorted == nil {
-			s.sorted = s.buildSorted()
-		}
-		return s.sorted
-	}
-	if s.sorted == nil {
-		s.sorted = s.buildSorted()
-	}
-	return s.sorted
-}
-
-func (s *relStore) buildSorted() []Tuple {
-	out := make([]Tuple, 0, s.live())
-	for _, t := range s.rows {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	s.idx = nil
 }
 
 // maskAndPositions derives the index identity of a binding set. ok is false

@@ -2,26 +2,25 @@
 // persistent service primitive. A Session owns a (D, IC) pair — a frozen
 // base anchor with a mutable head (relational.Head), the constraint set,
 // the maintained per-IC violation lists, the cached repair set with its
-// aligned deltas and fingerprint posting lists, and a set of prepared
-// standing queries with their query.BaseEval plans. Everything
-// engine-specific — the repair-program translation, the FD
-// classification, how repairs are enumerated and how ad-hoc queries are
-// answered — lives in one backend per engine (see backend).
+// aligned deltas, and a set of prepared standing queries with their
+// query.BaseEval plans. Everything engine-specific — the repair-program
+// translation, the FD classification, how repairs are enumerated and how
+// ad-hoc queries are answered — lives in one backend per engine (see
+// backend).
 //
-// Session.Apply(delta) advances all of that in O(|Δ|) instead of O(|D|):
-// nullsem.ICChecker.Update moves each violation list across the delta;
+// Session.Apply(delta) advances that state across the delta:
+// nullsem.ICChecker.Update moves each violation list in O(|Δ|);
 // constraint-irrelevant updates rebase the cached repairs verbatim (their
 // deltas are provably unchanged — every repair-delta fact mentions a
 // constraint predicate, so a repair of the old head ± the update is a
-// repair of the new head); constraint-relevant updates invalidate exactly
-// the cached repairs whose deltas intersect the update (fingerprint
-// posting lists over the antichain results) and re-enumerate with the
-// maintained violation lists seeded into the search root (repair.Seed), so
-// even the "from scratch" path never re-checks a constraint over the whole
-// instance; and each prepared query is re-answered by patching its base
-// evaluation along the per-repair deltas (on the direct engine, its
-// answers along the update itself), with changed-answer diffs pushed to
-// Subscribe callbacks.
+// repair of the new head); constraint-relevant updates drop the whole
+// cache, counting the cached repairs whose deltas share a fact with the
+// update, and re-enumerate it with the maintained violation lists seeded
+// into the search root (repair.Seed), so even this path never re-checks a
+// constraint over the whole instance; and each prepared query is
+// re-answered by patching its base evaluation along the per-repair deltas
+// (on the direct engine, its answers along the update itself), with
+// changed-answer diffs pushed to Subscribe callbacks.
 //
 // One-shot answering is a throwaway session, New(d, set, opts).Answer(q),
 // so every engine runs on this machinery whether or not the caller keeps
@@ -196,12 +195,10 @@ type Session struct {
 	violsOK  bool
 
 	// Cached repair set: instances in content-canonical order, deltas
-	// aligned, posting lists mapping fact hashes to the indices of repairs
-	// whose delta contains a fact with that hash.
+	// Δ(head, repair) aligned.
 	repairsOK   bool
 	repairs     []*relational.Instance
 	deltas      []relational.Delta
-	post        map[uint64][]int
 	searchStats repair.Stats
 
 	prepared []*Prepared
@@ -283,10 +280,11 @@ type ApplyResult struct {
 	ConstraintRelevant bool
 	// RepairsSurvived / RepairsInvalidated classify the cached repair set:
 	// on a constraint-irrelevant update every cached repair survives with
-	// its delta intact; on a relevant update the repairs whose deltas
-	// intersect the update are invalidated outright, and a survivor is a
-	// retained candidate whose delta reappears verbatim in the
-	// re-enumeration. Both are 0 when no repair cache existed.
+	// its delta intact; a relevant update drops the whole cache, counts
+	// the repairs whose deltas share a fact with the update as
+	// invalidated, and counts as survivors the others whose deltas
+	// reappear verbatim in the re-enumeration. Both are 0 when no repair
+	// cache existed.
 	RepairsSurvived, RepairsInvalidated int
 	// Reenumerated reports that the update forced a (seeded) re-enumeration
 	// of the repair set during this Apply. False when the cache was
@@ -301,12 +299,12 @@ type ApplyResult struct {
 
 // Apply advances the session across delta. Violation lists move in
 // O(|Δ|·cost(IC)) via ICChecker.Update; the repair cache is rebased
-// (irrelevant update) or selectively invalidated and re-enumerated from
-// the maintained violation seed (relevant update); prepared queries whose
-// predicates the update cannot reach are skipped, the rest are re-answered
-// by patching their base evaluations per repair (on the direct engine,
-// their answers along the update), with changed-answer diffs delivered to
-// Subscribe callbacks before Apply returns.
+// (irrelevant update) or dropped and re-enumerated from the maintained
+// violation seed (relevant update); prepared queries whose predicates the
+// update cannot reach are skipped, the rest are re-answered by patching
+// their base evaluations per repair (on the direct engine, their answers
+// along the update), with changed-answer diffs delivered to Subscribe
+// callbacks before Apply returns.
 func (s *Session) Apply(delta relational.Delta) (ApplyResult, error) {
 	return s.ApplyCtx(context.Background(), delta)
 }
@@ -352,10 +350,10 @@ func (s *Session) ApplyCtx(ctx context.Context, delta relational.Delta) (ApplyRe
 			s.rebaseRepairs()
 			res.RepairsSurvived = len(s.repairs)
 		} else {
-			touched := s.touchedRepairs(eff)
-			res.RepairsInvalidated = len(touched)
-			for i, dl := range s.deltas {
-				if !touched[i] {
+			for _, dl := range s.deltas {
+				if sharesFact(dl, eff) {
+					res.RepairsInvalidated++
+				} else {
 					retained = append(retained, dl)
 				}
 			}
@@ -508,7 +506,6 @@ func (s *Session) ensureRepairs(ctx context.Context) error {
 // content-canonical order with their aligned deltas.
 func (s *Session) fill(repairs []*relational.Instance, deltas []relational.Delta, stats repair.Stats) {
 	s.repairs, s.deltas, s.searchStats = repairs, deltas, stats
-	s.rebuildPostings()
 	s.repairsOK = true
 }
 
@@ -542,45 +539,27 @@ func (s *Session) DeltasCtx(ctx context.Context) ([]relational.Delta, error) {
 
 func (s *Session) dropRepairs() {
 	s.repairsOK = false
-	s.repairs, s.deltas, s.post = nil, nil, nil
+	s.repairs, s.deltas = nil, nil
 	s.searchStats = repair.Stats{}
 }
 
-func (s *Session) rebuildPostings() {
-	s.post = map[uint64][]int{}
-	for i, dl := range s.deltas {
-		for _, f := range dl.Facts() {
-			h := f.Hash()
-			s.post[h] = append(s.post[h], i)
-		}
-	}
+// sharesFact reports whether a cached repair delta and an effective
+// update have a fact in common. Both are deltas from the pre-update head,
+// so a shared fact sits in the same half of each: removed facts are in
+// that head and added facts are not.
+func sharesFact(dl, eff relational.Delta) bool {
+	return meet(dl.Removed, eff.Removed) || meet(dl.Added, eff.Added)
 }
 
-// touchedRepairs returns the set of cached repair indices whose delta
-// contains a fact of eff — fingerprint posting lists confirmed by Equal.
-func (s *Session) touchedRepairs(eff relational.Delta) map[int]bool {
-	touched := map[int]bool{}
-	for _, f := range eff.Facts() {
-		for _, i := range s.post[f.Hash()] {
-			if touched[i] {
-				continue
-			}
-			if deltaHasFact(s.deltas[i], f) {
-				touched[i] = true
-			}
-		}
-	}
-	return touched
-}
-
-func deltaHasFact(dl relational.Delta, f relational.Fact) bool {
-	for _, g := range dl.Removed {
-		if g.Equal(f) {
-			return true
-		}
-	}
-	for _, g := range dl.Added {
-		if g.Equal(f) {
+// meet reports whether two Compare-sorted fact lists share a fact.
+func meet(a, b []relational.Fact) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := a[i].Compare(b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
 			return true
 		}
 	}
@@ -608,8 +587,7 @@ func (s *Session) countRetained(retained []relational.Delta) int {
 // exactly a repair delta (each of its facts mentions a constraint
 // predicate, which the update did not touch), so each instance is the new
 // head ± the same delta. Canonical order is re-established — the changed
-// passthrough facts participate in Instance.Compare — and the posting
-// lists are rebuilt over the new indices.
+// passthrough facts participate in Instance.Compare.
 func (s *Session) rebaseRepairs() {
 	cur := s.head.Current()
 	for i := range s.repairs {
@@ -636,7 +614,6 @@ func (s *Session) rebaseRepairs() {
 		deltas[at] = s.deltas[i]
 	}
 	s.repairs, s.deltas = repairs, deltas
-	s.rebuildPostings()
 }
 
 // reanchor makes the current head the new anchor (see rebaseThreshold) and

@@ -72,8 +72,8 @@ func TestIrrelevantUpdateRebasesRepairs(t *testing.T) {
 	}
 }
 
-// TestRelevantUpdateInvalidatesTouchedRepairs pins posting-list
-// invalidation: deleting a fact that some repair deltas remove invalidates
+// TestRelevantUpdateInvalidatesTouchedRepairs pins the invalidation
+// count: deleting a fact that some repair deltas remove invalidates
 // exactly those repairs, and untouched candidates are counted as
 // survivors when their deltas reappear in the re-enumeration.
 func TestRelevantUpdateInvalidatesTouchedRepairs(t *testing.T) {
@@ -115,6 +115,98 @@ func TestRelevantUpdateInvalidatesTouchedRepairs(t *testing.T) {
 	// candidates' deltas cannot reappear verbatim.
 	if res.RepairsSurvived != 0 {
 		t.Errorf("RepairsSurvived = %d after a conflict-dissolving removal", res.RepairsSurvived)
+	}
+}
+
+func hasFact(fs []relational.Fact, f relational.Fact) bool {
+	for _, g := range fs {
+		if g.Equal(f) {
+			return true
+		}
+	}
+	return false
+}
+
+func deltaHasFact(dl relational.Delta, f relational.Fact) bool {
+	return hasFact(dl.Removed, f) || hasFact(dl.Added, f)
+}
+
+// TestRelevantUpdateCountsBothHalves pins RepairsInvalidated and
+// RepairsSurvived against hand counts over Deltas() when one batch meets
+// one repair's removed half and another repair's added half (the RIC's
+// null insertion r(f, null)), while a third repair's delta survives: the
+// batch swaps r(a, b) for r(a, d) and s(e, f) gains an FD rival, so
+// dropping r(a, c) and s(e, f) is a repair again.
+func TestRelevantUpdateCountsBothHalves(t *testing.T) {
+	for _, eng := range []Engine{EngineSearch, EngineProgram} {
+		t.Run(eng.String(), func(t *testing.T) {
+			opts := NewOptions()
+			opts.Engine = eng
+			s := New(parser.MustInstance(`r(a, b). r(a, c). s(e, f). r(g, h).`),
+				parser.MustConstraints(`
+					r(X, Y), r(X, Z) -> Y = Z.
+					s(X, Y), s(X, Z) -> Y = Z.
+					s(U, V) -> r(V, W).
+				`), opts)
+			if _, err := s.Prepare(parser.MustQuery(`q(V) :- s(U, V).`)); err != nil {
+				t.Fatal(err)
+			}
+			before, err := s.Deltas()
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := relational.Delta{
+				Removed: []relational.Fact{relational.F("r", str("a"), str("b"))},
+				Added: []relational.Fact{
+					relational.F("r", str("a"), str("d")),
+					relational.F("r", str("f"), value.Null()),
+					relational.F("s", str("e"), str("g")),
+				},
+			}
+			var retained []relational.Delta
+			removedHit, addedHit := false, false
+			for _, dl := range before {
+				hit := false
+				for _, f := range batch.Facts() {
+					removedHit = removedHit || hasFact(dl.Removed, f)
+					addedHit = addedHit || hasFact(dl.Added, f)
+					hit = hit || deltaHasFact(dl, f)
+				}
+				if !hit {
+					retained = append(retained, dl)
+				}
+			}
+			if !removedHit || !addedHit || len(retained) == 0 {
+				t.Fatalf("fixture lost its premise: removed half hit %v, added half hit %v, %d retained of %v",
+					removedHit, addedHit, len(retained), before)
+			}
+
+			res, err := s.Apply(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, err := s.Deltas()
+			if err != nil {
+				t.Fatal(err)
+			}
+			survived := 0
+			for _, dl := range retained {
+				for _, nd := range after {
+					if dl.String() == nd.String() {
+						survived++
+					}
+				}
+			}
+			if !res.ConstraintRelevant || !res.Reenumerated {
+				t.Errorf("relevant batch: %+v", res)
+			}
+			if want := len(before) - len(retained); res.RepairsInvalidated != want {
+				t.Errorf("RepairsInvalidated = %d, want %d", res.RepairsInvalidated, want)
+			}
+			if res.RepairsSurvived != survived || survived == 0 {
+				t.Errorf("RepairsSurvived = %d, want %d (> 0)", res.RepairsSurvived, survived)
+			}
+		})
 	}
 }
 

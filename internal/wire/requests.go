@@ -56,8 +56,9 @@ type QueryRequest struct {
 	Semantics string `json:"semantics,omitempty"`
 	// Engine overrides the session's engine for this request only, with
 	// any registry name (including direct and auto). An override answers
-	// from a throwaway session over the current head: correct, but without
-	// the session's caches. Workers is accepted and ignored.
+	// from a throwaway session over the current head, under the session's
+	// budgets: correct, but without the session's caches. Workers is
+	// accepted and ignored.
 	Engine  string `json:"engine,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 }
