@@ -1295,3 +1295,69 @@ func BenchmarkSessionAged(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSessionKeyAndForeignKey is perfbench's mixed-stream session in
+// process: the paper's Example 19 constraint shape (a key on dept, a
+// foreign key from emp to dept, NOT NULL on the dept key) on the search
+// engine, over 200 depts, 2,000 emps and 1,000 projs with 3 key conflicts
+// and 2 emps of missing depts (32 repairs), and two standing queries. One
+// op is a relevant apply that swaps the conflicting manager row of every
+// conflicted dept for a fresh one, plus the apply that undoes it: each
+// drops the repair cache, re-enumerates it from the maintained violation
+// lists (the FK violations sit behind the key conflicts) and re-patches
+// both queries across the 32 repairs.
+func BenchmarkSessionKeyAndForeignKey(b *testing.B) {
+	const depts, emps, projs, keyConflicts, fkConflicts = 200, 2000, 1000, 3, 2
+	str := func(format string, a ...any) value.V { return value.Str(fmt.Sprintf(format, a...)) }
+	d := relational.NewInstance()
+	for i := 0; i < depts; i++ {
+		d.Insert(relational.F("dept", str("d%d", i), str("m%d", i)))
+		if i < keyConflicts {
+			d.Insert(relational.F("dept", str("d%d", i), str("x%d", i)))
+		}
+	}
+	for j := 0; j < emps; j++ {
+		d.Insert(relational.F("emp", str("e%d", j), str("d%d", j%depts)))
+	}
+	for j := 0; j < fkConflicts; j++ {
+		d.Insert(relational.F("emp", str("z%d", j), str("dz%d", j)))
+	}
+	for l := 0; l < projs; l++ {
+		d.Insert(relational.F("proj", str("e%d", l%emps), str("p%d", l)))
+	}
+	set := parser.MustConstraints(`
+		dept(D, M1), dept(D, M2) -> M1 = M2.
+		emp(E, D) -> dept(D, M).
+		dept(D, M), isnull(D) -> false.
+	`)
+	opts := session.NewOptions()
+	opts.Engine = session.EngineSearch
+	s := session.New(d, set, opts)
+	for _, src := range []string{`q1(E, P) :- emp(E, D), proj(E, P).`, `q2(E, M) :- emp(E, D), dept(D, M).`} {
+		if _, err := s.Prepare(parser.MustQuery(src)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	iteration := func(i int) {
+		var swap relational.Delta
+		for c := 0; c < keyConflicts; c++ {
+			swap.Removed = append(swap.Removed, relational.F("dept", str("d%d", c), str("x%d", c)))
+			swap.Added = append(swap.Added, relational.F("dept", str("d%d", c), str("x%d_%d", c, i)))
+		}
+		for _, dl := range []relational.Delta{swap, {Removed: swap.Added, Added: swap.Removed}} {
+			res, err := s.Apply(dl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Reenumerated || res.QueriesRefreshed != 2 {
+				b.Fatalf("apply %v: %+v", dl, res)
+			}
+		}
+	}
+	iteration(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iteration(i + 1)
+	}
+}

@@ -71,10 +71,6 @@ func NewBaseEval(base *relational.Instance, q *Q) (*BaseEval, error) {
 // mutate).
 func (be *BaseEval) BaseAnswers() []relational.Tuple { return be.tuples }
 
-// BaseKeys returns the tuple keys aligned with BaseAnswers (shared; callers
-// must not mutate).
-func (be *BaseEval) BaseKeys() []string { return be.tupleKeys }
-
 // EvalOn returns the answers of the query on r, computed by patching the
 // base answers along Δ(base, r). The result equals Eval(r, q) — same
 // tuples, same order. When r is an overlay view of the base's engine (a
@@ -100,25 +96,8 @@ func (be *BaseEval) DiffDelta(r *relational.Instance, delta relational.Delta) (f
 		return nil, nil
 	}
 	gained := map[string]relational.Tuple{}
-	cands := map[string]relational.Tuple{}
-	for _, c := range be.q.Disjuncts {
-		be.gainedFrom(r, c, delta, gained)
-		be.lostCandidates(c, delta, cands)
-	}
-	for k, t := range cands {
-		if _, inBase := be.keys[k]; !inBase {
-			continue // the candidate assignment never produced a base answer
-		}
-		if _, g := gained[k]; g {
-			continue // re-supported on r by a Δ-anchored witness
-		}
-		if !be.supported(r, t) {
-			if lost == nil {
-				lost = map[string]bool{}
-			}
-			lost[k] = true
-		}
-	}
+	lost = map[string]bool{}
+	be.patch(r, delta, gained, lost)
 	for k, t := range gained {
 		if _, inBase := be.keys[k]; !inBase {
 			if fresh == nil {
@@ -136,10 +115,73 @@ func (be *BaseEval) EvalDelta(r *relational.Instance, delta relational.Delta) []
 	if delta.Size() == 0 {
 		return append([]relational.Tuple(nil), be.tuples...)
 	}
-	freshByKey, lost := be.DiffDelta(r, delta)
-	// The base answers are already sorted; only the (small) genuinely new
-	// tuples need sorting, and the result is a linear merge — no O(n log n)
-	// re-sort per repair.
+	fresh, lost := be.DiffDelta(r, delta)
+	return be.merge(fresh, lost)
+}
+
+// CertainOn returns the answers the query has on every instance of rs,
+// sorted: ∩_r Eval(r, q), nil when rs is empty. Each answer set is
+// (base answers − lost_r) ∪ fresh_r with fresh_r disjoint from the base
+// answers, so the intersection is
+//
+//	(base answers − ∪_r lost_r) ∪ ∩_r fresh_r
+//
+// and no per-instance answer list is built. A base answer that an earlier
+// instance already lost is never re-probed, and once ∩ fresh is empty the
+// gained answers are no longer collected: the head-bound probe alone
+// decides whether a candidate is lost.
+func (be *BaseEval) CertainOn(rs []*relational.Instance) []relational.Tuple {
+	if len(rs) == 0 {
+		return nil
+	}
+	lost := map[string]bool{}
+	var fresh map[string]relational.Tuple // ∩ fresh so far; nil is empty
+	for i, r := range rs {
+		var gained map[string]relational.Tuple
+		if i == 0 || len(fresh) > 0 {
+			gained = map[string]relational.Tuple{}
+		}
+		be.patch(r, relational.Diff(be.base, r), gained, lost)
+		if i == 0 {
+			fresh = gained
+		}
+		for k := range fresh {
+			_, inBase := be.keys[k]
+			if _, g := gained[k]; inBase || !g {
+				delete(fresh, k)
+			}
+		}
+	}
+	return be.merge(fresh, lost)
+}
+
+// patch collects into gained, unless it is nil, the answers r gains over
+// the base (base answers included), and marks in lost the base answers r
+// loses, for delta = Δ(base, r). A base answer lost already is not
+// re-probed, and neither is one a gained witness re-supports; with gained
+// nil the head-bound probe decides every candidate.
+func (be *BaseEval) patch(r *relational.Instance, delta relational.Delta, gained map[string]relational.Tuple, lost map[string]bool) {
+	cands := map[string]relational.Tuple{}
+	for _, c := range be.q.Disjuncts {
+		if gained != nil {
+			be.gainedFrom(r, c, delta, gained)
+		}
+		be.lostCandidates(c, delta, cands)
+	}
+	for k, t := range cands {
+		if _, inBase := be.keys[k]; !inBase || lost[k] {
+			continue // never a base answer, or lost already
+		}
+		if _, g := gained[k]; !g && !be.supported(r, t) {
+			lost[k] = true
+		}
+	}
+}
+
+// merge returns (base answers − lost) ∪ fresh in Compare order, nil when
+// empty. The base answers are already sorted; only the (small) fresh
+// tuples need sorting, and the result is a linear merge.
+func (be *BaseEval) merge(freshByKey map[string]relational.Tuple, lost map[string]bool) []relational.Tuple {
 	fresh := make([]relational.Tuple, 0, len(freshByKey))
 	for _, t := range freshByKey {
 		fresh = append(fresh, t)
@@ -148,7 +190,7 @@ func (be *BaseEval) EvalDelta(r *relational.Instance, delta relational.Delta) []
 	out := make([]relational.Tuple, 0, len(be.tuples)+len(fresh))
 	fi := 0
 	for ti, t := range be.tuples {
-		if len(lost) != 0 && lost[be.tupleKeys[ti]] {
+		if lost[be.tupleKeys[ti]] {
 			continue
 		}
 		for fi < len(fresh) && fresh[fi].Compare(t) < 0 {

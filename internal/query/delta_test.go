@@ -61,6 +61,18 @@ func randDeltaFact(rng *rand.Rand) relational.Fact {
 	}
 }
 
+// randEdit inserts a random fact into r or deletes one, often one r holds.
+func randEdit(rng *rand.Rand, r *relational.Instance) {
+	f := randDeltaFact(rng)
+	if rng.Intn(2) == 0 {
+		r.Insert(f)
+	} else if facts := r.Facts(); len(facts) > 0 && rng.Intn(2) == 0 {
+		r.Delete(facts[rng.Intn(len(facts))])
+	} else {
+		r.Delete(f)
+	}
+}
+
 func tuplesEqual(a, b []relational.Tuple) bool {
 	if len(a) != len(b) {
 		return false
@@ -95,14 +107,7 @@ func TestPatchedEvalMatchesScratch(t *testing.T) {
 		for variant := 0; variant < 3; variant++ {
 			r := base.Clone()
 			for k := 0; k < rng.Intn(5); k++ {
-				f := randDeltaFact(rng)
-				if rng.Intn(2) == 0 {
-					r.Insert(f)
-				} else if facts := r.Facts(); len(facts) > 0 && rng.Intn(2) == 0 {
-					r.Delete(facts[rng.Intn(len(facts))])
-				} else {
-					r.Delete(f)
-				}
+				randEdit(rng, r)
 			}
 			for i, q := range zoo {
 				want, err := Eval(r, q)
@@ -148,5 +153,83 @@ func TestPatchedEvalEmptyDelta(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", be.BaseAnswers()) {
 		t.Fatalf("empty delta rendering differs")
+	}
+}
+
+// TestCertainOnMatchesIntersection pins BaseEval.CertainOn against
+// ∩_r Eval(r) over random instance sets and the whole query zoo. Every
+// instance of a set shares a few edits of the base, so answers gained in
+// all of them (fresh certain answers) occur, and then makes edits of its
+// own; an untouched copy of the base sometimes joins the set.
+func TestCertainOnMatchesIntersection(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	zoo := deltaQueryZooValidated(t)
+	fresh := 0
+	for trial := 0; trial < 300; trial++ {
+		base := relational.NewInstance()
+		for k := 0; k < rng.Intn(12); k++ {
+			base.Insert(randDeltaFact(rng))
+		}
+		shared := base.Clone()
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			randEdit(rng, shared)
+		}
+		rs := make([]*relational.Instance, 1+rng.Intn(5))
+		for j := range rs {
+			rs[j] = shared.Clone()
+			for k := 0; k < rng.Intn(3); k++ {
+				randEdit(rng, rs[j])
+			}
+		}
+		if rng.Intn(4) == 0 {
+			rs = append(rs, base.Clone())
+		}
+		for _, q := range zoo {
+			be, err := NewBaseEval(base, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := map[string]int{}
+			for _, r := range rs {
+				ans, err := Eval(r, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tu := range ans {
+					counts[tu.Key()]++
+				}
+			}
+			first, _ := Eval(rs[0], q)
+			var want []relational.Tuple
+			for _, tu := range first {
+				if counts[tu.Key()] == len(rs) {
+					want = append(want, tu)
+				}
+			}
+			got := be.CertainOn(rs)
+			if !tuplesEqual(got, want) {
+				t.Fatalf("trial %d query %s: CertainOn %v, ∩ Eval %v\nbase=%v\nrs=%v",
+					trial, q.Name, got, want, base, rs)
+			}
+			inBase := map[string]bool{}
+			for _, tu := range be.BaseAnswers() {
+				inBase[tu.Key()] = true
+			}
+			for _, tu := range got {
+				if !inBase[tu.Key()] {
+					fresh++
+				}
+			}
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("no trial had a certain answer missing from the base")
+	}
+	be, err := NewBaseEval(relational.NewInstance(), zoo[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := be.CertainOn(nil); got != nil {
+		t.Fatalf("CertainOn(nil) = %v, want nil", got)
 	}
 }

@@ -43,11 +43,24 @@ func (h *Head) Current() *Instance { return h.cur }
 
 // Apply advances the current instance by dl (removals first, then
 // additions) and returns the effective delta: the facts whose presence
-// actually changed, with both halves sorted per the Delta contract. No-op
-// edits (deleting an absent fact, inserting a present one) are dropped.
+// actually changed, with both halves sorted per the Delta contract, which
+// is Diff of the instance before and after. No-op edits (deleting an
+// absent fact, inserting a present one) are dropped, and so is a removal
+// of a fact dl also adds: the fact ends present either way, and the
+// overlay is left as it was.
 func (h *Head) Apply(dl Delta) Delta {
 	var eff Delta
+	var readded map[uint64][]Fact
+	if len(dl.Removed) > 0 && len(dl.Added) > 0 {
+		readded = make(map[uint64][]Fact, len(dl.Added))
+		for _, f := range dl.Added {
+			readded[f.Hash()] = append(readded[f.Hash()], f)
+		}
+	}
 	for _, f := range dl.Removed {
+		if readded != nil && containsFact(readded[f.Hash()], f) {
+			continue
+		}
 		if h.cur.Delete(f) {
 			eff.Removed = append(eff.Removed, f)
 			h.move(!h.anchor.Has(f))
@@ -62,6 +75,15 @@ func (h *Head) Apply(dl Delta) Delta {
 	SortFacts(eff.Removed)
 	SortFacts(eff.Added)
 	return eff
+}
+
+func containsFact(fs []Fact, f Fact) bool {
+	for _, g := range fs {
+		if g.Equal(f) {
+			return true
+		}
+	}
+	return false
 }
 
 // move counts one effective edit: undo reports that it restores the

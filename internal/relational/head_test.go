@@ -7,6 +7,7 @@ import (
 )
 
 // This file pins Head.Drift to its definition, |Diff(Anchor(), Current())|,
+// and Apply's effective delta to Diff of the instance before and after it,
 // over insert/delete/undo streams, on an owner anchor and on an overlay
 // anchor with edits of its own, and across a batch that flattens the
 // current instance.
@@ -69,7 +70,12 @@ func (ds *driftStream) step(t *testing.T, label string, op, arg int) {
 	case 5:
 		ds.h.Rebase()
 	}
+	pre := NewInstance(ds.h.Current().Facts()...)
 	ds.last = ds.h.Apply(dl)
+	if want := Diff(pre, ds.h.Current()); !deltasEqual(ds.last, want) {
+		t.Fatalf("%s (kind %d, arg %d): Apply(%v) returned %v, Diff(pre, post) = %v",
+			label, op%6, arg, dl, ds.last, want)
+	}
 	if got, want := ds.h.Drift(), Diff(ds.h.Anchor(), ds.h.Current()).Size(); got != want {
 		t.Fatalf("%s (kind %d, arg %d): Drift() = %d, |Diff(Anchor(), Current())| = %d",
 			label, op%6, arg, got, want)

@@ -54,17 +54,18 @@ type Options struct {
 	// the explored fringes diverge while the repair set does not.
 	ScratchProbe bool
 	// Seed, when non-nil, supplies the root instance's complete per-IC
-	// violation lists so the enumeration resumes from maintained state
-	// instead of re-checking every constraint over the whole instance —
-	// the root becomes O(|seed|) like every other node. The lists must be
-	// exactly the violations of each IC on the root (in Set.ICs order);
-	// they are read, never mutated, so a session can hand over the lists
-	// it maintains via nullsem.ICChecker.Update. NNCs are always probed
-	// live at the root (FirstViolationNNC is an indexed scan, and keeping
-	// them out of the seed avoids pinning a second list order). Ignored
-	// under ScratchProbe. Repairs/Deltas are unaffected by seeding; root
-	// StatesExplored/Leaves diagnostics match an unseeded run whenever
-	// the seed lists are in the checkers' own Violations order.
+	// violation lists so the enumeration resumes from maintained state:
+	// an unseeded run checks every IC over the whole instance once, at the
+	// root, and a seeded run never does. The lists must be exactly the
+	// violations of each IC on the root (in Set.ICs order); they are
+	// read, never mutated, so a session can hand over the lists it
+	// maintains via nullsem.ICChecker.Update. NNCs are always probed live
+	// at the root (FirstViolationNNC is an indexed scan, and keeping them
+	// out of the seed avoids pinning a second list order). Ignored under
+	// ScratchProbe. Repairs/Deltas are unaffected by seeding. Every state's
+	// lists descend from the root's, so with seed lists in the checkers'
+	// own Violations order the whole run (leaf order, StatesExplored,
+	// Leaves) matches an unseeded one.
 	Seed *Seed
 }
 
@@ -246,12 +247,21 @@ func run(ctx context.Context, d *relational.Instance, set *constraint.Set, opts 
 // leaf order, StatesExplored, Leaves, and where a MaxStates limit or a
 // cancellation cuts it off — is a function of the input alone.
 func enumerate(ctx context.Context, d *relational.Instance, set *constraint.Set, opts Options, adomICs map[string]bool, yield func(*relational.Instance) bool) (Stats, error) {
+	s, err := newSearcher(ctx, d, set, opts, adomICs)
+	if err != nil {
+		return Stats{}, err
+	}
+	return s.run(yield)
+}
+
+// newSearcher seals d and returns a searcher whose work-list holds the root.
+func newSearcher(ctx context.Context, d *relational.Instance, set *constraint.Set, opts Options, adomICs map[string]bool) (*searcher, error) {
 	maxStates := opts.MaxStates
 	if maxStates == 0 {
 		maxStates = DefaultMaxStates
 	}
 	if opts.Seed != nil && len(opts.Seed.Viols) != len(set.ICs) {
-		return Stats{}, fmt.Errorf("repair: seed has %d violation lists for %d ICs", len(opts.Seed.Viols), len(set.ICs))
+		return nil, fmt.Errorf("repair: seed has %d violation lists for %d ICs", len(opts.Seed.Viols), len(set.ICs))
 	}
 	sem := nullsem.NullAware
 	insertDomain := []value.V{value.Null()}
@@ -295,7 +305,7 @@ func enumerate(ctx context.Context, d *relational.Instance, set *constraint.Set,
 	if s.admit(d) {
 		s.stack = append(s.stack, node{inst: d})
 	}
-	return s.run(yield)
+	return s, nil
 }
 
 // run drains the work-list depth-first. Cancellation is exact: after yield
@@ -341,6 +351,9 @@ type searcher struct {
 	checkers     []*nullsem.ICChecker // cached per-IC analysis (incremental probe)
 	scratchProbe bool
 	seed         *Seed // root violation lists handed in by a session, if any
+	// scratchChecks counts the ICChecker.Violations calls, each a check
+	// of one IC over the whole instance.
+	scratchChecks int
 
 	memo      *relational.InstanceSet // every admitted state; Len() is StatesExplored
 	maxStates int
@@ -356,7 +369,7 @@ type node struct {
 	inst *relational.Instance
 	// df is the single fact this state changed relative to its parent —
 	// deleted when del is true, inserted otherwise. Meaningless at the
-	// root (snap == nil), which is probed from scratch.
+	// root (snap == nil).
 	df  relational.Fact
 	del bool
 	// snap is the parent's probe snapshot (shared, read-only, by all the
@@ -367,17 +380,16 @@ type node struct {
 // probeSnap is what one expansion learned about its instance's constraint
 // status, inherited by the children it pushed.
 type probeSnap struct {
-	// sat marks the constraints verified satisfied on the parent instance:
-	// bit i < len(set.ICs) is ICs[i], bit len(set.ICs)+j is NNCs[j].
-	// Constraints past the first violated one were never probed and stay
-	// unset.
-	sat bitset
-	// violIC indexes the violated IC whose complete violation list is
-	// tracked, or -1 when the probe stopped at an NNC violation.
-	violIC int
-	// viols is the complete violation list of ICs[violIC] on the parent,
-	// in deterministic order; viols[0] is the violation the children fix.
-	viols []nullsem.Violation
+	// viols holds the complete violation list of every IC on the parent,
+	// in Set.ICs order and deterministic order within each list; the
+	// first violation of the first non-empty list is the one the children
+	// fix. A list the parent's changed fact could not reach is its own
+	// parent's list, shared.
+	viols [][]nullsem.Violation
+	// nncSat marks the NNCs verified satisfied on the parent. NNCs are
+	// probed only once every IC holds, and past the first violated NNC
+	// the bits stay unset.
+	nncSat bitset
 }
 
 // bitset is a minimal fixed-size bit vector over constraint indexes.
@@ -427,26 +439,26 @@ func (s *searcher) expand(cur node) *relational.Instance {
 }
 
 // probe decides a state's status: its first violation, if any, plus the
-// snapshot its children inherit. The root (and every state under
-// Options.ScratchProbe) is probed from scratch. Every other state differs
-// from its parent by one fact, so the probe is delta-driven:
+// snapshot its children inherit. Under Options.ScratchProbe every state is
+// probed from scratch. Otherwise the snapshot carries every IC's complete
+// violation list down the work-list:
 //
-//   - constraints verified on the parent that share no predicate with the
-//     changed fact cannot have changed — their probe results are skipped
-//     entirely (the pred→IC incidence is baked into ICChecker.SharesPred);
-//   - constraints verified on the parent that do share a predicate are
-//     probed Δ-seeded: only constraint occurrences unifying with the
-//     changed fact are instantiated, each join anchored on the Δ-atom and
-//     completed against the indexed store;
-//   - the parent's violated IC carries its complete violation list through
-//     the work-list, advanced here by the one-fact delta (survivors are
-//     filtered in place, newly created violations are found Δ-seeded);
-//   - constraints past the parent's first violation were never probed
-//     there and are checked from scratch.
+//   - at the root the lists are the seed's (Options.Seed), or one scratch
+//     ICChecker.Violations per IC when there is none;
+//   - every other state differs from its parent by one fact, so it
+//     advances, with ICChecker.Update, only the lists of the ICs that
+//     mention that fact's predicate (survivors are filtered in order,
+//     newly created violations are found by joins anchored on the fact),
+//     and shares its parent's list for every other IC.
+//
+// No state after the root checks an IC over the whole instance. NNCs are
+// probed once every IC holds: an NNC the parent verified stays satisfied
+// unless the state inserted a fact with null in its column, and any other
+// is probed by FirstViolationNNC's indexed scan.
 //
 // The two probes agree exactly on whether a state is consistent; they may
-// pick different violations of an inconsistent state (the incremental list
-// keeps survivors in inherited order, the scratch join re-enumerates in
+// pick different violations of an inconsistent state (the maintained lists
+// keep survivors in inherited order, the scratch join re-enumerates in
 // instance order), which is covered by the policy-independence contract
 // documented on Options.ScratchProbe.
 func (s *searcher) probe(nd node) (*nullsem.Violation, *nullsem.NNCViolation, *probeSnap, bool) {
@@ -455,70 +467,47 @@ func (s *searcher) probe(nd node) (*nullsem.Violation, *nullsem.NNCViolation, *p
 		return viol, nncViol, nil, bad
 	}
 	d := nd.inst
-	nIC := len(s.set.ICs)
-	sat := newBitset(nIC + len(s.set.NNCs))
-	if nd.snap == nil && s.seed != nil {
-		// Resume from maintained root state: the seed lists stand in for
-		// the scratch ck.Violations(d) calls; NNCs are still probed live.
-		for i := range s.set.ICs {
-			vs := s.seed.Viols[i]
-			if len(vs) == 0 {
-				sat.set(i)
-				continue
-			}
-			return &vs[0], nil, &probeSnap{sat: sat, violIC: i, viols: vs}, true
-		}
-		for j, n := range s.set.NNCs {
-			if f, found := nullsem.FirstViolationNNC(d, n); found {
-				return nil, &nullsem.NNCViolation{NNC: n, Fact: f}, &probeSnap{sat: sat, violIC: -1}, true
-			}
-			sat.set(nIC + j)
-		}
-		return nil, nil, nil, false
-	}
-	var delta relational.Delta
-	if nd.snap != nil {
+	snap := &probeSnap{viols: make([][]nullsem.Violation, len(s.checkers)), nncSat: newBitset(len(s.set.NNCs))}
+	switch {
+	case nd.snap != nil:
+		delta := relational.Delta{Added: []relational.Fact{nd.df}}
 		if nd.del {
-			delta.Removed = []relational.Fact{nd.df}
-		} else {
-			delta.Added = []relational.Fact{nd.df}
+			delta = relational.Delta{Removed: []relational.Fact{nd.df}}
 		}
+		for i, ck := range s.checkers {
+			snap.viols[i] = nd.snap.viols[i]
+			if ck.SharesPred(nd.df.Pred) {
+				snap.viols[i] = ck.Update(d, snap.viols[i], delta)
+			}
+		}
+	case s.seed != nil:
+		copy(snap.viols, s.seed.Viols)
+	default:
+		for i, ck := range s.checkers {
+			snap.viols[i] = ck.Violations(d)
+		}
+		s.scratchChecks += len(s.checkers)
 	}
-	for i, ck := range s.checkers {
-		var vs []nullsem.Violation
-		switch {
-		case nd.snap != nil && nd.snap.sat.has(i) && !ck.SharesPred(nd.df.Pred):
-			sat.set(i)
-			continue
-		case nd.snap != nil && nd.snap.sat.has(i):
-			vs = ck.ViolationsFrom(d, delta)
-		case nd.snap != nil && i == nd.snap.violIC:
-			vs = ck.Update(d, nd.snap.viols, delta)
-		default:
-			vs = ck.Violations(d)
+	for _, vs := range snap.viols {
+		if len(vs) > 0 {
+			return &vs[0], nil, snap, true
 		}
-		if len(vs) == 0 {
-			sat.set(i)
-			continue
-		}
-		return &vs[0], nil, &probeSnap{sat: sat, violIC: i, viols: vs}, true
 	}
 	for j, n := range s.set.NNCs {
-		bit := nIC + j
-		if nd.snap != nil && nd.snap.sat.has(bit) {
+		if nd.snap != nil && nd.snap.nncSat.has(j) {
 			// NNC satisfaction is per-fact: a deletion, or an insertion
 			// of another relation or with a non-null constrained column,
 			// cannot violate it.
 			if nd.del || nd.df.Pred != n.Pred || len(nd.df.Args) != n.Arity || !nd.df.Args[n.Pos].IsNull() {
-				sat.set(bit)
+				snap.nncSat.set(j)
 				continue
 			}
-			return nil, &nullsem.NNCViolation{NNC: n, Fact: nd.df}, &probeSnap{sat: sat, violIC: -1}, true
+			return nil, &nullsem.NNCViolation{NNC: n, Fact: nd.df}, snap, true
 		}
 		if f, found := nullsem.FirstViolationNNC(d, n); found {
-			return nil, &nullsem.NNCViolation{NNC: n, Fact: f}, &probeSnap{sat: sat, violIC: -1}, true
+			return nil, &nullsem.NNCViolation{NNC: n, Fact: f}, snap, true
 		}
-		sat.set(bit)
+		snap.nncSat.set(j)
 	}
 	return nil, nil, nil, false
 }

@@ -48,9 +48,9 @@ func (s *Session) PossibleCtx(ctx context.Context, q *query.Q) ([]relational.Tup
 // cachedCertain answers from the repair cache, filling it first. be is
 // evaluated once on its base and patched along each repair's delta, so k
 // repairs cost one evaluation plus k·O(|Δ|) anchored joins rather than k
-// full joins: a boolean verdict stops at the first falsifying repair,
-// tuples are intersected by certainWith. The diagnostics are those of the
-// enumeration that filled the cache, never a short-circuit.
+// full joins: a boolean verdict stops at the first falsifying repair, and
+// tuples are intersected by BaseEval.CertainOn. The diagnostics are those
+// of the enumeration that filled the cache, never a short-circuit.
 func (s *Session) cachedCertain(ctx context.Context, be *query.BaseEval, boolean bool) (Answer, error) {
 	if err := s.ensureRepairs(ctx); err != nil {
 		return Answer{}, err
@@ -60,7 +60,7 @@ func (s *Session) cachedCertain(ctx context.Context, be *query.BaseEval, boolean
 	}
 	ans := Answer{NumRepairs: len(s.repairs), StatesExplored: s.searchStats.StatesExplored}
 	if !boolean {
-		ans.Tuples = certainWith(be, s.repairs)
+		ans.Tuples = be.CertainOn(s.repairs)
 		return ans, nil
 	}
 	ans.Boolean = true
@@ -71,67 +71,6 @@ func (s *Session) cachedCertain(ctx context.Context, be *query.BaseEval, boolean
 		}
 	}
 	return ans, nil
-}
-
-// certainWith is the shared intersection core. Each repair's answer set is
-// (base answers − lost_r) ∪ fresh_r with fresh_r disjoint from the base
-// answers, so the intersection across the repair set is
-//
-//	(base answers − ∪_r lost_r) ∪ ∩_r fresh_r
-//
-// computed from the per-repair diffs in O(Σ|diff_r|) plus one linear pass
-// over the (sorted) base answers — no per-repair answer list is ever
-// materialized.
-func certainWith(be *query.BaseEval, repairs []*relational.Instance) []relational.Tuple {
-	if len(repairs) == 0 {
-		return nil
-	}
-	var lostAny map[string]bool
-	var freshAll map[string]relational.Tuple
-	for i, r := range repairs {
-		fresh, lost := be.DiffOn(r)
-		for k := range lost {
-			if lostAny == nil {
-				lostAny = map[string]bool{}
-			}
-			lostAny[k] = true
-		}
-		if i == 0 {
-			freshAll = fresh
-			continue
-		}
-		for k := range freshAll {
-			if _, ok := fresh[k]; !ok {
-				delete(freshAll, k)
-			}
-		}
-	}
-	base, keys := be.BaseAnswers(), be.BaseKeys()
-	freshSorted := make([]relational.Tuple, 0, len(freshAll))
-	for _, t := range freshAll {
-		freshSorted = append(freshSorted, t)
-	}
-	sort.Slice(freshSorted, func(i, j int) bool { return freshSorted[i].Compare(freshSorted[j]) < 0 })
-	if lostAny == nil && len(freshSorted) == 0 {
-		return append([]relational.Tuple(nil), base...)
-	}
-	out := make([]relational.Tuple, 0, len(base)+len(freshSorted))
-	fi := 0
-	for ti, t := range base {
-		if lostAny != nil && lostAny[keys[ti]] {
-			continue
-		}
-		for fi < len(freshSorted) && freshSorted[fi].Compare(t) < 0 {
-			out = append(out, freshSorted[fi])
-			fi++
-		}
-		out = append(out, t)
-	}
-	out = append(out, freshSorted[fi:]...)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // sortedTuples flattens a keyed tuple set into Compare order.

@@ -307,26 +307,33 @@ func TestBooleanSubscribeFlip(t *testing.T) {
 }
 
 // TestNoOpApply pins that an ineffective delta changes nothing and fires
-// nothing.
+// nothing: one of a present insert and an absent delete, and one that
+// removes a present constrained fact and adds it back.
 func TestNoOpApply(t *testing.T) {
-	s := fixtureSession(t, NewOptions())
-	p, err := s.Prepare(parser.MustQuery(`q(V) :- s(U, V).`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Subscribe(func(QueryUpdate) { t.Error("no-op apply notified a subscriber") })
-	res, err := s.Apply(relational.Delta{
-		Added:   []relational.Fact{relational.F("r", str("a"), str("b"))}, // already present
-		Removed: []relational.Fact{relational.F("r", str("z"), str("z"))}, // absent
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied.Size() != 0 || res.ConstraintRelevant {
-		t.Errorf("no-op apply result: %+v", res)
-	}
-	if !s.repairsOK {
-		t.Error("no-op apply dropped the repair cache")
+	rab := relational.F("r", str("a"), str("b"))
+	for name, dl := range map[string]relational.Delta{
+		"present insert, absent delete": {
+			Added:   []relational.Fact{rab},
+			Removed: []relational.Fact{relational.F("r", str("z"), str("z"))},
+		},
+		"remove and re-add": {Removed: []relational.Fact{rab}, Added: []relational.Fact{rab}},
+	} {
+		s := fixtureSession(t, NewOptions())
+		p, err := s.Prepare(parser.MustQuery(`q(V) :- s(U, V).`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Subscribe(func(QueryUpdate) { t.Errorf("%s: no-op apply notified a subscriber", name) })
+		res, err := s.Apply(dl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Applied.Size() != 0 || res.ConstraintRelevant || res.RepairsInvalidated != 0 || res.Reenumerated {
+			t.Errorf("%s: no-op apply result: %+v", name, res)
+		}
+		if !s.repairsOK {
+			t.Errorf("%s: no-op apply dropped the repair cache", name)
+		}
 	}
 }
 
