@@ -763,7 +763,7 @@ func BenchmarkIncrementalViolationProbe(b *testing.B) {
 	b.Run("violating/incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok := nullsem.FirstViolationICFrom(violating, ic, nullsem.NullAware, vdelta); !ok {
+			if _, ok := nullsem.NewICChecker(ic, nullsem.NullAware).FirstFrom(violating, vdelta); !ok {
 				b.Fatal("expected a violation")
 			}
 		}
@@ -779,7 +779,7 @@ func BenchmarkIncrementalViolationProbe(b *testing.B) {
 	b.Run("consistent/incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok := nullsem.FirstViolationICFrom(consistent, ic, nullsem.NullAware, cdelta); ok {
+			if _, ok := nullsem.NewICChecker(ic, nullsem.NullAware).FirstFrom(consistent, cdelta); ok {
 				b.Fatal("unexpected violation")
 			}
 		}
@@ -907,40 +907,6 @@ func BenchmarkFacadeQuickstart(b *testing.B) {
 }
 
 // --- grounding rewrite: fixpoint scaling, reuse, multi-query sessions ------------------------------
-
-// BenchmarkGround scales the repair-program grounding over violations and
-// bulk, comparing the semi-naive fixpoint (default) against the naive
-// round-robin ablation. The allocs/op
-// column doubles as the hot-path hygiene gate: grounding interns atoms by
-// hash, with no string keys on the fixpoint or instantiation path.
-func BenchmarkGround(b *testing.B) {
-	for _, cfg := range []struct{ n, bulk int }{{3, 16}, {3, 64}, {5, 64}} {
-		d, set := stableRepairDB(cfg.n, cfg.bulk)
-		tr, err := repairprog.BuildWith(d, set, repairprog.BuildOptions{
-			Variant:            repairprog.VariantCorrected,
-			PruneUnconstrained: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range []struct {
-			name string
-			opts ground.Options
-		}{
-			{"seminaive", ground.Options{}},
-			{"naive", ground.Options{Naive: true}},
-		} {
-			b.Run(fmt.Sprintf("violations=%d/bulk=%d/%s", cfg.n, cfg.bulk, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := ground.GroundWith(tr.Program, mode.opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
 
 // extendQueryZoo is the multi-query session workload: eight query shapes
 // over the benchmark schema, each grounding to its own q_ans rules.

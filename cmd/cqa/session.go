@@ -67,7 +67,10 @@ func cmdSession(d *relational.Instance, set *constraint.Set, script string, engi
 			if err != nil {
 				return fmt.Errorf("line %d: parsing query: %w", ln+1, err)
 			}
-			st, seen := byKey[q.String()]
+			// Key by the canonical render: the display form q.String()
+			// prints the string constant "C15" like the variable C15.
+			key := wire.FromQuery(q).Source
+			st, seen := byKey[key]
 			if !seen {
 				p, err := s.Prepare(q)
 				if err != nil {
@@ -75,7 +78,7 @@ func cmdSession(d *relational.Instance, set *constraint.Set, script string, engi
 				}
 				st = &standing{p: p}
 				st.p.Subscribe(func(u session.QueryUpdate) { st.diff = &u })
-				byKey[q.String()] = st
+				byKey[key] = st
 				queries = append(queries, st)
 			}
 			if jsonOut {

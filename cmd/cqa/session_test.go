@@ -194,3 +194,35 @@ func TestSessionCountsNNCViolations(t *testing.T) {
 		t.Errorf("JSON transcript lacks %q:\n%s", want, out)
 	}
 }
+
+// TestSessionTellsConstantFromVariable pins the standing-query identity of a
+// script: a query with the string constant "C15" and one with the variable
+// C15 print alike, but they are two standing queries with their own answers.
+func TestSessionTellsConstantFromVariable(t *testing.T) {
+	script := writeSessionScript(t, `
+		query q(X) :- p(X, "C15").
+		query q(X) :- p(X, C15).
+		query q(X) :- p(X, "C15").
+	`)
+	out, err := capture(t, func() error {
+		return run([]string{"-db", `p(a, "C15"). p(b, c16).`, "-ic", "p(X, Y), p(X, Z) -> Y = Z.", "-session", script})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `session: 2 facts, 1 constraints, engine search
+query q(X) :- p(X,C15).
+  consistent answers: 1
+    (a)
+query q(X) :- p(X,C15).
+  consistent answers: 2
+    (a)
+    (b)
+query q(X) :- p(X,C15).
+  consistent answers: 1
+    (a)
+`
+	if out != want {
+		t.Errorf("transcript differs:\n--- got ---\n%s--- want ---\n%s", out, want)
+	}
+}

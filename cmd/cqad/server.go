@@ -656,7 +656,9 @@ func (s *server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	if !s.locked(w, t, ls, func() {
 		if st := ls.prepared[name]; st != nil {
 			// An idempotent re-prepare of the same query, or a clash.
-			if clashes = st.q.String() != q.String(); !clashes {
+			// The canonical render tells a string constant from a
+			// variable, which the display form q.String() does not.
+			if clashes = wire.FromQuery(st.q).Source != wire.FromQuery(q).Source; !clashes {
 				resp, status = wire.PreparedResponse(st.p), http.StatusOK
 			}
 			return

@@ -626,6 +626,33 @@ func TestApplyCountsNNCViolations(t *testing.T) {
 	}
 }
 
+// TestRePrepareTellsConstantFromVariable pins the standing-query identity:
+// re-preparing the identical text is idempotent (200), and re-preparing
+// the query with the variable C15 in place of the string constant "C15"
+// clashes (409), although both print as q(X) :- p(X,C15).
+func TestRePrepareTellsConstantFromVariable(t *testing.T) {
+	_, hs := newTestServer(t, config{})
+	base := hs.URL + "/v1/tenants/acme/sessions"
+	code, resp := doJSON(t, "POST", base, fmt.Sprintf(`{"name":"c","instance_text":%q,"constraints_text":%q}`,
+		`p(a, "C15"). p(b, c16).`, "p(X, Y), p(X, Z) -> Y = Z."))
+	if code != http.StatusCreated {
+		t.Fatalf("create session: %d %s", code, resp)
+	}
+	prepare := func(q string) (int, string) {
+		return doJSON(t, "POST", base+"/c/prepare", fmt.Sprintf(`{"query":%q}`, q))
+	}
+	const answer = `"tuples":[["a"]]`
+	if code, resp := prepare(`q(X) :- p(X, "C15").`); code != http.StatusCreated || !strings.Contains(resp, answer) {
+		t.Fatalf("prepare: %d %s, want 201 with %s", code, resp, answer)
+	}
+	if code, resp := prepare(`q(X) :- p(X, "C15").`); code != http.StatusOK || !strings.Contains(resp, answer) {
+		t.Errorf("identical re-prepare: %d %s, want 200 with %s", code, resp, answer)
+	}
+	if code, resp := prepare(`q(X) :- p(X, C15).`); code != http.StatusConflict || !strings.Contains(resp, "query_exists") {
+		t.Errorf("re-prepare with a variable: %d %s, want 409 query_exists", code, resp)
+	}
+}
+
 // TestSubscribeSSE applies an update while a subscriber listens and checks
 // the pushed event carries the same wire.QueryUpdate the apply response
 // reported.

@@ -100,14 +100,16 @@ func TestBodyAndExistVars(t *testing.T) {
 }
 
 func TestDenialAndCheck(t *testing.T) {
-	d := Denial("d", atom("P", v("x")), atom("Q", v("x")))
+	d := &IC{Name: "d", Body: []term.Atom{atom("P", v("x")), atom("Q", v("x"))}}
 	if !d.IsDenial() || d.IsCheck() || d.Classify() != ClassUIC {
 		t.Errorf("denial misclassified: %v %v %v", d.IsDenial(), d.IsCheck(), d.Classify())
 	}
 	// Example 6: Emp(ID,Name,Salary) → Salary > 100.
-	chk := Check("salary",
-		[]term.Atom{atom("Emp", v("id"), v("name"), v("salary"))},
-		term.Builtin{Op: term.GT, L: v("salary"), R: term.CInt(100)})
+	chk := &IC{
+		Name: "salary",
+		Body: []term.Atom{atom("Emp", v("id"), v("name"), v("salary"))},
+		Phi:  []term.Builtin{{Op: term.GT, L: v("salary"), R: term.CInt(100)}},
+	}
 	if !chk.IsCheck() || chk.IsDenial() {
 		t.Error("check constraint misclassified")
 	}
@@ -303,24 +305,14 @@ func TestFDBuilder(t *testing.T) {
 	}
 }
 
-func TestPrimaryKeyBuilder(t *testing.T) {
-	ics, nncs := PrimaryKey("R", 2, 0)
-	if len(ics) != 1 || len(nncs) != 1 {
-		t.Fatalf("PrimaryKey = %d ICs, %d NNCs", len(ics), len(nncs))
-	}
-	if nncs[0].Pred != "R" || nncs[0].Pos != 0 {
-		t.Errorf("NNC = %+v", nncs[0])
-	}
-	// Composite key of Example 5: Exp has {ID, Code} as key (arity 3).
-	ics2, nncs2 := PrimaryKey("Exp", 3, 0, 1)
-	if len(ics2) != 1 || len(nncs2) != 2 {
-		t.Fatalf("composite PrimaryKey = %d ICs, %d NNCs", len(ics2), len(nncs2))
-	}
-}
-
+// The foreign-key shape: a partial inclusion dependency, with an
+// existential outside the referenced positions.
 func TestForeignKeyBuilder(t *testing.T) {
 	// Example 19: S(u,v) with S[2] referencing R[1]: S(u,v) → ∃y R(v,y).
-	fk := ForeignKey("S", 2, []int{1}, "R", 2, []int{0})
+	fk := &IC{
+		Body: []term.Atom{atom("S", v("X1"), v("X2"))},
+		Head: []term.Atom{atom("R", v("X2"), v("Z2"))},
+	}
 	if err := fk.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -332,15 +324,23 @@ func TestForeignKeyBuilder(t *testing.T) {
 		t.Errorf("FK parts = %+v", p)
 	}
 	// Example 5: Course(Code,ID,Term) → ∃w Exp(ID,Code,w).
-	fk2 := ForeignKey("Course", 3, []int{1, 0}, "Exp", 3, []int{0, 1})
+	fk2 := &IC{
+		Body: []term.Atom{atom("Course", v("X1"), v("X2"), v("X3"))},
+		Head: []term.Atom{atom("Exp", v("X2"), v("X1"), v("Z3"))},
+	}
 	if got := fk2.RelevantAttrs().String(); got != "{Course[1], Course[2], Exp[1], Exp[2]}" {
 		t.Errorf("A(fk2) = %s", got)
 	}
 }
 
+// The full inclusion dependency shape: every position of the referenced
+// relation is bound, so the constraint is a UIC.
 func TestFullInclusionBuilder(t *testing.T) {
 	// Example 9: Course(x,y,z) → Employee(y,z) — a UIC.
-	ic := FullInclusion("Course", 3, []int{1, 2}, "Employee", []int{0, 1})
+	ic := &IC{
+		Body: []term.Atom{atom("Course", v("X1"), v("X2"), v("X3"))},
+		Head: []term.Atom{atom("Employee", v("X2"), v("X3"))},
+	}
 	if err := ic.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestICString(t *testing.T) {
 	if got := example1b().String(); got != "P(x,y) -> exists z: R(x,y,z)" {
 		t.Errorf("String = %q", got)
 	}
-	d := Denial("d", atom("P", v("x")))
+	d := &IC{Name: "d", Body: []term.Atom{atom("P", v("x"))}}
 	if got := d.String(); got != "P(x) -> false" {
 		t.Errorf("denial String = %q", got)
 	}

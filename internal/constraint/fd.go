@@ -140,3 +140,40 @@ func Analyze(s *Set) Analysis {
 	}
 	return Analysis{FDOnly: true, FDs: fds}
 }
+
+// FD builds the functional dependency key -> det on relation pred/arity:
+// one constraint of form (1) per determined attribute, each with a single
+// equality in the consequent, as the paper prescribes. Positions are
+// 0-based. The variables are upper-case (X1, Y2, ...), so the constraints
+// render as parser-valid source.
+func FD(pred string, arity int, key []int, det []int) []*IC {
+	keySet := map[int]bool{}
+	for _, k := range key {
+		keySet[k] = true
+	}
+	var out []*IC
+	for _, d := range det {
+		if keySet[d] {
+			continue
+		}
+		left := make([]term.T, arity)
+		right := make([]term.T, arity)
+		for i := range left {
+			left[i] = term.V(fmt.Sprintf("X%d", i+1))
+			if keySet[i] {
+				right[i] = left[i]
+			} else {
+				right[i] = term.V(fmt.Sprintf("Y%d", i+1))
+			}
+		}
+		out = append(out, &IC{
+			Name: fmt.Sprintf("fd_%s_%d", pred, d+1),
+			Body: []term.Atom{
+				{Pred: pred, Args: left},
+				{Pred: pred, Args: right},
+			},
+			Phi: []term.Builtin{{Op: term.EQ, L: left[d], R: right[d]}},
+		})
+	}
+	return out
+}

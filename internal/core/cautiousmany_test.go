@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/ground"
 	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/session"
@@ -72,46 +71,6 @@ func TestCautiousManyMatchesSingle(t *testing.T) {
 		for j := range want.Tuples {
 			if !got.Tuples[j].Equal(want.Tuples[j]) {
 				t.Errorf("query %q tuple %d: %v vs %v", cautiousQueries[i], j, got.Tuples[j], want.Tuples[j])
-			}
-		}
-	}
-}
-
-// TestGroundOptionsDifferential runs the program engines with every
-// grounding configuration — semi-naive and the naive ablation — and checks
-// the answers are identical: grounding options must never change
-// semantics.
-func TestGroundOptionsDifferential(t *testing.T) {
-	dsrc, setSrc := cautiousFixture()
-	d := parser.MustInstance(dsrc)
-	set := parser.MustConstraints(setSrc)
-	grounds := []ground.Options{{}, {Naive: true}}
-	for _, engine := range []session.Engine{session.EngineProgram, session.EngineProgramCautious} {
-		for _, qsrc := range cautiousQueries {
-			q := parser.MustQuery(qsrc)
-			base := session.NewOptions()
-			base.Engine = engine
-			want, err := session.New(d, set, base).Answer(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, g := range grounds[1:] {
-				opts := session.NewOptions()
-				opts.Engine = engine
-				opts.Ground = g
-				got, err := session.New(d, set, opts).Answer(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Boolean != want.Boolean || len(got.Tuples) != len(want.Tuples) {
-					t.Errorf("engine %v, query %q, ground %+v: %+v vs %+v", engine, qsrc, g, got, want)
-					continue
-				}
-				for j := range want.Tuples {
-					if !got.Tuples[j].Equal(want.Tuples[j]) {
-						t.Errorf("engine %v, query %q, ground %+v: tuple %d differs", engine, qsrc, g, j)
-					}
-				}
 			}
 		}
 	}

@@ -17,10 +17,10 @@ import (
 
 // TestIncrementalAnswersMatchScratch pins the whole delta-driven stack at
 // the CQA level: consistent answers, possible answers, and repair listings
-// computed with the incremental probes and base-anchored patched evaluation
-// must be byte-identical to the scratch search probe combined with full
-// per-repair query evaluation. This is the acceptance differential for the
-// delta-driven stack.
+// computed by a session (seeded search, base-anchored patched evaluation)
+// must be byte-identical to an unseeded repair.Repairs run combined with
+// full per-repair query evaluation. This is the acceptance differential for
+// the delta-driven stack.
 func TestIncrementalAnswersMatchScratch(t *testing.T) {
 	sets := []*constraint.Set{
 		parser.MustConstraints(`course(Id, Code) -> student(Id, Name).`),
@@ -62,13 +62,12 @@ func TestIncrementalAnswersMatchScratch(t *testing.T) {
 				}
 			}
 
-			// Repair listings: incremental vs scratch.
-			scratchOpts := session.NewOptions()
-			scratchOpts.Repair.ScratchProbe = true
-			scratch, err := session.New(d, set, scratchOpts).Repairs()
+			// Repair listings: session vs unseeded search.
+			res, err := repair.Repairs(d, set, repair.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			scratch := res.Repairs
 			opts := session.NewOptions()
 			inc, err := session.New(d, set, opts).Repairs()
 			if err != nil {
@@ -120,16 +119,16 @@ func TestIncrementalAnswersMatchScratch(t *testing.T) {
 }
 
 // scratchAnswers is the reference pipeline: full per-repair evaluation with
-// query.EvalWith over a scratch-probe repair set.
+// query.EvalWith over an unseeded search's repair set.
 func scratchAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, repairs []*relational.Instance) (session.Answer, error) {
 	if q.IsBoolean() {
 		ans := session.Answer{NumRepairs: len(repairs), Boolean: true}
 		for _, r := range repairs {
-			holds, err := query.EvalBool(r, q)
+			tuples, err := query.EvalWith(r, q, query.Options{})
 			if err != nil {
 				return session.Answer{}, err
 			}
-			if !holds {
+			if len(tuples) == 0 {
 				ans.Boolean = false
 			}
 		}
@@ -191,29 +190,6 @@ func sameAnswerTuples(want, got session.Answer, q *query.Q) error {
 		}
 	}
 	return nil
-}
-
-// TestScratchProbeOptionPlumbs makes sure the ablation knob actually reaches
-// the search: with ScratchProbe both probes still agree on a workload whose
-// diagnostics are content-determined.
-func TestScratchProbeOptionPlumbs(t *testing.T) {
-	d := relational.NewInstance(
-		relational.F("r", value.Str("k"), value.Str("b")),
-		relational.F("r", value.Str("k"), value.Str("c")),
-	)
-	set := parser.MustConstraints(`r(X, Y), r(X, Z) -> Y = Z.`)
-	inc, err := repair.Repairs(d, set, repair.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scr, err := repair.Repairs(d, set, repair.Options{ScratchProbe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inc.Repairs) != 2 || len(scr.Repairs) != 2 || inc.StatesExplored != scr.StatesExplored {
-		t.Fatalf("probe modes disagree: inc %d repairs/%d states, scratch %d/%d",
-			len(inc.Repairs), inc.StatesExplored, len(scr.Repairs), scr.StatesExplored)
-	}
 }
 
 // sortedTuples flattens a keyed tuple set into Compare order.

@@ -117,11 +117,11 @@ func TestProgramEngineStreamDifferential(t *testing.T) {
 				refBool := true
 				if q.IsBoolean() {
 					for _, r := range searchRes.Repairs {
-						holds, err := query.EvalBool(r, q)
+						tuples, err := query.EvalWith(r, q, query.Options{})
 						if err != nil {
 							t.Fatal(err)
 						}
-						refBool = refBool && holds
+						refBool = refBool && len(tuples) > 0
 					}
 				}
 

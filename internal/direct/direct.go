@@ -88,31 +88,18 @@ func (e *ScopeError) Error() string {
 // Unwrap makes errors.Is(err, ErrScope) hold.
 func (e *ScopeError) Unwrap() error { return ErrScope }
 
-// Status classifies a fact with respect to the repair set (the paper's
-// true/false/inconsistent trichotomy).
+// Status classifies a fact of D with respect to the repair set (the
+// paper's true/inconsistent cases; a fact absent from D is in no repair).
 type Status uint8
 
 const (
 	// True: the fact is in every repair (exempt, unconstrained relation, or
 	// sole class of its group).
 	True Status = iota
-	// False: the fact is in no repair (absent from D).
-	False
 	// Inconsistent: the fact is in exactly the repairs that choose its
 	// class for its conflict group.
 	Inconsistent
 )
-
-func (s Status) String() string {
-	switch s {
-	case True:
-		return "true"
-	case False:
-		return "false"
-	default:
-		return "inconsistent"
-	}
-}
 
 // group is one FD key group: class counts keyed by the dependent value's
 // content encoding. Exempt tuples are never counted.
@@ -282,17 +269,6 @@ func (e *Engine) classify(f relational.Fact) (Status, *group, string) {
 		return True, nil, ""
 	}
 	return Inconsistent, g, ck
-}
-
-// Classify reports the repair-set status of an arbitrary fact on d: True
-// (in every repair), Inconsistent (in some), or False (in none, i.e. absent
-// from d).
-func (e *Engine) Classify(d *relational.Instance, f relational.Fact) Status {
-	if !d.Has(f) {
-		return False
-	}
-	st, _, _ := e.classify(f)
-	return st
 }
 
 // Consistent reports whether the classified instance satisfies the set

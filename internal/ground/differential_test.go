@@ -172,7 +172,7 @@ func TestDifferentialFixpointsAndWorkers(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		totalRules += len(ref.Rules)
-		gp, err := GroundWith(p, Options{Naive: true})
+		gp, err := GroundWith(p, Options{naive: true})
 		if err != nil {
 			t.Fatalf("seed %d naive: %v", seed, err)
 		}
@@ -251,7 +251,7 @@ func TestExtendMatchesAtomIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, f := range bg.Atoms {
-		got, ok := ep.AtomID(f)
+		got, ok := atomID(ep, f)
 		if !ok || got != id {
 			t.Fatalf("base atom %v: id %d became (%d, %v) in extension", f, id, got, ok)
 		}
@@ -280,7 +280,7 @@ func TestInternerLookupNoAlloc(t *testing.T) {
 	}
 	probe := fs[37]
 	if n := testing.AllocsPerRun(200, func() {
-		if _, ok := in.lookup(probe); !ok {
+		if _, ok := in.lookupHash(probe, probe.Hash()); !ok {
 			t.Fatal("interned atom not found")
 		}
 	}); n != 0 {
@@ -326,4 +326,10 @@ func TestGroundAtomIntoNoAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("groundAtomInto allocates %.1f per instantiation", n)
 	}
+}
+
+// atomID looks up the id of a ground fact in a grounded program's atom
+// table.
+func atomID(p *Program, f relational.Fact) (int, bool) {
+	return p.ext.in.lookupHash(f, f.Hash())
 }

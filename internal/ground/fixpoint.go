@@ -37,7 +37,7 @@ func GroundWith(p *logic.Program, opts Options) (*Program, error) {
 		g.insertPossible(f)
 	}
 
-	if opts.Naive {
+	if opts.naive {
 		g.fixpointNaive(p.Rules)
 	} else {
 		g.fixpointSemiNaive(p.Rules)
@@ -107,7 +107,6 @@ func finish(gp *Program, st *extState, baseNames []string, baseRules []Rule) {
 	for _, f := range gp.Atoms[len(baseNames):] {
 		gp.Names = append(gp.Names, f.String())
 	}
-	gp.idx = st.in
 	gp.ext = st
 }
 

@@ -23,7 +23,8 @@
 // join kernel (relational.PlanJoin, relational.Join): reordered by
 // bound-column selectivity, builtins evaluated as soon as their variables
 // are bound.
-// Options.Naive selects the round-robin full re-join ablation.
+// A test-only hook (Options.naive) selects the round-robin full re-join
+// ablation.
 //
 // Rule instantiation (emit.go) runs over a canonicalized possible set — the
 // fixpoint result re-inserted in sorted fact order — so the emitted program
@@ -47,14 +48,13 @@ import (
 	"repro/internal/term"
 )
 
-// Options tunes grounding. The zero value is the default configuration:
-// the semi-naive fixpoint.
+// Options tunes grounding. It has no exported field: the zero value, the
+// semi-naive fixpoint, is the only production configuration.
 type Options struct {
-	// Naive selects the naive fixpoint (every rule re-joined over the whole
-	// possible set on every round, builtins evaluated at the join leaf) — an
-	// ablation and differential-testing reference for the semi-naive
-	// fixpoint. The emitted program is identical either way.
-	Naive bool
+	// naive is the test-only ablation: every rule re-joined over the whole
+	// possible set on every round, builtins evaluated at the join leaf.
+	// The emitted program is identical either way.
+	naive bool
 }
 
 // Program is a ground disjunctive program over interned atoms.
@@ -70,9 +70,6 @@ type Program struct {
 	// mentions a fact. Atoms in no rule and no fact are false.
 	Rules []Rule
 
-	// idx indexes Atoms for O(1) AtomID lookups; nil on hand-built
-	// programs, which fall back to a linear scan.
-	idx *interner
 	// ext retains the grounding snapshot (canonical possible set, member-
 	// ship sets, dedup state, folded values) that Extend grounds additional
 	// rules against; nil on hand-built programs.
@@ -123,22 +120,6 @@ func (p *Program) String() string {
 	return b.String()
 }
 
-// Fact exposed for tests: value constants of an atom id.
-func (p *Program) Fact(id int) relational.Fact { return p.Atoms[id] }
-
-// AtomID looks up the id of a ground fact, if interned.
-func (p *Program) AtomID(f relational.Fact) (int, bool) {
-	if p.idx != nil {
-		return p.idx.lookup(f)
-	}
-	for id, g := range p.Atoms {
-		if g.Equal(f) {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
 // interner assigns dense ids to ground atoms. It buckets by Fact.Hash and
 // confirms with Fact.Equal, so neither interning a new atom nor looking up
 // an existing one materializes a string key. An interner may extend a
@@ -176,10 +157,6 @@ func (in *interner) lookupHash(f relational.Fact, h uint64) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-func (in *interner) lookup(f relational.Fact) (int, bool) {
-	return in.lookupHash(f, f.Hash())
 }
 
 // intern returns the id of f, assigning the next dense id if new. The fact

@@ -178,7 +178,7 @@ func TestGroundDisjunctiveHead(t *testing.T) {
 	}
 	gp := mustGround(t, p)
 	// possible must include both disjuncts: s(a) reachable through r(a).
-	if _, ok := gp.AtomID(relational.F("s", value.Str("a"))); !ok {
+	if _, ok := atomID(gp, relational.F("s", value.Str("a"))); !ok {
 		t.Errorf("s(a) not reachable through disjunctive head:\n%s", gp)
 	}
 }
@@ -261,7 +261,7 @@ func TestRecursiveGrounding(t *testing.T) {
 		relational.F("reach", value.Str("a"), value.Str("d")),
 		relational.F("reach", value.Str("b"), value.Str("d")),
 	} {
-		if _, ok := gp.AtomID(want); !ok {
+		if _, ok := atomID(gp, want); !ok {
 			t.Errorf("missing possible atom %v:\n%s", want, gp)
 		}
 	}
@@ -309,7 +309,7 @@ func TestGroundFoldsDecidedRules(t *testing.T) {
 		t.Errorf("folded program:\n%s\nwant:\n%s", got, want)
 	}
 	for _, name := range []string{"u", "w"} {
-		if _, ok := gp.AtomID(relational.F(name, value.Str("a"))); !ok {
+		if _, ok := atomID(gp, relational.F(name, value.Str("a"))); !ok {
 			t.Errorf("%s(a) must stay interned: atom ids do not depend on the fold", name)
 		}
 	}

@@ -9,7 +9,6 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/relational"
@@ -28,15 +27,6 @@ type Rule struct {
 	Pos      []term.Atom
 	Neg      []term.Atom
 	Builtins []term.Builtin
-}
-
-// IsConstraint reports whether the rule has an empty head.
-func (r Rule) IsConstraint() bool { return len(r.Head) == 0 }
-
-// IsFact reports whether the rule is a ground fact.
-func (r Rule) IsFact() bool {
-	return len(r.Head) == 1 && len(r.Pos) == 0 && len(r.Neg) == 0 &&
-		len(r.Builtins) == 0 && r.Head[0].IsGround()
 }
 
 // Vars returns the variables of the rule, deduplicated in order of first
@@ -119,15 +109,6 @@ func (r Rule) String() string {
 type Program struct {
 	Facts []term.Atom
 	Rules []Rule
-}
-
-// AddFact appends a ground fact.
-func (p *Program) AddFact(a term.Atom) error {
-	if !a.IsGround() {
-		return fmt.Errorf("logic: fact %s is not ground", a)
-	}
-	p.Facts = append(p.Facts, a)
-	return nil
 }
 
 // AddInstance appends every fact of a database instance (rule 1 of
@@ -272,30 +253,4 @@ func dlvBuiltin(b term.Builtin) string {
 		rhs = fmt.Sprintf("%s-%d", rhs, -b.Offset)
 	}
 	return dlvTerm(b.L) + " " + b.Op.String() + " " + rhs
-}
-
-// Preds returns the sorted predicate signatures used by the program.
-func (p *Program) Preds() []string {
-	seen := map[string]bool{}
-	add := func(a term.Atom) { seen[fmt.Sprintf("%s/%d", a.Pred, a.Arity())] = true }
-	for _, f := range p.Facts {
-		add(f)
-	}
-	for _, r := range p.Rules {
-		for _, a := range r.Head {
-			add(a)
-		}
-		for _, a := range r.Pos {
-			add(a)
-		}
-		for _, a := range r.Neg {
-			add(a)
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

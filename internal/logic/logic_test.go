@@ -35,21 +35,6 @@ func TestRuleString(t *testing.T) {
 	}
 }
 
-func TestRuleClassifiers(t *testing.T) {
-	f := Rule{Head: []term.Atom{atom("p", term.CStr("a"))}}
-	if !f.IsFact() || f.IsConstraint() {
-		t.Error("fact misclassified")
-	}
-	c := Rule{Pos: []term.Atom{atom("p", v("x"))}}
-	if c.IsFact() || !c.IsConstraint() {
-		t.Error("constraint misclassified")
-	}
-	nonGround := Rule{Head: []term.Atom{atom("p", v("x"))}}
-	if nonGround.IsFact() {
-		t.Error("non-ground head is not a fact")
-	}
-}
-
 func TestSafety(t *testing.T) {
 	safe := Rule{
 		Head: []term.Atom{atom("p", v("x"))},
@@ -85,13 +70,11 @@ func TestSafety(t *testing.T) {
 }
 
 func TestProgramValidate(t *testing.T) {
-	var p Program
-	if err := p.AddFact(atom("p", term.CStr("a"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddFact(atom("p", v("x"))); err == nil {
+	p := Program{Facts: []term.Atom{atom("p", v("x"))}}
+	if err := p.Validate(); err == nil {
 		t.Error("non-ground fact accepted")
 	}
+	p.Facts[0] = atom("p", term.CStr("a"))
 	p.Rules = append(p.Rules, Rule{Head: []term.Atom{atom("q", v("x"))}, Pos: []term.Atom{atom("p", v("x"))}})
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -122,9 +105,10 @@ func TestAddInstance(t *testing.T) {
 }
 
 func TestDLVExport(t *testing.T) {
-	var p Program
-	p.AddFact(atom("r", term.CStr("a"), term.CNull()))
-	p.AddFact(atom("s", term.CStr("CS27"), term.CInt(21)))
+	p := Program{Facts: []term.Atom{
+		atom("r", term.CStr("a"), term.CNull()),
+		atom("s", term.CStr("CS27"), term.CInt(21)),
+	}}
 	p.Rules = append(p.Rules, Rule{
 		Head:     []term.Atom{atom("r_fa", v("x"), v("y")), atom("q", v("x"))},
 		Pos:      []term.Atom{atom("r", v("x"), v("y"))},
@@ -139,26 +123,6 @@ func TestDLVExport(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("DLV output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPreds(t *testing.T) {
-	var p Program
-	p.AddFact(atom("p", term.CStr("a")))
-	p.Rules = append(p.Rules, Rule{
-		Head: []term.Atom{atom("q", v("x"), v("y"))},
-		Pos:  []term.Atom{atom("p", v("x")), atom("p", v("y"))},
-		Neg:  []term.Atom{atom("z", v("x"))},
-	})
-	got := p.Preds()
-	want := []string{"p/1", "q/2", "z/1"}
-	if len(got) != len(want) {
-		t.Fatalf("Preds = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Preds[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
 }

@@ -129,7 +129,7 @@ func TestConstantsInRICHead(t *testing.T) {
 func TestSelfJoinViolationSupports(t *testing.T) {
 	// The same fact may support a violation twice through a self join;
 	// the Support list must carry both occurrences.
-	den := constraint.Denial("d", atom("P", v("x"), v("y")), atom("P", v("y"), v("x")))
+	den := &constraint.IC{Name: "d", Body: []term.Atom{atom("P", v("x"), v("y")), atom("P", v("y"), v("x"))}}
 	d := relational.NewInstance(fact("P", s("a"), s("a")))
 	vs := CheckIC(d, den, NullAware)
 	if len(vs) != 1 {

@@ -61,9 +61,6 @@ func NewICChecker(ic *constraint.IC, sem Semantics) *ICChecker {
 	return &ICChecker{ic: ic, sem: sem, c: newICContext(ic), preds: preds}
 }
 
-// IC returns the constraint this checker probes.
-func (k *ICChecker) IC() *constraint.IC { return k.ic }
-
 // SharesPred reports whether the constraint mentions the predicate in its
 // body or head. A constraint that shares no predicate with a delta cannot
 // change its satisfaction status across that delta.
@@ -73,30 +70,7 @@ func (k *ICChecker) SharesPred(pred string) bool { return k.preds[pred] }
 // scratch, in deterministic (body-join) order — CheckIC with the cached
 // analysis.
 func (k *ICChecker) Violations(d *relational.Instance) []Violation {
-	var out []Violation
-	joinAll(d, k.ic.Body, func(subst term.Subst, support []relational.Fact) bool {
-		if v, ok := violationAt(k.c, d, k.sem, subst, support); ok {
-			out = append(out, v)
-		}
-		return true
-	})
-	return out
-}
-
-// First returns a deterministic first violation on d, from scratch, stopping
-// the body join as soon as one is found — FirstViolationIC with the cached
-// analysis.
-func (k *ICChecker) First(d *relational.Instance) (Violation, bool) {
-	var out Violation
-	found := false
-	joinAll(d, k.ic.Body, func(subst term.Subst, support []relational.Fact) bool {
-		if v, bad := violationAt(k.c, d, k.sem, subst, support); bad {
-			out, found = v, true
-			return false
-		}
-		return true
-	})
-	return out, found
+	return k.c.violations(d, k.sem)
 }
 
 // FirstFrom returns a deterministic first violation of the IC on d, probing
@@ -367,19 +341,4 @@ func (k *ICChecker) sharesAny(delta relational.Delta) bool {
 		}
 	}
 	return false
-}
-
-// FirstViolationICFrom is the Δ-seeded counterpart of FirstViolationIC:
-// given that the pre-delta parent of d (d − delta.Added + delta.Removed)
-// satisfies ic under sem, it finds a violation of d iff one exists, probing
-// only constraint occurrences that unify with a changed fact.
-func FirstViolationICFrom(d *relational.Instance, ic *constraint.IC, sem Semantics, delta relational.Delta) (Violation, bool) {
-	return NewICChecker(ic, sem).FirstFrom(d, delta)
-}
-
-// SatisfiesFrom is the Δ-seeded counterpart of Satisfies: given that the
-// pre-delta parent of d satisfies the whole set under sem, it decides
-// d |= set by probing only the constraints the delta can affect.
-func SatisfiesFrom(d *relational.Instance, s *constraint.Set, sem Semantics, delta relational.Delta) bool {
-	return NewSetChecker(s, sem).SatisfiesFrom(d, delta)
 }

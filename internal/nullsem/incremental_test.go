@@ -116,11 +116,11 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 				if len(prev) != 0 {
 					continue
 				}
-				if v, found := FirstViolationICFrom(child, ic, sem, delta); found != (len(scratch) > 0) {
-					t.Fatalf("trial %d sem %v ic %s: FirstViolationICFrom found=%v, scratch has %d\nparent=%v\nchild=%v\nΔ=%v",
+				if v, found := k.FirstFrom(child, delta); found != (len(scratch) > 0) {
+					t.Fatalf("trial %d sem %v ic %s: FirstFrom found=%v, scratch has %d\nparent=%v\nchild=%v\nΔ=%v",
 						trial, sem, ic.Name, found, len(scratch), parent, child, delta)
 				} else if found && !want[k.c.substKey(v.Subst)] {
-					t.Fatalf("trial %d sem %v ic %s: FirstViolationICFrom returned unknown violation %v",
+					t.Fatalf("trial %d sem %v ic %s: FirstFrom returned unknown violation %v",
 						trial, sem, ic.Name, v)
 				}
 				fromSet := violationSet(k.c, k.ViolationsFrom(child, delta))
@@ -137,7 +137,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 
 			// Whole-set Δ-anchored satisfaction on consistent anchors.
 			if Satisfies(parent, set, sem) {
-				if got, want := SatisfiesFrom(child, set, sem, delta), Satisfies(child, set, sem); got != want {
+				if got, want := NewSetChecker(set, sem).SatisfiesFrom(child, delta), Satisfies(child, set, sem); got != want {
 					t.Fatalf("trial %d sem %v: SatisfiesFrom = %v, Satisfies = %v\nparent=%v\nchild=%v\nΔ=%v",
 						trial, sem, got, want, parent, child, delta)
 				}
@@ -208,7 +208,7 @@ func TestSatisfiesFromDeniesWithGenuineViolations(t *testing.T) {
 		child, delta := perturb(rng, parent)
 		set := sets[trial%len(sets)]
 		for _, sem := range AllSemantics() {
-			if !SatisfiesFrom(child, set, sem, delta) && Satisfies(child, set, sem) {
+			if !NewSetChecker(set, sem).SatisfiesFrom(child, delta) && Satisfies(child, set, sem) {
 				t.Fatalf("trial %d sem %v: SatisfiesFrom invented a violation on a consistent instance\nchild=%v\nΔ=%v",
 					trial, sem, child, delta)
 			}

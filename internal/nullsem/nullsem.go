@@ -376,15 +376,35 @@ func (c *icContext) consequentHolds(sem Semantics, d *relational.Instance, subst
 // CheckIC returns every violation of a single IC in d under the given
 // semantics. The returned substitutions cover all antecedent variables.
 func CheckIC(d *relational.Instance, ic *constraint.IC, sem Semantics) []Violation {
+	return newICContext(ic).violations(d, sem)
+}
+
+// violations is the one scratch all-violations loop: every body join of the
+// IC on d, confirmed by violationAt, in body-join order.
+func (c *icContext) violations(d *relational.Instance, sem Semantics) []Violation {
 	var out []Violation
-	c := newICContext(ic)
-	joinAll(d, ic.Body, func(subst term.Subst, support []relational.Fact) bool {
+	joinAll(d, c.ic.Body, func(subst term.Subst, support []relational.Fact) bool {
 		if v, ok := violationAt(c, d, sem, subst, support); ok {
 			out = append(out, v)
 		}
 		return true
 	})
 	return out
+}
+
+// first is the one scratch first-violation loop: it stops the body join at
+// the first assignment violationAt confirms.
+func (c *icContext) first(d *relational.Instance, sem Semantics) (Violation, bool) {
+	var out Violation
+	found := false
+	joinAll(d, c.ic.Body, func(subst term.Subst, support []relational.Fact) bool {
+		if v, bad := violationAt(c, d, sem, subst, support); bad {
+			out, found = v, true
+			return false
+		}
+		return true
+	})
+	return out, found
 }
 
 func violationAt(c *icContext, d *relational.Instance, sem Semantics, subst term.Subst, support []relational.Fact) (Violation, bool) {
@@ -410,16 +430,8 @@ func violationAt(c *icContext, d *relational.Instance, sem Semantics, subst term
 // SatisfiesIC reports d |= ic under the given semantics, stopping at the
 // first violation.
 func SatisfiesIC(d *relational.Instance, ic *constraint.IC, sem Semantics) bool {
-	ok := true
-	c := newICContext(ic)
-	joinAll(d, ic.Body, func(subst term.Subst, support []relational.Fact) bool {
-		if _, bad := violationAt(c, d, sem, subst, support); bad {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
+	_, bad := FirstViolationIC(d, ic, sem)
+	return !bad
 }
 
 // CheckNNC returns the facts of d violating the NOT NULL-constraint.
@@ -439,17 +451,7 @@ func CheckNNC(d *relational.Instance, n *constraint.NNC) []relational.Fact {
 // stopping the body join as soon as one is found. It is the hot probe of the
 // repair search, which only ever needs one violation per state.
 func FirstViolationIC(d *relational.Instance, ic *constraint.IC, sem Semantics) (Violation, bool) {
-	var out Violation
-	found := false
-	c := newICContext(ic)
-	joinAll(d, ic.Body, func(subst term.Subst, support []relational.Fact) bool {
-		if v, bad := violationAt(c, d, sem, subst, support); bad {
-			out, found = v, true
-			return false
-		}
-		return true
-	})
-	return out, found
+	return newICContext(ic).first(d, sem)
 }
 
 // FirstViolationNNC returns a deterministic first fact violating the NOT

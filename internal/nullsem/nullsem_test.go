@@ -89,8 +89,18 @@ func example5() (*relational.Instance, *constraint.Set) {
 		fact("Exp", i(34), s("CS18"), n()),
 		fact("Exp", i(45), s("CS32"), i(2)),
 	)
-	fk := constraint.ForeignKey("Course", 3, []int{1, 0}, "Exp", 3, []int{0, 1})
-	keyICs, keyNNCs := constraint.PrimaryKey("Exp", 3, 0, 1)
+	// Course[ID, Code] references the key {ID, Code} of Exp, which may
+	// not be null.
+	fk := &constraint.IC{
+		Name: "fk_Course_Exp",
+		Body: []term.Atom{atom("Course", v("X1"), v("X2"), v("X3"))},
+		Head: []term.Atom{atom("Exp", v("X2"), v("X1"), v("Z3"))},
+	}
+	keyICs := constraint.FD("Exp", 3, []int{0, 1}, []int{2})
+	keyNNCs := []*constraint.NNC{
+		{Name: "pk_notnull_Exp_1", Pred: "Exp", Arity: 3, Pos: 0},
+		{Name: "pk_notnull_Exp_2", Pred: "Exp", Arity: 3, Pos: 1},
+	}
 	cs := constraint.MustSet(append([]*constraint.IC{fk}, keyICs...), keyNNCs)
 	return d, cs
 }
@@ -132,9 +142,11 @@ func example6() (*relational.Instance, *constraint.Set) {
 		fact("Emp", i(32), n(), i(1000)),
 		fact("Emp", i(41), s("Paul"), n()),
 	)
-	chk := constraint.Check("salary",
-		[]term.Atom{atom("Emp", v("id"), v("name"), v("salary"))},
-		term.Builtin{Op: term.GT, L: v("salary"), R: term.CInt(100)})
+	chk := &constraint.IC{
+		Name: "salary",
+		Body: []term.Atom{atom("Emp", v("id"), v("name"), v("salary"))},
+		Phi:  []term.Builtin{{Op: term.GT, L: v("salary"), R: term.CInt(100)}},
+	}
 	return d, constraint.MustSet([]*constraint.IC{chk}, nil)
 }
 
@@ -377,7 +389,7 @@ func TestViolationDetails(t *testing.T) {
 
 func TestDenialConstraint(t *testing.T) {
 	d := relational.NewInstance(fact("P", s("a")), fact("Q", s("a")))
-	den := constraint.Denial("d", atom("P", v("x")), atom("Q", v("x")))
+	den := &constraint.IC{Name: "d", Body: []term.Atom{atom("P", v("x")), atom("Q", v("x"))}}
 	if SatisfiesIC(d, den, NullAware) {
 		t.Error("denial violation not detected")
 	}

@@ -7,6 +7,13 @@
 // double-quoted strings are constants; the keyword null is the null
 // constant. Lines starting with % or # are comments.
 //
+// A string literal runs to the next unescaped '"' on the same line. A
+// backslash starts one of the escapes strconv.Quote writes (\" \\ \n \t
+// \xNN \uNNNN ...); every other byte stands for itself, so "C15", "two
+// words" and "null" are string constants. FormatValue and the wire
+// package's canonical renderings write strings this way, so every string
+// constant reparses as itself.
+//
 // Instances:
 //
 //	course(21, c15).
@@ -32,7 +39,9 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/constraint"
 	"repro/internal/query"
@@ -81,7 +90,7 @@ const (
 type token struct {
 	kind tokenKind
 	text string
-	pos  int
+	str  string // the decoded value of a tokString
 	line int
 	col  int // 1-based byte column of the token start
 }
@@ -119,14 +128,14 @@ func (lx *lexer) next() (token, error) {
 			return lx.scan()
 		}
 	}
-	return token{kind: tokEOF, pos: lx.pos, line: lx.line, col: lx.col(lx.pos)}, nil
+	return token{kind: tokEOF, line: lx.line, col: lx.col(lx.pos)}, nil
 }
 
 func (lx *lexer) scan() (token, error) {
 	start := lx.pos
 	c := lx.src[lx.pos]
 	mk := func(kind tokenKind) (token, error) {
-		return token{kind: kind, text: lx.src[start:lx.pos], pos: start, line: lx.line, col: lx.col(start)}, nil
+		return token{kind: kind, text: lx.src[start:lx.pos], line: lx.line, col: lx.col(start)}, nil
 	}
 	switch {
 	case c == '(':
@@ -173,18 +182,7 @@ func (lx *lexer) scan() (token, error) {
 		}
 		return token{}, lx.errf("unexpected '!'")
 	case c == '"':
-		lx.pos++
-		for lx.pos < len(lx.src) && lx.src[lx.pos] != '"' {
-			if lx.src[lx.pos] == '\n' {
-				return token{}, lx.errf("unterminated string")
-			}
-			lx.pos++
-		}
-		if lx.pos >= len(lx.src) {
-			return token{}, lx.errf("unterminated string")
-		}
-		lx.pos++
-		return mk(tokString)
+		return lx.scanString()
 	case c >= '0' && c <= '9':
 		for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
 			lx.pos++
@@ -196,11 +194,52 @@ func (lx *lexer) scan() (token, error) {
 		}
 		text := lx.src[start:lx.pos]
 		if text[0] >= 'A' && text[0] <= 'Z' || text[0] == '_' {
-			return token{kind: tokVar, text: text, pos: start, line: lx.line, col: lx.col(start)}, nil
+			return token{kind: tokVar, text: text, line: lx.line, col: lx.col(start)}, nil
 		}
 		return mk(tokIdent)
 	default:
 		return token{}, lx.errf("unexpected character %q", string(c))
+	}
+}
+
+// scanString scans a double-quoted string literal up to the next unescaped
+// '"'. Each backslash escape that strconv.Quote writes is decoded with
+// strconv.UnquoteChar; every other byte is taken verbatim, so a literal
+// without a backslash means exactly its bytes. A raw newline inside the
+// quotes is an error.
+func (lx *lexer) scanString() (token, error) {
+	start := lx.pos
+	lx.pos++
+	var buf []byte // the decoded prefix, once an escape has been seen
+	from := lx.pos // start of the verbatim run not yet in buf
+	for {
+		if lx.pos >= len(lx.src) || lx.src[lx.pos] == '\n' {
+			return token{}, lx.errf("unterminated string")
+		}
+		switch lx.src[lx.pos] {
+		case '"':
+			str := lx.src[from:lx.pos]
+			if buf != nil {
+				str = string(append(buf, str...))
+			}
+			lx.pos++
+			return token{kind: tokString, text: lx.src[start:lx.pos], str: str, line: lx.line, col: lx.col(start)}, nil
+		case '\\':
+			buf = append(buf, lx.src[from:lx.pos]...)
+			r, multibyte, tail, err := strconv.UnquoteChar(lx.src[lx.pos:], '"')
+			if err != nil {
+				return token{}, lx.errf("invalid escape in string")
+			}
+			if multibyte {
+				buf = utf8.AppendRune(buf, r)
+			} else {
+				buf = append(buf, byte(r))
+			}
+			lx.pos = len(lx.src) - len(tail)
+			from = lx.pos
+		default:
+			lx.pos++
+		}
 	}
 }
 
@@ -260,7 +299,7 @@ func (p *parser) parseTerm() (term.T, error) {
 		t := term.CStr(p.tok.text)
 		return t, p.advance()
 	case tokString:
-		t := term.CStr(strings.Trim(p.tok.text, `"`))
+		t := term.CStr(p.tok.str)
 		return t, p.advance()
 	case tokNumber:
 		return p.parseNumber(1)
@@ -647,7 +686,9 @@ func MustQuery(src string) *query.Q {
 	return q
 }
 
-// FormatValue renders a value in parser-compatible syntax.
+// FormatValue renders a value in parser-compatible syntax. A string
+// constant is written bare when it reads back as itself (a lower-case
+// identifier other than null) and with strconv.Quote otherwise.
 func FormatValue(v value.V) string {
 	if v.IsNull() {
 		return "null"
@@ -656,13 +697,13 @@ func FormatValue(v value.V) string {
 		return fmt.Sprint(i)
 	}
 	s, _ := v.AsStr()
+	if s == "" || s == "null" || !(s[0] >= 'a' && s[0] <= 'z') {
+		return strconv.Quote(s)
+	}
 	for i := 0; i < len(s); i++ {
 		if !isIdentPart(s[i]) {
-			return `"` + s + `"`
+			return strconv.Quote(s)
 		}
-	}
-	if s == "" || !(s[0] >= 'a' && s[0] <= 'z') {
-		return `"` + s + `"`
 	}
 	return s
 }

@@ -44,6 +44,8 @@ func TestParseInstanceErrors(t *testing.T) {
 		"course(X, c15).",   // variable in a fact
 		"course(21, c15)",   // missing dot
 		`course(21, "a.`,    // unterminated string
+		`course(21, "a\").`, // escaped closing quote: unterminated
+		`course(21, "\q").`, // unknown escape
 		"course(21,, c15).", // double comma
 	}
 	for _, src := range cases {
@@ -65,6 +67,7 @@ func TestParseErrorPositions(t *testing.T) {
 		{"missing dot", instErr, "p(1)\nq(2).", 2, 1},
 		{"bad head var", queryErr, "q(X) :- p(X).\nq(21) :- p(21).", 2, 1},
 		{"bad operator", constrErr, "p(X) -> X ~ 2.", 1, 11},
+		{"bad escape", instErr, "p(1).\np(\"a\\q\").", 2, 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -293,6 +296,10 @@ func TestFormatValue(t *testing.T) {
 		{value.Str("Ann"), `"Ann"`},
 		{value.Str("a b"), `"a b"`},
 		{value.Str(""), `""`},
+		{value.Str("null"), `"null"`},
+		{value.Str(`a"b`), `"a\"b"`},
+		{value.Str(`\`), `"\\"`},
+		{value.Str("tab\t\x13"), `"tab\t\x13"`},
 	}
 	for _, c := range cases {
 		if got := FormatValue(c.v); got != c.want {

@@ -172,18 +172,6 @@ func Eval(d *relational.Instance, q *Q) ([]relational.Tuple, error) {
 	return out, nil
 }
 
-// EvalBool evaluates a boolean query.
-func EvalBool(d *relational.Instance, q *Q) (bool, error) {
-	if !q.IsBoolean() {
-		return false, fmt.Errorf("query %s is not boolean", q.Name)
-	}
-	ts, err := Eval(d, q)
-	if err != nil {
-		return false, err
-	}
-	return len(ts) > 0, nil
-}
-
 // evalConj joins the positive literals — planned by relational.PlanJoin
 // and resolved through per-relation hash indexes on the bound columns —
 // then filters by the negated literals, yielding each head projection.

@@ -118,33 +118,30 @@ func TestEvalBuiltinsAndUnion(t *testing.T) {
 	}
 }
 
+// TestEvalBoolean checks that a boolean query yields the empty tuple when
+// it holds and nothing when it fails.
 func TestEvalBoolean(t *testing.T) {
 	q := &Q{
 		Name:      "hasC15",
 		Disjuncts: []Conj{{Lits: []Literal{{Atom: atom("Course", v("X"), term.CStr("C15"))}}}},
 	}
-	holds, err := EvalBool(db(), q)
+	ts, err := Eval(db(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !holds {
-		t.Error("boolean query should hold")
+	if len(ts) != 1 || len(ts[0]) != 0 {
+		t.Errorf("boolean query should hold once with the empty tuple, got %v", ts)
 	}
 	q2 := &Q{
 		Name:      "hasC99",
 		Disjuncts: []Conj{{Lits: []Literal{{Atom: atom("Course", v("X"), term.CStr("C99"))}}}},
 	}
-	holds, err = EvalBool(db(), q2)
+	ts, err = Eval(db(), q2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if holds {
-		t.Error("boolean query should fail")
-	}
-	open := &Q{Name: "q", Head: []string{"X"},
-		Disjuncts: []Conj{{Lits: []Literal{{Atom: atom("Course", v("X"), v("Y"))}}}}}
-	if _, err := EvalBool(db(), open); err == nil {
-		t.Error("EvalBool must reject open queries")
+	if len(ts) != 0 {
+		t.Errorf("boolean query should fail, got %v", ts)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // TestIncrementalProbeMatchesScratch is the tentpole differential for the
 // delta-driven search: over randomized instances and constraint sets, the
 // incremental probe (the default) must produce byte-identical Repairs and
-// Deltas — content and order — to the scratch probe (Options.ScratchProbe),
+// Deltas — content and order — to the scratch probe (Options.scratchProbe),
 // in both modes.
 func TestIncrementalProbeMatchesScratch(t *testing.T) {
 	universe := atomUniverse()
@@ -31,7 +31,7 @@ func TestIncrementalProbeMatchesScratch(t *testing.T) {
 		}
 		set := sets[trial%len(sets)]
 		for _, mode := range []Mode{NullBased, Classic} {
-			scratch, err := Repairs(d, set, Options{Mode: mode, ScratchProbe: true})
+			scratch, err := Repairs(d, set, Options{Mode: mode, scratchProbe: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestIncrementalProbeDeepChains(t *testing.T) {
 		d.Insert(relational.F("r", value.Str(fmt.Sprintf("u%d", i)), value.Str("v")))
 	}
 	fd := constraint.MustSet(constraint.FD("r", 2, []int{0}, []int{1}), nil)
-	scratch := mustRepairs(t, d, fd, Options{ScratchProbe: true})
+	scratch := mustRepairs(t, d, fd, Options{scratchProbe: true})
 	inc := mustRepairs(t, d, fd, Options{})
 	if len(inc.Repairs) != 16 || len(scratch.Repairs) != 16 {
 		t.Fatalf("repairs = %d incremental / %d scratch, want 16", len(inc.Repairs), len(scratch.Repairs))
@@ -165,7 +165,7 @@ func TestSeededSearchRunsNoScratchCheck(t *testing.T) {
 // FuzzSearchProbe checks the maintained-list probe on decoded inputs.
 // data[0]'s low six bits pick the facts of atomUniverse, data[1] a set of
 // bruteSets and data[2] the mode; data[3], when present, rotates each seed
-// list. Repairs and Deltas must be byte-identical to the ScratchProbe run,
+// list. Repairs and Deltas must be byte-identical to the scratch-probe run,
 // unseeded and seeded with the root's lists in that order, and equal to
 // bruteRepairs under NullBased.
 func FuzzSearchProbe(f *testing.F) {
@@ -199,7 +199,7 @@ func FuzzSearchProbe(f *testing.F) {
 			}
 			seed.Viols[i] = vs
 		}
-		scratch := mustRepairs(t, d, set, Options{Mode: mode, ScratchProbe: true})
+		scratch := mustRepairs(t, d, set, Options{Mode: mode, scratchProbe: true})
 		for _, opts := range []Options{{Mode: mode}, {Mode: mode, Seed: seed}} {
 			got := mustRepairs(t, d, set, opts)
 			if len(got.Repairs) != len(scratch.Repairs) {

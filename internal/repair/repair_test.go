@@ -279,7 +279,7 @@ func example19() (*relational.Instance, *constraint.Set) {
 		fact("S", n(), s("a")),
 	)
 	fd := constraint.FD("R", 2, []int{0}, []int{1})
-	fk := constraint.ForeignKey("S", 2, []int{1}, "R", 2, []int{0})
+	fk := &constraint.IC{Name: "fk_S_R", Body: []term.Atom{atom("S", v("X1"), v("X2"))}, Head: []term.Atom{atom("R", v("X2"), v("Z2"))}}
 	nnc := &constraint.NNC{Name: "rkey", Pred: "R", Arity: 2, Pos: 0}
 	return d, constraint.MustSet(append(fd, fk), []*constraint.NNC{nnc})
 }

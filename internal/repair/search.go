@@ -42,17 +42,6 @@ type Options struct {
 	// before giving up (0 means DefaultMaxStates). Exceeding it returns
 	// ErrStateLimit.
 	MaxStates int
-	// ScratchProbe disables the delta-driven incremental violation probes
-	// and re-checks every constraint from scratch at every search node, as
-	// the pre-incremental engine did. Repairs and Deltas are byte-identical
-	// either way (the two probes agree on whether a state is consistent,
-	// and any violation-choice policy enumerates a consistent superset of
-	// Rep that the minimality filter reduces to exactly Rep); the knob
-	// exists for differential tests and ablation benchmarks.
-	// StatesExplored/Leaves may differ between the two probes — the probes
-	// can pick different (equally valid) violations of the same state, so
-	// the explored fringes diverge while the repair set does not.
-	ScratchProbe bool
 	// Seed, when non-nil, supplies the root instance's complete per-IC
 	// violation lists so the enumeration resumes from maintained state:
 	// an unseeded run checks every IC over the whole instance once, at the
@@ -61,12 +50,22 @@ type Options struct {
 	// read, never mutated, so a session can hand over the lists it
 	// maintains via nullsem.ICChecker.Update. NNCs are always probed live
 	// at the root (FirstViolationNNC is an indexed scan, and keeping them
-	// out of the seed avoids pinning a second list order). Ignored under
-	// ScratchProbe. Repairs/Deltas are unaffected by seeding. Every state's
-	// lists descend from the root's, so with seed lists in the checkers'
-	// own Violations order the whole run (leaf order, StatesExplored,
-	// Leaves) matches an unseeded one.
+	// out of the seed avoids pinning a second list order).
+	// Repairs/Deltas are unaffected by seeding. Every state's lists
+	// descend from the root's, so with seed lists in the checkers' own
+	// Violations order the whole run (leaf order, StatesExplored, Leaves)
+	// matches an unseeded one.
 	Seed *Seed
+
+	// scratchProbe is the test-only ablation of the maintained violation
+	// lists: every search node re-checks every constraint from scratch,
+	// and Seed is ignored. Repairs and Deltas are byte-identical either
+	// way (the two probes agree on whether a state is consistent, and any
+	// violation-choice policy enumerates a consistent superset of Rep that
+	// the minimality filter reduces to exactly Rep). StatesExplored and
+	// Leaves may differ: the probes can pick different, equally valid
+	// violations of one state.
+	scratchProbe bool
 }
 
 // Seed is resumable enumeration state: the root's complete violation lists,
@@ -293,9 +292,9 @@ func newSearcher(ctx context.Context, d *relational.Instance, set *constraint.Se
 		adomICs:      adomICs,
 		memo:         relational.NewInstanceSet(),
 		maxStates:    maxStates,
-		scratchProbe: opts.ScratchProbe,
+		scratchProbe: opts.scratchProbe,
 	}
-	if !opts.ScratchProbe {
+	if !opts.scratchProbe {
 		s.checkers = make([]*nullsem.ICChecker, len(set.ICs))
 		for i, ic := range set.ICs {
 			s.checkers[i] = nullsem.NewICChecker(ic, sem)
@@ -439,7 +438,7 @@ func (s *searcher) expand(cur node) *relational.Instance {
 }
 
 // probe decides a state's status: its first violation, if any, plus the
-// snapshot its children inherit. Under Options.ScratchProbe every state is
+// snapshot its children inherit. Under Options.scratchProbe every state is
 // probed from scratch. Otherwise the snapshot carries every IC's complete
 // violation list down the work-list:
 //
@@ -460,7 +459,7 @@ func (s *searcher) expand(cur node) *relational.Instance {
 // pick different violations of an inconsistent state (the maintained lists
 // keep survivors in inherited order, the scratch join re-enumerates in
 // instance order), which is covered by the policy-independence contract
-// documented on Options.ScratchProbe.
+// documented on Options.scratchProbe.
 func (s *searcher) probe(nd node) (*nullsem.Violation, *nullsem.NNCViolation, *probeSnap, bool) {
 	if s.scratchProbe {
 		viol, nncViol, bad := firstViolation(nd.inst, s.set, s.sem)

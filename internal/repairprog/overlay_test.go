@@ -8,6 +8,7 @@ import (
 	"repro/internal/ground"
 	"repro/internal/relational"
 	"repro/internal/stable"
+	"repro/internal/term"
 	"repro/internal/value"
 )
 
@@ -47,7 +48,7 @@ func factsEqual(a, b []relational.Fact) bool {
 // stream identical from run to run, under both pruning modes.
 func TestInterpretDeltaMatchesInterpret(t *testing.T) {
 	fd := constraint.FD("R", 2, []int{0}, []int{1})
-	fk := constraint.ForeignKey("S", 2, []int{1}, "R", 2, []int{0})
+	fk := &constraint.IC{Name: "fk_S_R", Body: []term.Atom{atom("S", v("X1"), v("X2"))}, Head: []term.Atom{atom("R", v("X2"), v("Z2"))}}
 	nnc := &constraint.NNC{Name: "rkey", Pred: "R", Arity: 2, Pos: 0}
 	set := constraint.MustSet(append(fd, fk), []*constraint.NNC{nnc})
 	vals := []value.V{s("a"), s("b"), n()}

@@ -33,7 +33,7 @@ func TestPruneUnconstrained(t *testing.T) {
 		fact("audit", s("y"), i(2)),
 	)
 	fd := constraint.FD("r", 2, []int{0}, []int{1})
-	fk := constraint.ForeignKey("s", 2, []int{1}, "r", 2, []int{0})
+	fk := &constraint.IC{Name: "fk_s_r", Body: []term.Atom{atom("s", v("X1"), v("X2"))}, Head: []term.Atom{atom("r", v("X2"), v("Z2"))}}
 	set := constraint.MustSet(append(fd, fk), nil)
 
 	full, err := Build(d, set, VariantCorrected)
@@ -130,7 +130,7 @@ func TestQueryRules(t *testing.T) {
 	if r.Pos[0].Pred != "r"+AnnSuffix {
 		t.Errorf("positive literal = %v, want annotated", r.Pos[0])
 	}
-	if !r.Pos[0].Args[len(r.Pos[0].Args)-1].Equal(term.C(TSS)) {
+	if r.Pos[0].Args[len(r.Pos[0].Args)-1] != term.C(TSS) {
 		t.Errorf("annotation = %v, want tss", r.Pos[0])
 	}
 	if r.Neg[0].Pred != "audit" {

@@ -35,7 +35,7 @@ func example19() (*relational.Instance, *constraint.Set) {
 		fact("S", n(), s("a")),
 	)
 	fd := constraint.FD("R", 2, []int{0}, []int{1})
-	fk := constraint.ForeignKey("S", 2, []int{1}, "R", 2, []int{0})
+	fk := &constraint.IC{Name: "fk_S_R", Body: []term.Atom{atom("S", v("X1"), v("X2"))}, Head: []term.Atom{atom("R", v("X2"), v("Z2"))}}
 	nnc := &constraint.NNC{Name: "rkey", Pred: "R", Arity: 2, Pos: 0}
 	return d, constraint.MustSet(append(fd, fk), []*constraint.NNC{nnc})
 }
@@ -300,7 +300,7 @@ func TestTheorem4Randomized(t *testing.T) {
 	// NNC: the corrected program's stable models must induce exactly the
 	// search repairs.
 	fd := constraint.FD("R", 2, []int{0}, []int{1})
-	fk := constraint.ForeignKey("S", 2, []int{1}, "R", 2, []int{0})
+	fk := &constraint.IC{Name: "fk_S_R", Body: []term.Atom{atom("S", v("X1"), v("X2"))}, Head: []term.Atom{atom("R", v("X2"), v("Z2"))}}
 	nnc := &constraint.NNC{Name: "rkey", Pred: "R", Arity: 2, Pos: 0}
 	set := constraint.MustSet(append(fd, fk), []*constraint.NNC{nnc})
 	if !depgraph.RICAcyclic(set) {
@@ -453,7 +453,7 @@ func TestTheorem5SufficientNotNecessary(t *testing.T) {
 
 func TestDenialOnlySetsAreHCF(t *testing.T) {
 	// Corollary 1: denial-constraint programs are HCF.
-	den := constraint.Denial("d", atom("P", v("x")), atom("Q", v("x")))
+	den := &constraint.IC{Name: "d", Body: []term.Atom{atom("P", v("x")), atom("Q", v("x"))}}
 	set := constraint.MustSet([]*constraint.IC{den}, nil)
 	if !GuaranteedHCF(set) {
 		t.Error("denial sets have no bilateral predicates")

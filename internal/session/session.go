@@ -100,9 +100,9 @@ type Options struct {
 	// Stable configures the model enumeration: Stable.MaxCandidates is
 	// the work bound.
 	Stable stable.Options
-	// Ground configures the grounding of the repair program (the
-	// naive-fixpoint ablation). The answers are identical for every
-	// setting.
+	// Ground configures the grounding of the repair program. It has no
+	// exported field; the program and cautious backends hand it to their
+	// translation as is.
 	Ground ground.Options
 }
 

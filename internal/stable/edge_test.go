@@ -195,3 +195,28 @@ func TestTautologyClauses(t *testing.T) {
 		t.Error("empty clause reported SAT")
 	}
 }
+
+// solveCNF solves a one-shot clause set on a fresh solver, for the direct
+// solver tests. preferFalse keeps the solver's default false phase;
+// otherwise every variable starts true.
+func solveCNF(nVars int, clauses [][]int, preferFalse bool) ([]bool, bool) {
+	s := newSolver(nVars)
+	if !preferFalse {
+		for v := range s.phase {
+			s.phase[v] = 1
+		}
+	}
+	for _, c := range clauses {
+		if !s.addClause(c) {
+			return nil, false
+		}
+	}
+	if !s.solveWith(nil) {
+		return nil, false
+	}
+	model := make([]bool, nVars)
+	for v := 0; v < nVars; v++ {
+		model[v] = s.assign[v] == 1
+	}
+	return model, true
+}

@@ -610,27 +610,3 @@ func (s *solver) heapDown(i int) {
 	s.heap[i] = v
 	s.heapPos[v] = i
 }
-
-// solveCNF solves a one-shot clause set: the historical package entry point,
-// kept for the direct solver tests. preferTrue flips the default phase.
-func solveCNF(nVars int, clauses [][]int, preferFalse bool) ([]bool, bool) {
-	s := newSolver(nVars)
-	if !preferFalse {
-		for v := range s.phase {
-			s.phase[v] = 1
-		}
-	}
-	for _, c := range clauses {
-		if !s.addClause(c) {
-			return nil, false
-		}
-	}
-	if !s.solveWith(nil) {
-		return nil, false
-	}
-	model := make([]bool, nVars)
-	for v := 0; v < nVars; v++ {
-		model[v] = s.assign[v] == 1
-	}
-	return model, true
-}

@@ -231,19 +231,6 @@ func Models(p *ground.Program, opts Options) ([]Model, error) {
 	return out, nil
 }
 
-// HasStableModel reports whether the program is consistent (has at least
-// one stable model). It cancels the stream at the first model.
-func HasStableModel(p *ground.Program) (bool, error) {
-	found := false
-	if err := Enumerate(p, Options{}, func(Model) bool {
-		found = true
-		return false
-	}); err != nil {
-		return false, err
-	}
-	return found, nil
-}
-
 // Cautious returns the atoms true in every stable model (cautious/certain
 // consequences), or nil if the program has no stable model.
 func Cautious(models []Model) []int {
@@ -260,21 +247,5 @@ func Cautious(models []Model) []int {
 		}
 		out = kept
 	}
-	return out
-}
-
-// Brave returns the atoms true in at least one stable model.
-func Brave(models []Model) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, m := range models {
-		for _, a := range m {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	sort.Ints(out)
 	return out
 }

@@ -85,13 +85,6 @@ func TestOddNegationLoopInconsistent(t *testing.T) {
 	if ms := mustModels(t, gp); len(ms) != 0 {
 		t.Errorf("models = %v", modelNames(gp, ms))
 	}
-	ok, err := HasStableModel(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("HasStableModel = true")
-	}
 }
 
 func TestDisjunctiveSplit(t *testing.T) {
@@ -209,8 +202,7 @@ func TestCautiousAndBrave(t *testing.T) {
 	gp := groundProgram(t, p)
 	ms := mustModels(t, gp)
 	caut := Cautious(ms)
-	brave := Brave(ms)
-	// cm and seed are cautious; a and b only brave.
+	// cm and seed are cautious; a and b only brave (true in some model).
 	cautNames := map[string]bool{}
 	for _, a := range caut {
 		cautNames[gp.Names[a]] = true
@@ -218,8 +210,14 @@ func TestCautiousAndBrave(t *testing.T) {
 	if !cautNames["cm"] || !cautNames["seed"] || cautNames["a"] || cautNames["b"] {
 		t.Errorf("cautious = %v", cautNames)
 	}
-	if len(brave) != 4 {
-		t.Errorf("brave = %d atoms", len(brave))
+	brave := map[string]bool{}
+	for _, m := range ms {
+		for _, a := range m {
+			brave[gp.Names[a]] = true
+		}
+	}
+	if len(brave) != 4 || !brave["a"] || !brave["b"] {
+		t.Errorf("brave = %v", brave)
 	}
 	if Cautious(nil) != nil {
 		t.Error("cautious of no models must be nil")

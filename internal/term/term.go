@@ -44,18 +44,6 @@ func (t T) String() string {
 	return t.Const.String()
 }
 
-// Equal reports structural equality of terms (null constants compare equal
-// to each other).
-func (t T) Equal(u T) bool {
-	if t.IsVar() != u.IsVar() {
-		return false
-	}
-	if t.IsVar() {
-		return t.Var == u.Var
-	}
-	return t.Const.Eq(u.Const)
-}
-
 // Atom is a predicate atom P(t1, ..., tn). Predicates are identified by name
 // and arity, so P/2 and P/3 are distinct (this matters for the annotated
 // predicates of repair programs).
@@ -80,19 +68,6 @@ func (a Atom) String() string {
 
 // Arity returns the number of arguments.
 func (a Atom) Arity() int { return len(a.Args) }
-
-// Equal reports structural equality.
-func (a Atom) Equal(b Atom) bool {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Args {
-		if !a.Args[i].Equal(b.Args[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // IsGround reports whether the atom contains no variables.
 func (a Atom) IsGround() bool {

@@ -1,6 +1,7 @@
 package term
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -19,13 +20,13 @@ func TestTermBasics(t *testing.T) {
 	if CNull().String() != "null" {
 		t.Errorf("CNull String = %q", CNull().String())
 	}
-	if !CStr("a").Equal(CStr("a")) || CStr("a").Equal(CStr("b")) {
+	if CStr("a") != CStr("a") || CStr("a") == CStr("b") {
 		t.Error("constant equality broken")
 	}
-	if V("x").Equal(CStr("x")) {
+	if V("x") == CStr("x") {
 		t.Error("variable x must differ from constant x")
 	}
-	if !CNull().Equal(CNull()) {
+	if CNull() != CNull() {
 		t.Error("null terms must be equal")
 	}
 }
@@ -68,7 +69,7 @@ func TestAtomCloneIndependent(t *testing.T) {
 	if !a.Args[0].IsVar() {
 		t.Error("Clone shares argument storage")
 	}
-	if !a.Equal(NewAtom("P", V("x"), CStr("b"))) {
+	if !reflect.DeepEqual(a, NewAtom("P", V("x"), CStr("b"))) {
 		t.Error("original mutated")
 	}
 }

@@ -241,40 +241,6 @@ func (b Bool3) String() string {
 	}
 }
 
-// And3 is three-valued conjunction.
-func And3(a, b Bool3) Bool3 {
-	if a == False3 || b == False3 {
-		return False3
-	}
-	if a == Unknown3 || b == Unknown3 {
-		return Unknown3
-	}
-	return True3
-}
-
-// Or3 is three-valued disjunction.
-func Or3(a, b Bool3) Bool3 {
-	if a == True3 || b == True3 {
-		return True3
-	}
-	if a == Unknown3 || b == Unknown3 {
-		return Unknown3
-	}
-	return False3
-}
-
-// Not3 is three-valued negation.
-func Not3(a Bool3) Bool3 {
-	switch a {
-	case True3:
-		return False3
-	case False3:
-		return True3
-	default:
-		return Unknown3
-	}
-}
-
 // Eq3 reports v = w in three-valued SQL logic: Unknown if either side is
 // null, otherwise a definite verdict.
 func (v V) Eq3(w V) Bool3 {
@@ -296,22 +262,4 @@ func (v V) Order(w V) (cmp int, ok bool) {
 		return 0, false
 	}
 	return v.Compare(w), true
-}
-
-// Parse interprets a bare token as a constant: "null" is the null constant,
-// a valid integer literal is an integer, anything else (including quoted
-// strings, with the quotes stripped) is a string constant.
-func Parse(tok string) V {
-	if tok == "null" {
-		return Null()
-	}
-	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return Int(i)
-	}
-	if len(tok) >= 2 && tok[0] == '"' && tok[len(tok)-1] == '"' {
-		if s, err := strconv.Unquote(tok); err == nil {
-			return Str(s)
-		}
-	}
-	return Str(tok)
 }

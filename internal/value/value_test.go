@@ -76,34 +76,6 @@ func TestEq3SQLMode(t *testing.T) {
 	}
 }
 
-func TestThreeValuedConnectives(t *testing.T) {
-	vals := []Bool3{False3, Unknown3, True3}
-	for _, a := range vals {
-		for _, b := range vals {
-			and, or := And3(a, b), Or3(a, b)
-			if (a == False3 || b == False3) && and != False3 {
-				t.Errorf("And3(%v,%v) = %v", a, b, and)
-			}
-			if a == True3 && b == True3 && and != True3 {
-				t.Errorf("And3(%v,%v) = %v", a, b, and)
-			}
-			if (a == True3 || b == True3) && or != True3 {
-				t.Errorf("Or3(%v,%v) = %v", a, b, or)
-			}
-			if a == False3 && b == False3 && or != False3 {
-				t.Errorf("Or3(%v,%v) = %v", a, b, or)
-			}
-			// De Morgan in Kleene logic.
-			if Not3(And3(a, b)) != Or3(Not3(a), Not3(b)) {
-				t.Errorf("De Morgan fails for %v,%v", a, b)
-			}
-		}
-	}
-	if Not3(Unknown3) != Unknown3 {
-		t.Error("Not3(unknown) != unknown")
-	}
-}
-
 func TestCompareTotalOrder(t *testing.T) {
 	ordered := []V{Null(), Int(-5), Int(0), Int(10), Str(""), Str("a"), Str("b")}
 	for i, a := range ordered {
@@ -133,27 +105,6 @@ func TestOrderComparability(t *testing.T) {
 	}
 	if cmp, ok := Str("b").Order(Str("a")); !ok || cmp <= 0 {
 		t.Errorf("Order(b,a) = %d,%v", cmp, ok)
-	}
-}
-
-func TestParse(t *testing.T) {
-	tests := []struct {
-		in   string
-		want V
-	}{
-		{"null", Null()},
-		{"42", Int(42)},
-		{"-3", Int(-3)},
-		{"abc", Str("abc")},
-		{`"42"`, Str("42")},
-		{`"null"`, Str("null")},
-		{`"hello world"`, Str("hello world")},
-		{"CS27", Str("CS27")},
-	}
-	for _, tt := range tests {
-		if got := Parse(tt.in); !got.Eq(tt.want) || got.Kind() != tt.want.Kind() {
-			t.Errorf("Parse(%q) = %v (%v), want %v (%v)", tt.in, got, got.Kind(), tt.want, tt.want.Kind())
-		}
 	}
 }
 
@@ -221,15 +172,6 @@ func TestQuickCompareTransitive(t *testing.T) {
 			return u.Compare(w) <= 0
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickParseRoundTripInt(t *testing.T) {
-	f := func(i int64) bool {
-		return Parse(Int(i).String()).Eq(Int(i))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -108,10 +108,6 @@ type (
 	//   - EngineDirect reads Repair.Mode only (classic mode is out of its
 	//     scope); Session.Repairs on a direct session runs the search and
 	//     reads Repair like EngineSearch.
-	//
-	// Repair.ScratchProbe and Ground.Naive are test ablations: each
-	// switches off an optimization to check it against the unoptimized
-	// path, and neither changes any answer.
 	CQAOptions = session.Options
 	// RepairOptions configures direct repair enumeration (mode, state
 	// budget).
