@@ -5,18 +5,23 @@ package nullcqa_test
 // update throughput. EXPERIMENTS.md records the measured numbers.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/constraint"
+	"repro/internal/engine"
 	"repro/internal/fdgen"
 	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/session"
 	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // directBenchQuery projects the dependent values of one conflicted key
@@ -152,6 +157,70 @@ func BenchmarkDirectSessionUpdate(b *testing.B) {
 	})
 }
 
+// fdLiveQueries are fd-live's two standing queries.
+var fdLiveQueries = []string{`qa(K, V) :- r0(K, V, I).`, `qb(K, W) :- s(K, W), r0(K, V, I).`}
+
+// fdLiveKey is the key of fdgen's key group grp.
+func fdLiveKey(grp int) value.V { return value.Str(fmt.Sprintf("k%d_0", grp)) }
+
+// fdLive builds the fd-live benchmark instance: fdgen's r0 of 20k rows in
+// two-row key groups, 100 of them conflicted, plus s with one row per key
+// group.
+func fdLive() (*relational.Instance, *constraint.Set, fdgen.Config) {
+	cfg := fdgen.Config{Rows: 20000, GroupSize: 2, Violations: 100, Classes: 2}.Normalized()
+	d, set := fdgen.Generate(cfg)
+	for grp := 0; grp < cfg.Rows/cfg.GroupSize; grp++ {
+		d.Insert(relational.F(fdgen.UnconstrainedName, fdLiveKey(grp), value.Str(fmt.Sprintf("w%d", grp))))
+	}
+	return d, set, cfg
+}
+
+// BenchmarkDirectCreate is fd-live's set-up in process, without HTTP: one
+// op is one create as cqad serves it — the structured create body decoded
+// strictly, its instance converted, the session built and asked whether
+// it is consistent (the create response carries the verdict) — followed
+// by the prepares of fd-live's two standing queries, whose first full
+// passes are the rest of the set-up.
+func BenchmarkDirectCreate(b *testing.B) {
+	d, set, _ := fdLive()
+	inst, cs := wire.FromInstance(d), wire.FromConstraints(set)
+	body, err := json.Marshal(wire.CreateSessionRequest{Name: "fd", Instance: &inst, Constraints: &cs, Engine: "auto"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req wire.CreateSessionRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			b.Fatal(err)
+		}
+		set, err := req.Constraints.ToSet()
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts, err := engine.Options(req.Engine, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := session.New(req.Instance.ToInstance(), set, opts)
+		if s.Consistent() {
+			b.Fatal("fd-live has 100 conflicted groups")
+		}
+		for _, src := range fdLiveQueries {
+			q, err := parser.Query(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Prepare(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkDirectStandingApply measures what an apply costs a direct
 // session with standing queries, on the fd-live shape: fdgen's r0 of 20k
 // rows in two-row key groups, 100 of them conflicted, s with one row per
@@ -165,17 +234,13 @@ func BenchmarkDirectSessionUpdate(b *testing.B) {
 // patch that copied more often, or copied lists it did not change, shows
 // there first.
 func BenchmarkDirectStandingApply(b *testing.B) {
-	cfg := fdgen.Config{Rows: 20000, GroupSize: 2, Violations: 100, Classes: 2}.Normalized()
-	d, set := fdgen.Generate(cfg)
+	d, set, cfg := fdLive()
 	groups := cfg.Rows / cfg.GroupSize
-	key := func(grp int) value.V { return value.Str(fmt.Sprintf("k%d_0", grp)) }
-	for grp := 0; grp < groups; grp++ {
-		d.Insert(relational.F(fdgen.UnconstrainedName, key(grp), value.Str(fmt.Sprintf("w%d", grp))))
-	}
+	key := fdLiveKey
 	opts := session.NewOptions()
 	opts.Engine = session.EngineAuto
 	s := session.New(d, set, opts)
-	for _, src := range []string{`qa(K, V) :- r0(K, V, I).`, `qb(K, W) :- s(K, W), r0(K, V, I).`} {
+	for _, src := range fdLiveQueries {
 		if _, err := s.Prepare(parser.MustQuery(src)); err != nil {
 			b.Fatal(err)
 		}

@@ -259,7 +259,7 @@ func cmdAnswers(d *relational.Instance, set *constraint.Set, q *query.Q, engineN
 		return err
 	}
 	if jsonOut {
-		return emitJSON(wire.AnswerResponse{Query: q.String(), Answer: wire.FromAnswer(ans)})
+		return emitJSON(wire.AnswerResponse{Query: wire.FromQuery(q).Source, Answer: wire.FromAnswer(ans)})
 	}
 	fmt.Printf("query: %s\n", q)
 	fmt.Printf("repairs inspected: %d\n", ans.NumRepairs)

@@ -161,7 +161,7 @@ func TestAnswersJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = `{"query":"q(V) :- s(U,V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":4,"states_explored":7}}` + "\n"
+	const golden = `{"query":"q(V) :- s(U, V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":4,"states_explored":7}}` + "\n"
 	if out != golden {
 		t.Errorf("answers -json differs:\n got %s\nwant %s", out, golden)
 	}

@@ -612,7 +612,7 @@ func answerQuery(ctx context.Context, s *session.Session, q *query.Q, req queryR
 		}
 		s = session.New(s.Current(), s.Set(), opts)
 	}
-	resp := wire.AnswerResponse{Query: q.String()}
+	resp := wire.AnswerResponse{Query: wire.FromQuery(q).Source}
 	if req.Semantics != "possible" {
 		ans, err := s.AnswerCtx(ctx, q)
 		resp.Answer = wire.FromAnswer(ans)

@@ -133,7 +133,7 @@ func TestEndpointsGolden(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("prepare: %d %s", code, resp)
 	}
-	if want := `{"query":"q(V) :- s(U,V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":0}}` + "\n"; resp != want {
+	if want := `{"query":"q(V) :- s(U, V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":0}}` + "\n"; resp != want {
 		t.Errorf("prepare response:\n got %swant %s", resp, want)
 	}
 
@@ -158,7 +158,7 @@ func TestEndpointsGolden(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("answers: %d %s", code, resp)
 	}
-	if want := `{"query":"q(V) :- s(U,V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":0}}` + "\n"; resp != want {
+	if want := `{"query":"q(V) :- s(U, V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":0}}` + "\n"; resp != want {
 		t.Errorf("answers response:\n got %swant %s", resp, want)
 	}
 
@@ -166,7 +166,7 @@ func TestEndpointsGolden(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("query: %d %s", code, resp)
 	}
-	if want := `{"query":"q(V) :- s(U,V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":2,"states_explored":3}}` + "\n"; resp != want {
+	if want := `{"query":"q(V) :- s(U, V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":2,"states_explored":3}}` + "\n"; resp != want {
 		t.Errorf("query response:\n got %swant %s", resp, want)
 	}
 
@@ -174,7 +174,7 @@ func TestEndpointsGolden(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("possible query: %d %s", code, resp)
 	}
-	if want := `{"query":"q(V) :- s(U,V).","answer":{"tuples":[["a"],["f"]],"boolean":false,"num_repairs":0},"semantics":"possible"}` + "\n"; resp != want {
+	if want := `{"query":"q(V) :- s(U, V).","answer":{"tuples":[["a"],["f"]],"boolean":false,"num_repairs":0},"semantics":"possible"}` + "\n"; resp != want {
 		t.Errorf("possible response:\n got %swant %s", resp, want)
 	}
 
@@ -378,7 +378,7 @@ func TestCancelledQueryDoesNotPoison(t *testing.T) {
 		strings.NewReader(`{"query":"q(V) :- s(U, V)."}`))
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, q)
-	want := `{"query":"q(V) :- s(U,V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":4,"states_explored":7}}` + "\n"
+	want := `{"query":"q(V) :- s(U, V).","answer":{"tuples":[["a"]],"boolean":false,"num_repairs":4,"states_explored":7}}` + "\n"
 	if rec.Code != http.StatusOK || rec.Body.String() != want {
 		t.Errorf("query after cancellation: %d\n got %swant %s", rec.Code, rec.Body, want)
 	}
@@ -524,6 +524,18 @@ func TestErrorPaths(t *testing.T) {
 			http.StatusBadRequest, "bad_engine"},
 		{"bad engine at create", "POST", base + "/v1/tenants/acme/sessions", `{"name":"s9","instance_text":"r(a, b).","engine":"quantum"}`,
 			http.StatusBadRequest, "bad_engine"},
+		// A structured instance or delta takes no key it does not define,
+		// at any depth, and no case variant or repeat of one it does.
+		{"unknown key in instance", "POST", base + "/v1/tenants/acme/sessions",
+			`{"name":"u1","instance":{"facts":[],"extra":1}}`, http.StatusBadRequest, "bad_request"},
+		{"unknown key in fact", "POST", base + "/v1/tenants/acme/sessions",
+			`{"name":"u2","instance":{"facts":[{"pred":"r","args":["a"],"extra":1}]}}`, http.StatusBadRequest, "bad_request"},
+		{"unknown key in delta", "POST", s1 + "/apply",
+			`{"delta":{"added":[],"extra":[]}}`, http.StatusBadRequest, "bad_request"},
+		{"case-variant key", "POST", base + "/v1/tenants/acme/sessions",
+			`{"name":"u3","instance":{"Facts":[{"pred":"r","args":["a"]}]}}`, http.StatusBadRequest, "bad_request"},
+		{"duplicate key", "POST", base + "/v1/tenants/acme/sessions",
+			`{"name":"u4","instance":{"facts":[],"facts":[{"pred":"r","args":["a"]}]}}`, http.StatusBadRequest, "bad_request"},
 		{"conflicting standing query", "POST", s1 + "/prepare", `{"query":"q(X) :- r(X, Y)."}`,
 			0, ""}, // primer: registers q
 	}
@@ -626,6 +638,64 @@ func TestApplyCountsNNCViolations(t *testing.T) {
 	}
 }
 
+// TestDirectApplyViolationCount drives an auto FD session, which resolves
+// to direct and counts violations off its classification, and a search
+// session through the same structured applies: every apply must report the
+// search session's verdict and count, and once every conflict is resolved,
+// consistent:true with no count.
+func TestDirectApplyViolationCount(t *testing.T) {
+	_, hs := newTestServer(t, config{})
+	base := hs.URL + "/v1/tenants/acme/sessions"
+	const (
+		db = `r(a, b, 1). r(a, c, 2). r(a, c, 3). r(d, e, 4). r(null, x, 5). s(a, 1).`
+		ic = `r(K, V1, W1), r(K, V2, W2) -> V1 = V2.`
+	)
+	for name, eng := range map[string]string{"fd": "auto", "ref": "search"} {
+		code, resp := doJSON(t, "POST", base, fmt.Sprintf(`{"name":%q,"instance_text":%q,"constraints_text":%q,"engine":%q}`, name, db, ic, eng))
+		if code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name, code, resp)
+		}
+	}
+	fact := func(pred string, args ...string) string {
+		return fmt.Sprintf(`{"pred":%q,"args":[%s]}`, pred, strings.Join(args, ","))
+	}
+	steps := []struct {
+		delta string
+		want  int
+	}{
+		{`{"added":[` + fact("r", `"d"`, `"f"`, "6") + `]}`, 6},
+		{`{"removed":[` + fact("r", `"a"`, `"c"`, "2") + `]}`, 4},
+		{`{"added":[` + fact("s", `"b"`, "2") + `]}`, 4},
+		{`{"removed":[` + fact("r", `"a"`, `"b"`, "1") + `]}`, 2},
+		{`{"removed":[` + fact("r", `"d"`, `"f"`, "6") + `],"added":[` + fact("r", `null`, `"y"`, "7") + `]}`, 0},
+	}
+	for i, st := range steps {
+		var got [2]struct {
+			Consistent bool `json:"consistent"`
+			Violations *int `json:"violations"`
+		}
+		for j, name := range []string{"fd", "ref"} {
+			code, resp := doJSON(t, "POST", base+"/"+name+"/apply", `{"delta":`+st.delta+`}`)
+			if code != http.StatusOK {
+				t.Fatalf("step %d: apply %s: %d %s", i, name, code, resp)
+			}
+			if err := json.Unmarshal([]byte(resp), &got[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fd, ref := got[0], got[1]
+		switch {
+		case fd.Consistent != ref.Consistent || (fd.Violations == nil) != (ref.Violations == nil) ||
+			fd.Violations != nil && *fd.Violations != *ref.Violations:
+			t.Fatalf("step %d: direct reports %+v, search %+v", i, fd, ref)
+		case st.want == 0 && (!fd.Consistent || fd.Violations != nil):
+			t.Fatalf("step %d: want consistent with no count, got %+v", i, fd)
+		case st.want > 0 && (fd.Consistent || fd.Violations == nil || *fd.Violations != st.want):
+			t.Fatalf("step %d: want %d violations, got %+v", i, st.want, fd)
+		}
+	}
+}
+
 // TestRePrepareTellsConstantFromVariable pins the standing-query identity:
 // re-preparing the identical text is idempotent (200), and re-preparing
 // the query with the variable C15 in place of the string constant "C15"
@@ -687,7 +757,7 @@ func TestSubscribeSSE(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("apply: %d %s", code, resp)
 	}
-	want := `{"query":"p() :- r(a,b).","boolean":true,"boolean_changed":true}`
+	want := `{"query":"p() :- r(\"a\", \"b\").","boolean":true,"boolean_changed":true}`
 	select {
 	case got := <-events:
 		if got != want {

@@ -24,13 +24,14 @@ type Result struct {
 // witness is the repair-set footprint of one assignment: the classes its
 // positive literals require to survive and the classes its negated literals
 // require to be deleted, per conflict group. A witness with no constraints
-// holds in every repair. req and exc are nil when empty.
+// holds in every repair; buildWitness returns it as nil. req and exc are
+// nil when empty.
 type witness struct {
 	req map[*group]string
 	exc map[*group]map[string]bool
 }
 
-func (w *witness) free() bool { return len(w.req) == 0 && len(w.exc) == 0 }
+func (w *witness) free() bool { return w == nil || len(w.req) == 0 && len(w.exc) == 0 }
 
 // cand accumulates the witnesses of one candidate answer tuple.
 type cand struct {
@@ -50,6 +51,12 @@ type evaluator struct {
 	// nodes counts the covers calls of the current candidate; more than
 	// maxNodes fails the query with repair.ErrStateLimit.
 	nodes, maxNodes int
+	// args is the scratch tuple a literal is grounded into, and key the
+	// scratch buffer a head projection is encoded into, so that an
+	// assignment allocates only once it names a new candidate or a
+	// conflict.
+	args relational.Tuple
+	key  []byte
 }
 
 func (e *Engine) newEvaluator(ctx context.Context, d *relational.Instance) *evaluator {
@@ -138,25 +145,23 @@ func (e *Engine) collect(ctx context.Context, d *relational.Instance, q *query.Q
 				stop = err
 				return false
 			}
-			w, alive := ev.buildWitness(disj, subst)
-			t := projectHead(q.Head, subst)
-			key := t.Key()
-			c := cands[key]
+			key := ev.headKey(q.Head, subst)
+			c := cands[string(key)]
 			if c == nil {
-				c = &cand{tuple: t}
-				cands[key] = c
+				c = &cand{tuple: projectHead(q.Head, subst)}
+				cands[string(key)] = c
 			}
-			if !alive {
-				return true
-			}
-			if w.free() {
-				c.certain = true
+			if c.certain {
 				// Further witnesses can't change either answer; keep
 				// enumerating only because other candidates may follow.
-				c.witnesses = c.witnesses[:0]
 				return true
 			}
-			if !c.certain {
+			w, alive := ev.buildWitness(disj, subst)
+			switch {
+			case !alive:
+			case w.free():
+				c.certain, c.witnesses = true, nil
+			default:
 				c.witnesses = append(c.witnesses, w)
 			}
 			return true
@@ -168,20 +173,24 @@ func (e *Engine) collect(ctx context.Context, d *relational.Instance, q *query.Q
 	return cands, nil
 }
 
-// buildWitness folds one assignment into a witness. alive is false when the
-// assignment holds in no repair: a positive literal requires two different
-// classes of one group, a negated literal hits a true fact, or a negated
-// literal's group has every class excluded.
+// buildWitness folds one assignment into a witness, nil when the
+// assignment holds in every repair. alive is false when the assignment
+// holds in no repair: a positive literal requires two different classes of
+// one group, a negated literal hits a true fact, or a negated literal's
+// group has every class excluded.
 func (ev *evaluator) buildWitness(disj query.Conj, subst term.Subst) (*witness, bool) {
-	w := &witness{}
+	var w *witness
 	// Positive literals: each inconsistent fact requires its own class.
 	for _, l := range disj.Lits {
 		if l.Neg {
 			continue
 		}
-		st, g, ck := ev.e.classify(groundFact(l.Atom, subst))
+		st, g, ck := ev.e.classify(ev.ground(l.Atom, subst))
 		if st != Inconsistent {
 			continue
+		}
+		if w == nil {
+			w = &witness{}
 		}
 		if w.req == nil {
 			w.req = map[*group]string{}
@@ -201,13 +210,16 @@ func (ev *evaluator) buildWitness(disj query.Conj, subst term.Subst) (*witness, 
 		if !l.Neg {
 			continue
 		}
-		u := groundFact(l.Atom, subst)
+		u := ev.ground(l.Atom, subst)
 		if !ev.d.Has(u) {
 			continue
 		}
 		st, g, ck := ev.e.classify(u)
 		if st != Inconsistent {
 			return nil, false
+		}
+		if w == nil {
+			w = &witness{}
 		}
 		if r, ok := w.req[g]; ok {
 			if r == ck {
@@ -229,6 +241,28 @@ func (ev *evaluator) buildWitness(disj query.Conj, subst term.Subst) (*witness, 
 		}
 	}
 	return w, true
+}
+
+// ground instantiates an atom under a complete assignment into the
+// evaluator's scratch tuple: the fact is valid until the next call.
+func (ev *evaluator) ground(a term.Atom, subst term.Subst) relational.Fact {
+	ev.args = ev.args[:0]
+	for _, t := range a.Args {
+		v, _ := subst.Apply(t)
+		ev.args = append(ev.args, v)
+	}
+	return relational.Fact{Pred: a.Pred, Args: ev.args}
+}
+
+// headKey encodes the head projection of an assignment into the
+// evaluator's scratch buffer, as the projected tuple's Key: the encoding is
+// valid until the next call.
+func (ev *evaluator) headKey(head []string, subst term.Subst) []byte {
+	ev.key = ev.key[:0]
+	for _, v := range head {
+		ev.key = subst[v].AppendKey(ev.key)
+	}
+	return ev.key
 }
 
 // decide reports whether one candidate's witnesses cover every class
@@ -334,16 +368,6 @@ func (w *witness) without(g *group) *witness {
 		nw.exc[k] = v
 	}
 	return nw
-}
-
-// groundFact instantiates an atom under a complete assignment.
-func groundFact(a term.Atom, subst term.Subst) relational.Fact {
-	args := make(relational.Tuple, len(a.Args))
-	for i, t := range a.Args {
-		v, _ := subst.Apply(t)
-		args[i] = v
-	}
-	return relational.Fact{Pred: a.Pred, Args: args}
 }
 
 // projectHead materializes the head projection of an assignment.

@@ -102,9 +102,10 @@ const (
 )
 
 // group is one FD key group: class counts keyed by the dependent value's
-// content encoding. Exempt tuples are never counted.
+// content encoding, and their sum. Exempt tuples are never counted.
 type group struct {
 	classes map[string]int
+	size    int
 }
 
 // fdRel is the classification of one FD-constrained relation.
@@ -139,8 +140,13 @@ type Engine struct {
 	set        *constraint.Set
 	fds        map[relational.RelKey]*fdRel
 	conflicted map[*group]struct{}
-	stats      Stats
-	maxStates  int
+	// pairs is Σ_g (N_g² − Σ_c n_c²) over the key groups, N_g a group's
+	// size and n_c its class counts: the ordered pairs of tuples of one
+	// group in different classes, which are exactly the FD violations
+	// (ViolationCount).
+	pairs     int
+	stats     Stats
+	maxStates int
 }
 
 // New analyzes the set and classifies d. It fails with a *ScopeError
@@ -175,62 +181,90 @@ func New(d *relational.Instance, set *constraint.Set) (*Engine, error) {
 // repair search, which is also the bound before any call.
 func (e *Engine) SetMaxStates(n int) { e.maxStates = n }
 
-// groupClass computes the key-group and class encodings of a tuple under
-// fd; exempt is true when a key or dependent position is null, in which
-// case the tuple never participates in a conflict (Definition 4: a relevant
-// attribute is null, so the constraint is exempt on it).
-func groupClass(fd constraint.FuncDep, t relational.Tuple) (gk, ck string, exempt bool) {
+// exempt reports whether a tuple has null in a key or dependent position
+// of fd, in which case it never participates in a conflict (Definition 4:
+// a relevant attribute is null, so the constraint is exempt on it).
+func exempt(fd constraint.FuncDep, t relational.Tuple) bool {
 	if t[fd.DepPos].IsNull() {
-		return "", "", true
+		return true
 	}
-	kb := make([]byte, 0, 16)
 	for _, p := range fd.KeyPos {
 		if t[p].IsNull() {
-			return "", "", true
+			return true
 		}
-		kb = t[p].AppendKey(kb)
 	}
-	return string(kb), string(t[fd.DepPos].AppendKey(nil)), false
+	return false
 }
 
+// groupClass appends the key-group encoding of a non-exempt tuple under fd
+// to buf and then its class encoding, and returns the two as sub-slices of
+// the result, so that a caller passing a stack buffer allocates nothing to
+// look a tuple up.
+func groupClass(fd constraint.FuncDep, t relational.Tuple, buf []byte) (gk, ck []byte) {
+	for _, p := range fd.KeyPos {
+		buf = t[p].AppendKey(buf)
+	}
+	n := len(buf)
+	buf = t[fd.DepPos].AppendKey(buf)
+	return buf[:n], buf[n:]
+}
+
+// keyBuf sizes the stack buffer a group and class encoding is built in;
+// longer keys spill to the heap.
+const keyBuf = 64
+
 // add counts one tuple of fr's relation into its group/class, maintaining
-// the conflicted set across the 1 → 2 class transition.
+// the conflicted set across the 1 → 2 class transition and the violating
+// pairs: the tuple pairs with each of the N_g − n_c tuples of its group
+// outside its class, in both orders.
 func (e *Engine) add(fr *fdRel, t relational.Tuple) {
-	gk, ck, exempt := groupClass(fr.fd, t)
-	if exempt {
+	if exempt(fr.fd, t) {
 		return
 	}
-	g := fr.groups[gk]
+	var buf [keyBuf]byte
+	gk, ck := groupClass(fr.fd, t, buf[:0])
+	g := fr.groups[string(gk)]
 	if g == nil {
 		g = &group{classes: map[string]int{}}
-		fr.groups[gk] = g
+		fr.groups[string(gk)] = g
 	}
-	g.classes[ck]++
-	if g.classes[ck] == 1 && len(g.classes) == 2 {
+	n := g.classes[string(ck)]
+	e.pairs += 2 * (g.size - n)
+	g.size++
+	g.classes[string(ck)] = n + 1
+	if n == 0 && len(g.classes) == 2 {
 		e.conflicted[g] = struct{}{}
 	}
 }
 
 // remove undoes add, maintaining the conflicted set across the 2 → 1 class
-// transition and dropping emptied groups.
+// transition and dropping emptied classes and groups.
 func (e *Engine) remove(fr *fdRel, t relational.Tuple) {
-	gk, ck, exempt := groupClass(fr.fd, t)
-	if exempt {
+	if exempt(fr.fd, t) {
 		return
 	}
-	g := fr.groups[gk]
-	if g == nil || g.classes[ck] == 0 {
+	var buf [keyBuf]byte
+	gk, ck := groupClass(fr.fd, t, buf[:0])
+	g := fr.groups[string(gk)]
+	if g == nil {
 		return
 	}
-	g.classes[ck]--
-	if g.classes[ck] == 0 {
-		delete(g.classes, ck)
-		if len(g.classes) == 1 {
-			delete(e.conflicted, g)
-		}
-		if len(g.classes) == 0 {
-			delete(fr.groups, gk)
-		}
+	n := g.classes[string(ck)]
+	if n == 0 {
+		return
+	}
+	e.pairs -= 2 * (g.size - n)
+	g.size--
+	if n > 1 {
+		g.classes[string(ck)] = n - 1
+		return
+	}
+	delete(g.classes, string(ck))
+	if len(g.classes) == 1 {
+		delete(e.conflicted, g)
+	}
+	if len(g.classes) == 0 {
+		delete(fr.groups, string(gk))
 	}
 }
 
@@ -254,26 +288,37 @@ func (e *Engine) Update(dl relational.Delta) {
 }
 
 // classify returns the status of a fact assumed present in D, plus its
-// conflict group and class when inconsistent.
+// conflict group and class when inconsistent. Only an inconsistent fact's
+// class encoding is allocated.
 func (e *Engine) classify(f relational.Fact) (Status, *group, string) {
 	fr := e.fds[relational.RelKey{Pred: f.Pred, Arity: len(f.Args)}]
 	if fr == nil {
 		return True, nil, ""
 	}
-	gk, ck, exempt := groupClass(fr.fd, f.Args)
-	if exempt {
+	if exempt(fr.fd, f.Args) {
 		return True, nil, ""
 	}
-	g := fr.groups[gk]
+	var buf [keyBuf]byte
+	gk, ck := groupClass(fr.fd, f.Args, buf[:0])
+	g := fr.groups[string(gk)]
 	if g == nil || len(g.classes) < 2 {
 		return True, nil, ""
 	}
-	return Inconsistent, g, ck
+	return Inconsistent, g, string(ck)
 }
 
 // Consistent reports whether the classified instance satisfies the set
 // (no conflicted group).
 func (e *Engine) Consistent() bool { return len(e.conflicted) == 0 }
+
+// ViolationCount returns the number of violations of the set on the
+// classified instance, in O(1). Under Definition 4 an FD R(x̄, y, w̄),
+// R(x̄, y′, w̄′) → y = y′ is violated exactly by the assignments that send
+// its two atoms to two non-exempt tuples of one key group with different
+// dependent values. Each such ordered pair of tuples is one assignment
+// (the payload variables occur once, so distinct tuples give distinct
+// assignments), so the count is Σ_g (N_g² − Σ_c n_c²).
+func (e *Engine) ViolationCount() int { return e.pairs }
 
 // NumRepairs returns the exact repair count ∏_g |classes(g)| over the
 // conflicted groups, saturating at math.MaxInt.

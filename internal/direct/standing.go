@@ -49,12 +49,11 @@ func (e *Engine) Patch(ctx context.Context, pre, cur *relational.Instance, q *qu
 	reached := map[string]*reach{}
 	subst := term.Subst{}
 	at := func() *reach {
-		t := projectHead(q.Head, subst)
-		k := t.Key()
-		r := reached[k]
+		k := ev.headKey(q.Head, subst)
+		r := reached[string(k)]
 		if r == nil {
-			r = &reach{tuple: t}
-			reached[k] = r
+			r = &reach{tuple: projectHead(q.Head, subst)}
+			reached[string(k)] = r
 		}
 		return r
 	}
@@ -156,17 +155,22 @@ func (e *Engine) anchors(cur *relational.Instance, eff relational.Delta) []relat
 		if fr == nil {
 			continue
 		}
-		gk, _, exempt := groupClass(fr.fd, f.Args)
-		if exempt || groups[groupKey{rk, gk}] {
+		if exempt(fr.fd, f.Args) {
 			continue
 		}
-		groups[groupKey{rk, gk}] = true
+		var buf [keyBuf]byte
+		gk, _ := groupClass(fr.fd, f.Args, buf[:0])
+		k := groupKey{rk, string(gk)}
+		if groups[k] {
+			continue
+		}
+		groups[k] = true
 		bs := make([]relational.Binding, len(fr.fd.KeyPos))
 		for i, p := range fr.fd.KeyPos {
 			bs[i] = relational.Binding{Pos: p, Val: f.Args[p]}
 		}
 		cur.Scan(f.Pred, len(f.Args), bs, func(t relational.Tuple) bool {
-			if _, _, exempt := groupClass(fr.fd, t); exempt {
+			if exempt(fr.fd, t) {
 				return true
 			}
 			g := relational.Fact{Pred: f.Pred, Args: t}

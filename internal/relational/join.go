@@ -17,15 +17,19 @@ import "repro/internal/term"
 // expressible as bindings; callers enforce them when matching the yielded
 // tuples.
 func AtomBindings(a term.Atom, subst term.Subst) []Binding {
-	var bs []Binding
+	return appendBindings(nil, a, subst)
+}
+
+// appendBindings is AtomBindings appending to dst.
+func appendBindings(dst []Binding, a term.Atom, subst term.Subst) []Binding {
 	for i, t := range a.Args {
 		if !t.IsVar() {
-			bs = append(bs, Binding{Pos: i, Val: t.Const})
+			dst = append(dst, Binding{Pos: i, Val: t.Const})
 		} else if v, ok := subst[t.Var]; ok {
-			bs = append(bs, Binding{Pos: i, Val: v})
+			dst = append(dst, Binding{Pos: i, Val: v})
 		}
 	}
-	return bs
+	return dst
 }
 
 // MatchAtom unifies a tuple with atom a under subst, binding the atom's
@@ -33,18 +37,27 @@ func AtomBindings(a term.Atom, subst term.Subst) []Binding {
 // caller can backtrack with Unbind; on a mismatch it unbinds what it bound
 // and reports false.
 func MatchAtom(tuple Tuple, a term.Atom, subst term.Subst) (bound []string, ok bool) {
+	return matchInto(nil, tuple, a, subst)
+}
+
+// matchInto is MatchAtom appending the newly bound variables to bound, so
+// that a scan can reuse one buffer for every tuple it matches. It returns
+// the extended buffer; on a mismatch it unbinds what it bound and returns
+// bound unextended.
+func matchInto(bound []string, tuple Tuple, a term.Atom, subst term.Subst) ([]string, bool) {
+	mark := len(bound)
 	for i, t := range a.Args {
 		if !t.IsVar() {
 			if !tuple[i].Eq(t.Const) {
-				Unbind(subst, bound)
-				return nil, false
+				Unbind(subst, bound[mark:])
+				return bound[:mark], false
 			}
 			continue
 		}
 		if v, isBound := subst[t.Var]; isBound {
 			if !tuple[i].Eq(v) {
-				Unbind(subst, bound)
-				return nil, false
+				Unbind(subst, bound[mark:])
+				return bound[:mark], false
 			}
 			continue
 		}
@@ -177,21 +190,33 @@ func indexOf(vs []string, v string) int {
 // it must outlive the callback. yield returns false to stop; Join reports
 // whether the enumeration completed. On return subst holds exactly the
 // bindings it had on entry.
+//
+// The variables each step binds are kept on one stack for the whole join,
+// each step matching every tuple of its scan into the slots above the
+// steps before it, so a scan allocates nothing per tuple.
 func Join(d *Instance, steps []JoinStep, subst term.Subst, yield func() bool) bool {
+	var buf [16]string
+	return join(d, steps, subst, buf[:0], yield)
+}
+
+// join runs steps with bound holding the variables the enclosing steps
+// bound.
+func join(d *Instance, steps []JoinStep, subst term.Subst, bound []string, yield func() bool) bool {
 	if len(steps) == 0 {
 		return yield()
 	}
 	st := &steps[0]
 	cont := true
-	d.Scan(st.Atom.Pred, st.Atom.Arity(), AtomBindings(st.Atom, subst), func(t Tuple) bool {
-		bound, ok := MatchAtom(t, st.Atom, subst)
+	var bsbuf [8]Binding
+	d.Scan(st.Atom.Pred, st.Atom.Arity(), appendBindings(bsbuf[:0], st.Atom, subst), func(t Tuple) bool {
+		next, ok := matchInto(bound, t, st.Atom, subst)
 		if !ok {
 			return true
 		}
 		if BuiltinsHold(st.Builtins, subst) {
-			cont = Join(d, steps[1:], subst, yield)
+			cont = join(d, steps[1:], subst, next, yield)
 		}
-		Unbind(subst, bound)
+		Unbind(subst, next[len(bound):])
 		return cont
 	})
 	return cont

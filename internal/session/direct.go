@@ -27,8 +27,10 @@ func resolveAuto(set *constraint.Set, opts Options) Engine {
 // straight off the polynomial FD classification of internal/direct, which
 // is built lazily and then advanced by apply in O(|Δ|) — no re-scan, no
 // repair enumeration — and standing queries are patched along each apply.
-// The classification never materializes repairs, so Repairs() on a direct
-// session runs the seeded search.
+// The classification also answers the session's Consistent and
+// ViolationCount, so the violation lists are built only when Violations()
+// or the search seed asks for them. The classification never materializes
+// repairs, so Repairs() on a direct session runs the seeded search.
 type directBackend struct {
 	s   *Session
 	dir *direct.Engine
@@ -108,6 +110,23 @@ func (b *directBackend) classification() (*direct.Engine, error) {
 	e.SetMaxStates(b.s.opts.Repair.MaxStates)
 	b.dir = e
 	return e, nil
+}
+
+// classification returns the FD classification of a direct session whose
+// set is in the engine's scope, building it on first use, and nil on any
+// other session: there, and under classic semantics or an out-of-scope set
+// forced onto the direct engine, the violation lists answer Consistent and
+// ViolationCount.
+func (s *Session) classification() *direct.Engine {
+	b, ok := s.eng.(*directBackend)
+	if !ok {
+		return nil
+	}
+	e, err := b.classification()
+	if err != nil {
+		return nil
+	}
+	return e
 }
 
 // certain is one polynomial pass over the classification. NumRepairs is

@@ -240,3 +240,168 @@ func TestDirectRepairsMatchSearch(t *testing.T) {
 		same("after apply", eng, got, want)
 	}
 }
+
+// TestDirectViolationCount pins the classification's count against a
+// search session, which joins each FD over the instance, and against a
+// hand count Σ_g (N_g² − Σ_c n_c²), on create and after every apply. A
+// direct session must answer both without building violation lists.
+func TestDirectViolationCount(t *testing.T) {
+	const fd = `r(K, V1, W1), r(K, V2, W2) -> V1 = V2.`
+	type step struct {
+		insert, delete string
+		want           int
+	}
+	cases := []struct {
+		name, db, ics string
+		want          int
+		steps         []step
+	}{
+		{
+			// Null key or dependent exempts a row; a null payload does not.
+			name: "nulls in key, dependent and payload positions",
+			db:   `r(a, b, 1). r(a, c, 2). r(null, b, 3). r(null, c, 4). r(a, null, 5). r(d, b, null). r(d, c, 6).`,
+			ics:  fd, want: 4,
+			steps: []step{
+				{insert: `r(null, d, 7). r(a, null, 8).`, want: 4},
+				{insert: `r(d, c, null).`, want: 6},
+				{delete: `r(d, b, null).`, want: 2},
+			},
+		},
+		{
+			name: "Int(1) against Str(\"1\")",
+			db:   `r(a, 1, x). r(a, "1", y). r(b, 1, x). r(b, 1, y).`,
+			ics:  fd, want: 2,
+			steps: []step{
+				{insert: `r(b, "1", z).`, want: 6},
+				{delete: `r(a, "1", y).`, want: 4},
+			},
+		},
+		{
+			name: "a 3-class group",
+			db:   `r(a, b, 1). r(a, b, 2). r(a, c, 3). r(a, d, 4).`,
+			ics:  fd, want: 10,
+			steps: []step{
+				{insert: `r(a, c, 5).`, want: 16},
+				{delete: `r(a, b, 1). r(a, b, 2).`, want: 4},
+			},
+		},
+		{
+			name: "an empty-key FD",
+			db:   `p(a, 1). p(b, 2). p(b, 3). p(null, 4).`,
+			ics:  `p(V1, W1), p(V2, W2) -> V1 = V2.`, want: 4,
+			steps: []step{
+				{insert: `p(c, 5).`, want: 10},
+				{delete: `p(a, 1). p(c, 5).`, want: 0},
+			},
+		},
+		{
+			name: "two FD relations",
+			db:   `r(a, b, 1). r(a, c, 2). s(k, 1). s(k, 2). s(k, 3). s(m, 1).`,
+			ics:  fd + "\n" + `s(K, V1), s(K, V2) -> V1 = V2.`, want: 8,
+			steps: []step{
+				{insert: `s(m, 2). r(e, f, 3).`, want: 10},
+				{delete: `r(a, b, 1).`, want: 8},
+			},
+		},
+		{
+			name: "applies that empty a class and a group",
+			db:   `r(a, b, 1). r(a, c, 2). r(a, c, 3). r(e, f, 1).`,
+			ics:  fd, want: 4,
+			steps: []step{
+				{delete: `r(a, b, 1).`, want: 0},
+				{delete: `r(a, c, 2). r(a, c, 3).`, want: 0},
+				{insert: `r(a, x, 9). r(a, y, 9).`, want: 2},
+				{insert: `r(e, g, 2).`, delete: `r(e, f, 1).`, want: 2},
+				{delete: `r(e, g, 2).`, want: 2},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			set := parser.MustConstraints(tc.ics)
+			opts := NewOptions()
+			opts.Engine = EngineAuto
+			s := New(parser.MustInstance(tc.db), set, opts)
+			if _, ok := s.eng.(*directBackend); !ok {
+				t.Fatalf("auto resolved to %v, want direct", s.Options().Engine)
+			}
+			check := func(at string, want int) {
+				t.Helper()
+				ref := New(s.Current(), set, NewOptions())
+				if got := s.ViolationCount(); got != want || got != len(ref.Violations()) {
+					t.Fatalf("%s: ViolationCount() = %d, want %d (search session: %d)", at, got, want, len(ref.Violations()))
+				}
+				if got := s.Consistent(); got != (want == 0) || got != ref.Consistent() {
+					t.Fatalf("%s: Consistent() = %v with %d violations (search session: %v)", at, got, want, ref.Consistent())
+				}
+			}
+			check("create", tc.want)
+			for i, st := range tc.steps {
+				var dl relational.Delta
+				if st.insert != "" {
+					dl.Added = parser.MustInstance(st.insert).Facts()
+				}
+				if st.delete != "" {
+					dl.Removed = parser.MustInstance(st.delete).Facts()
+				}
+				if _, err := s.Apply(dl); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("step %d", i), st.want)
+			}
+			if s.violsOK || s.checkers != nil {
+				t.Fatal("the direct session built violation lists")
+			}
+		})
+	}
+}
+
+// TestDirectSessionBuildsNoLists pins where a direct session's conflicts
+// live: create, Consistent, ViolationCount, both of fd-live's prepares and
+// relevant and irrelevant applies read and move the classification alone.
+// Violations() builds the lists, which later applies then maintain.
+func TestDirectSessionBuildsNoLists(t *testing.T) {
+	cfg := fdgen.Config{Rows: 200, GroupSize: 2, Violations: 5, Classes: 2}.Normalized()
+	d, set := fdgen.Generate(cfg)
+	key := func(grp int) value.V { return value.Str(fmt.Sprintf("k%d_0", grp)) }
+	for grp := 0; grp < cfg.Rows/cfg.GroupSize; grp++ {
+		d.Insert(relational.F(fdgen.UnconstrainedName, key(grp), value.Str(fmt.Sprintf("w%d", grp))))
+	}
+	opts := NewOptions()
+	opts.Engine = EngineAuto
+	s := New(d, set, opts)
+	if s.Consistent() || s.ViolationCount() != 2*cfg.Violations {
+		t.Fatalf("Consistent() %v with %d violations, want %d", s.Consistent(), s.ViolationCount(), 2*cfg.Violations)
+	}
+	for _, src := range []string{`qa(K, V) :- r0(K, V, I).`, `qb(K, W) :- s(K, W), r0(K, V, I).`} {
+		if _, err := s.Prepare(parser.MustQuery(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply := func(dl relational.Delta) {
+		t.Helper()
+		if _, err := s.Apply(dl); err != nil {
+			t.Fatal(err)
+		}
+		s.Consistent()
+		s.ViolationCount()
+	}
+	relevant := relational.F(fdgen.RelName(0), key(cfg.Violations), value.Str("other"), value.Int(1000))
+	irrelevant := relational.F(fdgen.UnconstrainedName, key(0), value.Str("x"))
+	for _, f := range []relational.Fact{relevant, irrelevant} {
+		apply(relational.Delta{Added: []relational.Fact{f}})
+		apply(relational.Delta{Removed: []relational.Fact{f}})
+	}
+	if s.violsOK || s.checkers != nil {
+		t.Fatal("a direct session built violation lists without a Violations() call")
+	}
+	if n := len(s.Violations()); n != s.ViolationCount() || !s.violsOK {
+		t.Fatalf("Violations() gave %d, ViolationCount() %d", n, s.ViolationCount())
+	}
+	apply(relational.Delta{Added: []relational.Fact{relevant}})
+	// The insert makes a third row, in a class of its own, in a two-row
+	// group: 3² − (2² + 1²) = 4 more violations.
+	if n, m := len(s.Violations()), s.ViolationCount(); n != m || m != 2*cfg.Violations+4 {
+		t.Fatalf("after an apply the maintained lists hold %d violations, the classification %d, want %d", n, m, 2*cfg.Violations+4)
+	}
+}

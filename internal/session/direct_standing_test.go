@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/constraint"
 	"repro/internal/direct"
 	"repro/internal/fdgen"
 	"repro/internal/parser"
@@ -20,7 +21,8 @@ import (
 // prepared queries across every apply (direct.Engine.Patch) and never
 // re-runs a full pass, yet after every apply each prepared query's answers,
 // and its Subscribe diffs replayed over the answers at Prepare, equal a
-// direct engine built from scratch on the mutated instance.
+// direct engine built from scratch on the mutated instance, and its
+// consistency verdict and violation count equal a search session's.
 
 // standingQueries is internal/direct's differential battery over r0, r1
 // (key, dependent, id) and the unconstrained s, plus a join reading s
@@ -152,6 +154,7 @@ func checkDirectStanding(t *testing.T, rels int, start []int, steps [][]int, ev 
 		})
 	}
 	passes := s.DirectStats().FullPasses
+	checkViolationCount(t, s, db.instance(), set, "at prepare")
 
 	emptied := map[string]bool{}
 	for step, idx := range steps {
@@ -201,6 +204,7 @@ func checkDirectStanding(t *testing.T, rels int, start []int, steps [][]int, ev 
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkViolationCount(t, s, scratchDB, set, fmt.Sprintf("step %d after %s", step, dl))
 		for qi, q := range queries {
 			want, err := scratch.CertainCtx(ctx, scratchDB, q)
 			if err != nil {
@@ -232,6 +236,20 @@ func checkDirectStanding(t *testing.T, rels int, start []int, steps [][]int, ev 
 	}
 	if got := s.DirectStats().FullPasses; got != passes {
 		t.Fatalf("the stream ran %d full passes after Prepare, want 0", got-passes)
+	}
+}
+
+// checkViolationCount checks a direct session's Consistent and
+// ViolationCount, which the FD classification answers, against a search
+// session built on d, which checks the constraints by joins.
+func checkViolationCount(t *testing.T, s *session.Session, d *relational.Instance, set *constraint.Set, at string) {
+	t.Helper()
+	ref := session.New(d, set, session.NewOptions())
+	if got, want := s.Consistent(), ref.Consistent(); got != want {
+		t.Fatalf("%s: Consistent() = %v, search session says %v", at, got, want)
+	}
+	if got, want := s.ViolationCount(), len(ref.Violations()); got != want {
+		t.Fatalf("%s: ViolationCount() = %d, search session has %d violations", at, got, want)
 	}
 }
 

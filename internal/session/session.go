@@ -455,7 +455,8 @@ func (s *Session) ensureViolations() {
 // constraint order. Within one IC the order reflects the update history
 // (survivors first, then violations seeded by later deltas), so it equals
 // a scratch check's list as a set, not necessarily as a sequence. The
-// slice is read-only.
+// slice is read-only. The first call builds the lists, and Apply maintains
+// them from then on.
 func (s *Session) Violations() []nullsem.Violation {
 	s.ensureViolations()
 	var out []nullsem.Violation
@@ -465,9 +466,29 @@ func (s *Session) Violations() []nullsem.Violation {
 	return out
 }
 
+// ViolationCount returns len(Violations()). A direct session answers it
+// from the FD classification in O(1) and builds no lists; any other
+// session sums its maintained lists without flattening them.
+func (s *Session) ViolationCount() int {
+	if e := s.classification(); e != nil {
+		return e.ViolationCount()
+	}
+	s.ensureViolations()
+	n := 0
+	for _, vs := range s.viols {
+		n += len(vs)
+	}
+	return n
+}
+
 // Consistent reports whether the current head satisfies the constraint
-// set, from the maintained violation lists plus an indexed NNC probe.
+// set. A direct session reads the FD classification, which covers the
+// whole set (it holds no NOT NULL-constraint); any other session reads its
+// maintained violation lists plus an indexed NNC probe.
 func (s *Session) Consistent() bool {
+	if e := s.classification(); e != nil {
+		return e.Consistent()
+	}
 	s.ensureViolations()
 	for _, vs := range s.viols {
 		if len(vs) > 0 {

@@ -58,32 +58,6 @@ func (v Value) MarshalJSON() ([]byte, error) {
 	}
 }
 
-// UnmarshalJSON decodes a JSON native back into a constant. Numbers must be
-// integers (the domain U has no floats); anything but null, an integer, or
-// a string is rejected. encoding/json hands over exactly one value's bytes,
-// so the first byte tells the kind.
-func (v *Value) UnmarshalJSON(b []byte) error {
-	switch {
-	case string(b) == "null":
-		v.V = value.Null()
-	case len(b) > 0 && b[0] == '"':
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v.V = value.Str(s)
-	case len(b) > 0 && (b[0] == '-' || '0' <= b[0] && b[0] <= '9'):
-		i, err := strconv.ParseInt(string(b), 10, 64)
-		if err != nil {
-			return fmt.Errorf("wire: constant %s is not a 64-bit integer", b)
-		}
-		v.V = value.Int(i)
-	default:
-		return fmt.Errorf("wire: constant must be null, an integer, or a string (got %s)", b)
-	}
-	return nil
-}
-
 // Tuple conversions.
 
 // FromTuple converts one answer tuple.
@@ -168,10 +142,17 @@ func FromInstance(d *relational.Instance) Instance {
 }
 
 // ToInstance inverts FromInstance (set semantics: duplicate facts collapse).
+// Insert copies what it keeps, so every fact passes through one scratch
+// tuple.
 func (in Instance) ToInstance() *relational.Instance {
 	d := relational.NewInstance()
+	var args relational.Tuple
 	for _, f := range in.Facts {
-		d.Insert(f.ToFact())
+		args = args[:0]
+		for _, v := range f.Args {
+			args = append(args, v.V)
+		}
+		d.Insert(relational.Fact{Pred: f.Pred, Args: args})
 	}
 	return d
 }
@@ -362,7 +343,7 @@ func (r ApplyResult) ToApplyResult() session.ApplyResult {
 }
 
 // QueryUpdate is the wire form of a changed-answer diff pushed for one
-// standing query (session.QueryUpdate), keyed by the query's canonical text.
+// standing query (session.QueryUpdate), keyed by the query's text.
 type QueryUpdate struct {
 	Query          string    `json:"query"`
 	Added          [][]Value `json:"added,omitempty"`
@@ -371,10 +352,19 @@ type QueryUpdate struct {
 	BooleanChanged bool      `json:"boolean_changed,omitempty"`
 }
 
-// FromQueryUpdate converts a subscription diff.
+// FromQueryUpdate converts a subscription diff, keyed by the query's
+// display text (query.Q.String). The documents cqad and cqa emit key it by
+// the canonical text instead, as their prepare responses echo it (see
+// NewApplyResponse); this form stays for clients that echo the display
+// text at prepare, such as perfbench's in-process replay.
 func FromQueryUpdate(u session.QueryUpdate) QueryUpdate {
+	return fromQueryUpdate(u, u.Prepared.Query().String())
+}
+
+// fromQueryUpdate converts a subscription diff keyed by text.
+func fromQueryUpdate(u session.QueryUpdate, text string) QueryUpdate {
 	return QueryUpdate{
-		Query:          u.Prepared.Query().String(),
+		Query:          text,
 		Added:          FromTuples(u.Added),
 		Removed:        FromTuples(u.Removed),
 		Boolean:        u.Boolean,
@@ -408,34 +398,37 @@ type ApplyResponse struct {
 }
 
 // NewApplyResponse assembles the update envelope of an apply on s. The
-// violation count covers the whole constraint set: the maintained IC
-// violations plus, per NOT NULL-constraint, the facts with a null in its
-// column. updates are the changed-answer diffs of the standing queries, in
-// registration order.
+// violation count covers the whole constraint set: the IC violations
+// (Session.ViolationCount) plus, per NOT NULL-constraint, the facts with a
+// null in its column. updates are the changed-answer diffs of the standing
+// queries, in registration order, each keyed by its query's canonical
+// text, as PreparedResponse echoes it.
 func NewApplyResponse(s *session.Session, res session.ApplyResult, updates []session.QueryUpdate) ApplyResponse {
 	resp := ApplyResponse{Result: FromApplyResult(res), Consistent: s.Consistent()}
 	if !resp.Consistent {
-		resp.Violations = len(s.Violations())
+		resp.Violations = s.ViolationCount()
 		cur := s.Current()
 		for _, n := range s.Set().NNCs {
 			resp.Violations += len(nullsem.CheckNNC(cur, n))
 		}
 	}
 	for _, u := range updates {
-		resp.Updates = append(resp.Updates, FromQueryUpdate(u))
+		resp.Updates = append(resp.Updates, fromQueryUpdate(u, FromQuery(u.Prepared.Query()).Source))
 	}
 	return resp
 }
 
 // PreparedResponse serializes a standing query's maintained state with zero
-// engine diagnostics, since a patched answer inspects no new repairs.
+// engine diagnostics, since a patched answer inspects no new repairs. It
+// echoes the query's canonical text (FromQuery), which reparses to the same
+// query; the display text does not quote string constants.
 func PreparedResponse(p *session.Prepared) AnswerResponse {
 	q := p.Query()
 	ans := Answer{Boolean: p.Boolean()}
 	if !q.IsBoolean() {
 		ans.Tuples = FromTuples(p.Answers())
 	}
-	return AnswerResponse{Query: q.String(), Answer: ans, Stale: !p.Valid()}
+	return AnswerResponse{Query: FromQuery(q).Source, Answer: ans, Stale: !p.Valid()}
 }
 
 // --- canonical constraint rendering ------------------------------------------
