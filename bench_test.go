@@ -468,10 +468,11 @@ func hrColdDB() (*relational.Instance, *constraint.Set) {
 }
 
 // BenchmarkCautiousColdQuery is the first cautious query after a
-// constraint-relevant apply: the apply swaps a conflicting manager, which
-// drops the translation, so the query rebuilds and grounds the repair
-// program, solves every component to count the 32 repairs, and answers.
-// The applies alternate between two contents, both with 32 repairs.
+// constraint-relevant apply: the apply swaps a conflicting manager and
+// queues the change on the translation, so the query folds it into the
+// retained grounding, solves every component to recount the 32 repairs,
+// and answers. The applies alternate between two contents, both with 32
+// repairs.
 func BenchmarkCautiousColdQuery(b *testing.B) {
 	d, set := hrColdDB()
 	opts := session.NewOptions()
@@ -489,6 +490,41 @@ func BenchmarkCautiousColdQuery(b *testing.B) {
 		ans, err := s.Answer(q)
 		if err != nil || len(ans.Tuples) != 1 || ans.NumRepairs != 32 {
 			b.Fatalf("ans=%+v err=%v", ans, err)
+		}
+	}
+}
+
+// BenchmarkCautiousComponentSolve is one Components.Solve over every
+// component of hrColdDB's base grounding: five conflicts of two stable
+// models each, which a cold cautious query solves to count the repairs.
+func BenchmarkCautiousComponentSolve(b *testing.B) {
+	d, set := hrColdDB()
+	tr, err := repairprog.BuildWith(d, set, repairprog.BuildOptions{
+		Variant:            repairprog.VariantCorrected,
+		PruneUnconstrained: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gp, err := tr.BaseGrounding()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := stable.Decompose(gp)
+	order := make([]int, cs.Len())
+	for c := range order {
+		order[c] = c
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		models := 0
+		ok, err := cs.Solve(context.Background(), stable.Options{}, order, func(int, stable.Model) bool {
+			models++
+			return true
+		})
+		if err != nil || !ok || models != 10 {
+			b.Fatalf("models=%d ok=%v err=%v", models, ok, err)
 		}
 	}
 }

@@ -217,12 +217,12 @@ func TestDifferentialExtendVsMonolithic(t *testing.T) {
 			t.Fatalf("seed %d: extend diverges from monolithic:\n--- monolithic\n%s\n--- extend\n%s",
 				seed, mono.String(), got.String())
 		}
-		if len(got.Names) != len(mono.Names) {
-			t.Fatalf("seed %d: atom tables differ: %d vs %d atoms", seed, len(got.Names), len(mono.Names))
+		if len(got.Atoms) != len(mono.Atoms) {
+			t.Fatalf("seed %d: atom tables differ: %d vs %d atoms", seed, len(got.Atoms), len(mono.Atoms))
 		}
-		for i := range got.Names {
-			if got.Names[i] != mono.Names[i] {
-				t.Fatalf("seed %d: atom id %d differs: %q vs %q", seed, i, got.Names[i], mono.Names[i])
+		for i := range got.Atoms {
+			if !got.Atoms[i].Equal(mono.Atoms[i]) {
+				t.Fatalf("seed %d: atom id %d differs: %v vs %v", seed, i, got.Atoms[i], mono.Atoms[i])
 			}
 		}
 		if len(got.Rules) > len(bg.Rules) {
@@ -276,7 +276,7 @@ func TestInternerLookupNoAlloc(t *testing.T) {
 	in := newInterner()
 	fs := testFacts(64)
 	for _, f := range fs {
-		in.intern(f)
+		in.intern(f, true)
 	}
 	probe := fs[37]
 	if n := testing.AllocsPerRun(200, func() {

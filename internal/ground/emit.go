@@ -11,7 +11,8 @@ import (
 // instance, the possible/fact membership sets, the atom interner, the
 // folded rules' dedup state, each atom's folded value, and the relations
 // extension heads must avoid. All of it is frozen once the program is
-// built; extensions layer child sets on top.
+// built; extensions layer child sets on top, and Update moves a base
+// grounding's snapshot in place.
 //
 // facts holds the input facts only, never the folded ones: emission
 // decides rule instances against it before interning their atoms, and a
@@ -28,30 +29,62 @@ type extState struct {
 	// val is the folded value of every atom id, input facts true; an
 	// extension's val shares its parent's as a capacity-capped prefix.
 	val []truth
+	// base is what Update needs besides the snapshot (update.go); nil on
+	// an extension level.
+	base *baseState
 }
 
-// pendingRule is one simplified rule instance before interning: the
-// surviving literals as facts, each part duplicate-free and in source
-// literal order. A rule instance may still be dropped while its literals
-// are collected, so atom ids are assigned only once it survives.
-type pendingRule struct {
-	head, pos, neg []relational.Fact
+// rawSet holds one grounding level's emitted rule instances, before the
+// fold, in one literal slab: an instance is a span of atom ids, its head
+// atoms, then its positive, then its negated body atoms, each part
+// duplicate-free and in source literal order.
+type rawSet struct {
+	lits  []int
+	spans []rawSpan
+	// dead counts the retracted spans (Update); index finds a live span by
+	// its content, and is built by the first Update.
+	dead  int
+	index map[uint64][]int32
+}
+
+// rawSpan locates one instance in the slab: lits[off:pos] are its head,
+// lits[pos:neg] its positive and lits[neg:end] its negated atoms.
+type rawSpan struct {
+	off, pos, neg, end int32
+	dead               bool
+}
+
+// rule returns span i as a Rule aliasing the slab; empty parts are nil.
+func (rs *rawSet) rule(i int) Rule {
+	sp := rs.spans[i]
+	return Rule{
+		Head: slabPart(rs.lits, sp.off, sp.pos),
+		Pos:  slabPart(rs.lits, sp.pos, sp.neg),
+		Neg:  slabPart(rs.lits, sp.neg, sp.end),
+	}
+}
+
+func slabPart(lits []int, lo, hi int32) []int {
+	if lo == hi {
+		return nil
+	}
+	return lits[lo:hi:hi]
 }
 
 // emit instantiates rules over the canonical possible set, in source-rule
 // order, interning each surviving instance's atoms into st.in as the join
 // finds it, and returns the instances in that order for settle to fold.
-func emit(st *extState, rules []logic.Rule) []Rule {
+func emit(st *extState, rules []logic.Rule) *rawSet {
 	e := &emitter{st: st, subst: term.Subst{}}
-	var raw []Rule
+	raw := &rawSet{}
 	for _, r := range rules {
 		steps, ready := relational.PlanJoin(st.canon, r.Pos, r.Builtins, nil)
 		if !relational.BuiltinsHold(ready, e.subst) {
 			continue
 		}
 		relational.Join(st.canon, steps, e.subst, func() bool {
-			if pr, keep := e.simplify(r); keep {
-				raw = append(raw, internRule(st.in, pr))
+			if e.simplify(r) {
+				e.push(raw)
 			}
 			return true
 		})
@@ -59,11 +92,20 @@ func emit(st *extState, rules []logic.Rule) []Rule {
 	return raw
 }
 
-// emitter holds emit's substitution and literal scratch storage.
+// emitter holds emission's substitution and the instance being built: its
+// literals as facts whose tuples live in one reused arena, heads first
+// (nh of them), then np positive, then the negated ones.
 type emitter struct {
-	st      *extState
-	subst   term.Subst
+	st     *extState
+	subst  term.Subst
+	arena  relational.Tuple
+	lits   []relational.Fact
+	nh, np int
+
+	// Update's scratch: one instantiated literal, and the atom ids of a
+	// retracted instance.
 	scratch relational.Tuple
+	ids     []int
 }
 
 // simplify builds one ground rule instance under the current substitution,
@@ -71,65 +113,78 @@ type emitter struct {
 // satisfies the rule (drop it); a positive literal that is a fact is always
 // true (omit it) and one that is not possible can never hold (drop the
 // rule); a negated fact is false (drop the rule) and a negated non-possible
-// atom is true (omit it).
-func (e *emitter) simplify(r logic.Rule) (pendingRule, bool) {
-	var pr pendingRule
+// atom is true (omit it). It reports whether the instance survives.
+func (e *emitter) simplify(r logic.Rule) bool {
+	e.arena, e.lits = e.arena[:0], e.lits[:0]
 	for _, h := range r.Head {
-		e.scratch = groundAtomInto(e.scratch, h, e.subst)
-		f := relational.Fact{Pred: h.Pred, Args: e.scratch}
+		f := e.ground(h)
 		if e.st.facts.has(f) {
-			return pendingRule{}, false
+			return false
 		}
-		pr.head = appendUniqFact(pr.head, f)
+		e.addUniq(f, 0)
 	}
+	e.nh = len(e.lits)
 	for _, a := range r.Pos {
-		e.scratch = groundAtomInto(e.scratch, a, e.subst)
-		f := relational.Fact{Pred: a.Pred, Args: e.scratch}
+		f := e.ground(a)
 		if e.st.facts.has(f) {
 			continue
 		}
 		if !e.st.poss.has(f) {
-			return pendingRule{}, false
+			return false
 		}
-		pr.pos = appendUniqFact(pr.pos, f)
+		e.addUniq(f, e.nh)
 	}
+	e.np = len(e.lits) - e.nh
 	for _, a := range r.Neg {
-		e.scratch = groundAtomInto(e.scratch, a, e.subst)
-		f := relational.Fact{Pred: a.Pred, Args: e.scratch}
+		f := e.ground(a)
 		if e.st.facts.has(f) {
-			return pendingRule{}, false
+			return false
 		}
 		if !e.st.poss.has(f) {
 			continue
 		}
-		pr.neg = appendUniqFact(pr.neg, f)
+		e.addUniq(f, e.nh+e.np)
 	}
-	return pr, true
+	return true
 }
 
-// appendUniqFact appends f unless an equal fact is present, cloning its
-// tuple out of the caller's scratch storage on insert.
-func appendUniqFact(xs []relational.Fact, f relational.Fact) []relational.Fact {
-	for _, g := range xs {
-		if g.Equal(f) {
-			return xs
+// ground instantiates a under the substitution into the arena. The tuple
+// is capacity-capped, so later arena appends never overwrite it.
+func (e *emitter) ground(a term.Atom) relational.Fact {
+	start := len(e.arena)
+	for _, t := range a.Args {
+		if t.IsVar() {
+			e.arena = append(e.arena, e.subst[t.Var])
+		} else {
+			e.arena = append(e.arena, t.Const)
 		}
 	}
-	return append(xs, relational.Fact{Pred: f.Pred, Args: f.Args.Clone()})
+	end := len(e.arena)
+	return relational.Fact{Pred: a.Pred, Args: e.arena[start:end:end]}
 }
 
-// internRule interns one pending rule's atoms, returning the rule over their
-// ids.
-func internRule(in *interner, pr pendingRule) Rule {
-	var r Rule
-	for _, f := range pr.head {
-		r.Head = append(r.Head, in.intern(f))
+// addUniq appends f to the literals unless an equal one is in the part
+// starting at from.
+func (e *emitter) addUniq(f relational.Fact, from int) {
+	for _, g := range e.lits[from:] {
+		if g.Equal(f) {
+			return
+		}
 	}
-	for _, f := range pr.pos {
-		r.Pos = append(r.Pos, in.intern(f))
+	e.lits = append(e.lits, f)
+}
+
+// push interns the built instance's atoms, in literal order, and appends it
+// to raw as a new span.
+func (e *emitter) push(raw *rawSet) {
+	off := int32(len(raw.lits))
+	for _, f := range e.lits {
+		raw.lits = append(raw.lits, e.st.in.intern(f, false))
 	}
-	for _, f := range pr.neg {
-		r.Neg = append(r.Neg, in.intern(f))
-	}
-	return r
+	raw.spans = append(raw.spans, rawSpan{
+		off: off,
+		pos: off + int32(e.nh),
+		neg: off + int32(e.nh+e.np),
+		end: int32(len(raw.lits)),
+	})
 }

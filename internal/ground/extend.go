@@ -29,14 +29,15 @@ var ErrExtendConflict = errors.New("ground: extension head collides with a base 
 // Extension rules may chain (one extension rule's head feeding another's
 // body) and may be constraints.
 //
-// The returned program is byte-identical (Program.String, atom ids, rule
-// order) to grounding the base program with the extension rules appended.
-// Only the extension's rules and atoms are folded; the base atoms' folded
-// values are read from the snapshot, and no extension rule can change
-// them.
+// On a fresh grounding the returned program is byte-identical
+// (Program.String, atom ids, rule order) to grounding the base program with
+// the extension rules appended; on one that Update moved, it is equal to
+// that grounding up to atom numbering and rule order. Only the extension's
+// rules and atoms are folded; the base atoms' folded values are read from
+// the snapshot, and no extension rule can change them.
 // The receiver is not modified, and a base program may be extended
-// concurrently from multiple goroutines; extensions themselves are
-// extendable in turn.
+// concurrently from multiple goroutines between two of its Updates;
+// extensions themselves are extendable in turn.
 func (p *Program) Extend(rules []logic.Rule) (*Program, error) {
 	st := p.ext
 	if st == nil {
@@ -78,8 +79,8 @@ func (p *Program) Extend(rules []logic.Rule) (*Program, error) {
 		relational.Join(eg.fix, steps, subst, func() bool {
 			for _, h := range r.Head {
 				scratch = groundAtomInto(scratch, h, subst)
-				if eg.insertPossible(relational.Fact{Pred: h.Pred, Args: scratch}) {
-					delta = append(delta, eg.poss.facts[len(eg.poss.facts)-1])
+				if f, ok := eg.insertPossible(relational.Fact{Pred: h.Pred, Args: scratch}); ok {
+					delta = append(delta, f)
 				}
 			}
 			return true
@@ -111,7 +112,7 @@ func (p *Program) Extend(rules []logic.Rule) (*Program, error) {
 		val:       st.val[:len(st.val):len(st.val)],
 	}
 	ep := &Program{Facts: p.Facts[:len(p.Facts):len(p.Facts)]}
-	ep.Facts = append(ep.Facts, settle(child, emit(child, rules))...)
-	finish(ep, child, p.Names, p.Rules)
+	ep.Facts = append(ep.Facts, settle(child, emit(child, rules), len(child.val))...)
+	finish(ep, child, p.Rules)
 	return ep, nil
 }

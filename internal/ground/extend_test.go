@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/relational"
 	"repro/internal/term"
 )
 
@@ -41,7 +42,7 @@ func TestExtendConflictOnBaseRelation(t *testing.T) {
 }
 
 func TestExtendNoSnapshot(t *testing.T) {
-	handBuilt := &Program{Names: []string{"a"}, Rules: []Rule{{Head: []int{0}}}}
+	handBuilt := &Program{Atoms: []relational.Fact{{Pred: "a"}}, Rules: []Rule{{Head: []int{0}}}}
 	if _, err := handBuilt.Extend(nil); !errors.Is(err, ErrNoSnapshot) {
 		t.Errorf("err = %v, want ErrNoSnapshot", err)
 	}

@@ -20,6 +20,17 @@ func GroundWith(p *logic.Program, opts Options) (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	facts := make([]relational.Fact, len(p.Facts))
+	for i, a := range p.Facts {
+		facts[i] = groundFact(a)
+	}
+	return groundFacts(p.Rules, facts, opts), nil
+}
+
+// groundFacts grounds validated rules over the input facts, which it takes
+// ownership of (duplicates are absorbed). The rules are retained for
+// Update and must not change afterwards.
+func groundFacts(rules []logic.Rule, input []relational.Fact, opts Options) *Program {
 	g := &grounder{
 		opts:  opts,
 		fix:   relational.NewInstance(),
@@ -29,18 +40,17 @@ func GroundWith(p *logic.Program, opts Options) (*Program, error) {
 
 	// Seed: program facts are unconditionally true and possible.
 	var seedFacts []relational.Fact
-	for _, a := range p.Facts {
-		f := groundFact(a)
+	for _, f := range input {
 		if g.facts.add(f) {
 			seedFacts = append(seedFacts, f)
+			g.insertOwned(f)
 		}
-		g.insertPossible(f)
 	}
 
 	if opts.naive {
-		g.fixpointNaive(p.Rules)
+		g.fixpointNaive(rules)
 	} else {
-		g.fixpointSemiNaive(p.Rules)
+		g.fixpointSemiNaive(rules)
 	}
 
 	// Canonicalize: rebuild the possible set in sorted fact order, so rule
@@ -60,16 +70,18 @@ func GroundWith(p *logic.Program, opts Options) (*Program, error) {
 		facts:     g.facts,
 		in:        newInterner(),
 		rs:        newRuleSet(),
-		guardRels: guardRels(nil, p.Rules, canon),
+		guardRels: guardRels(nil, rules, canon),
+		base:      &baseState{rules: rules, opts: opts},
 	}
 	gp := &Program{}
 	for _, f := range seedFacts {
-		gp.Facts = append(gp.Facts, st.in.intern(f))
+		gp.Facts = append(gp.Facts, st.in.intern(f, true))
 		st.val = append(st.val, decidedTrue)
 	}
-	gp.Facts = append(gp.Facts, settle(st, emit(st, p.Rules))...)
-	finish(gp, st, nil, nil)
-	return gp, nil
+	st.base.raw = emit(st, rules)
+	gp.Facts = append(gp.Facts, settle(st, st.base.raw, 0)...)
+	finish(gp, st, nil)
+	return gp
 }
 
 // guardRels collects the relations an extension's rule heads must avoid:
@@ -97,16 +109,12 @@ func guardRels(base map[relational.RelKey]bool, rules []logic.Rule, canon *relat
 }
 
 // finish assembles the program from the grounding state. For an extension,
-// baseNames and baseRules are the parent program's slices, shared as
-// capacity-capped prefixes so appends never clobber the parent; the level's
-// ruleSet holds only the rules settled at this level.
-func finish(gp *Program, st *extState, baseNames []string, baseRules []Rule) {
+// baseRules is the parent program's rule slice, shared as a capacity-capped
+// prefix so appends never clobber the parent; the level's ruleSet holds
+// only the rules settled at this level.
+func finish(gp *Program, st *extState, baseRules []Rule) {
 	gp.Rules = append(baseRules[:len(baseRules):len(baseRules)], st.rs.rules...)
 	gp.Atoms = st.in.atoms
-	gp.Names = baseNames[:len(baseNames):len(baseNames)]
-	for _, f := range gp.Atoms[len(baseNames):] {
-		gp.Names = append(gp.Names, f.String())
-	}
 	gp.ext = st
 }
 
@@ -119,19 +127,28 @@ type grounder struct {
 	fix   *relational.Instance
 	poss  *factSet
 	facts *factSet
+	subst term.Subst // Update's rederivation scratch
 }
 
-// insertPossible adds a possible atom, reporting whether it was new. f may
-// alias scratch storage; it is cloned before being retained.
-func (g *grounder) insertPossible(f relational.Fact) bool {
-	h := f.Hash()
-	if g.poss.hasHash(f, h) {
-		return false
+// insertPossible adds a possible atom, returning its owned copy and
+// whether it was new. f may alias scratch storage; it is cloned before
+// being retained.
+func (g *grounder) insertPossible(f relational.Fact) (relational.Fact, bool) {
+	if g.poss.has(f) {
+		return relational.Fact{}, false
 	}
 	owned := relational.Fact{Pred: f.Pred, Args: f.Args.Clone()}
-	g.poss.buckets[h] = append(g.poss.buckets[h], int32(len(g.poss.facts)))
-	g.poss.facts = append(g.poss.facts, owned)
-	g.fix.Insert(owned)
+	g.insertOwned(owned)
+	return owned, true
+}
+
+// insertOwned adds a possible atom the caller hands over, reporting whether
+// it was new.
+func (g *grounder) insertOwned(f relational.Fact) bool {
+	if !g.poss.add(f) {
+		return false
+	}
+	g.fix.Insert(f)
 	return true
 }
 
@@ -144,12 +161,11 @@ func (g *grounder) insertPossible(f relational.Fact) bool {
 func (g *grounder) fixpointSemiNaive(rules []logic.Rule) {
 	subst := term.Subst{}
 	var scratch relational.Tuple
-	var delta []relational.Fact
 
 	// Round 0: the seeded facts, plus heads of rules with no positive
 	// body (their builtins, if any, are ground and decide applicability
 	// once).
-	delta = append(delta, g.poss.facts...)
+	delta := append([]relational.Fact(nil), g.poss.facts...)
 	for _, r := range rules {
 		if len(r.Head) == 0 || len(r.Pos) > 0 {
 			continue
@@ -159,9 +175,8 @@ func (g *grounder) fixpointSemiNaive(rules []logic.Rule) {
 		}
 		for _, h := range r.Head {
 			scratch = groundAtomInto(scratch, h, subst)
-			f := relational.Fact{Pred: h.Pred, Args: scratch}
-			if g.insertPossible(f) {
-				delta = append(delta, g.poss.facts[len(g.poss.facts)-1])
+			if f, ok := g.insertPossible(relational.Fact{Pred: h.Pred, Args: scratch}); ok {
+				delta = append(delta, f)
 			}
 		}
 	}
@@ -169,17 +184,26 @@ func (g *grounder) fixpointSemiNaive(rules []logic.Rule) {
 	g.semiNaiveRounds(rules, delta)
 }
 
-// semiNaiveRounds drives the delta rounds to fixpoint: each round joins
-// every rule through substitutions anchored on an atom of the previous
-// round's delta, each positive literal taking a turn as the anchor, and the
-// newly derived atoms form the next round's delta. Atoms derived within a
-// round are visible to the rest of the round (the possible-set instance
-// grows in place); they anchor joins themselves one round later.
+// semiNaiveRounds drives the delta rounds to fixpoint, inserting every
+// derived head atom into the possible set; the newly derived atoms form the
+// next round's delta.
 func (g *grounder) semiNaiveRounds(rules []logic.Rule, delta []relational.Fact) {
+	anchoredRounds(g.fix, rules, delta, g.insertPossible)
+}
+
+// anchoredRounds joins the rules with a head over inst in delta rounds:
+// each round joins every such rule through substitutions anchored on an
+// atom of the round's delta, each positive literal taking a turn as the
+// anchor, and hands every instantiated head atom (aliasing scratch storage)
+// to derive, which returns the owned atom that joins the next round's
+// delta, or false. Atoms derive adds to inst within a round are visible to
+// the rest of the round; they anchor joins themselves one round later.
+func anchoredRounds(inst *relational.Instance, rules []logic.Rule, delta []relational.Fact, derive func(relational.Fact) (relational.Fact, bool)) {
 	subst := term.Subst{}
 	var scratch relational.Tuple
 	var restbuf [8]term.Atom
 	var prebuf [8]string
+	var boundbuf [8]string
 	for len(delta) > 0 {
 		byRel := make(map[relational.RelKey][]relational.Fact)
 		for _, f := range delta {
@@ -199,18 +223,18 @@ func (g *grounder) semiNaiveRounds(rules []logic.Rule, delta []relational.Fact) 
 				}
 				rest := append(restbuf[:0], r.Pos[:ai]...)
 				rest = append(rest, r.Pos[ai+1:]...)
-				steps, ready := relational.PlanJoin(g.fix, rest, r.Builtins, anchor.Vars(prebuf[:0]))
+				steps, ready := relational.PlanJoin(inst, rest, r.Builtins, anchor.Vars(prebuf[:0]))
 				for _, f := range group {
-					bound, ok := relational.MatchAtom(f.Args, anchor, subst)
+					bound, ok := relational.MatchInto(boundbuf[:0], f.Args, anchor, subst)
 					if !ok {
 						continue
 					}
 					if relational.BuiltinsHold(ready, subst) {
-						relational.Join(g.fix, steps, subst, func() bool {
+						relational.Join(inst, steps, subst, func() bool {
 							for _, h := range r.Head {
 								scratch = groundAtomInto(scratch, h, subst)
-								if g.insertPossible(relational.Fact{Pred: h.Pred, Args: scratch}) {
-									next = append(next, g.poss.facts[len(g.poss.facts)-1])
+								if f, ok := derive(relational.Fact{Pred: h.Pred, Args: scratch}); ok {
+									next = append(next, f)
 								}
 							}
 							return true
@@ -243,7 +267,7 @@ func (g *grounder) fixpointNaive(rules []logic.Rule) {
 				}
 				for _, h := range r.Head {
 					scratch = groundAtomInto(scratch, h, subst)
-					if g.insertPossible(relational.Fact{Pred: h.Pred, Args: scratch}) {
+					if _, ok := g.insertPossible(relational.Fact{Pred: h.Pred, Args: scratch}); ok {
 						changed = true
 					}
 				}

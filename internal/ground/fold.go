@@ -1,5 +1,7 @@
 package ground
 
+import "sort"
+
 // truth is an atom's value as decided by folding: true and false atoms
 // hold in every stable model or in none, and no emitted rule mentions them.
 type truth uint8
@@ -17,12 +19,13 @@ const (
 	occNeg
 )
 
-// settle folds the rules one grounding level just emitted (raw, in
+// settle folds the live rule instances of one grounding level (raw, in
 // emission order) into the level's rule set and returns the atoms it
-// decides true, ascending. The level owns the atom ids from len(st.val)
-// up; every lower id is an input fact or belongs to a parent level, and
-// its value is final: an extension's heads derive only fresh relations, so
-// no rule of this level can derive a parent atom.
+// decides true, ascending. The level owns the atom ids from lo up; every
+// lower id belongs to a parent level, and its value (in st.val) is final:
+// an extension's heads derive only fresh relations, so no rule of this
+// level can derive a parent atom. Atoms from lo up whose st.val is already
+// set (a base level's input facts) keep it; the rest start undecided.
 //
 // One linear propagation over per-atom occurrence lists and a work queue
 // decides the level's atoms:
@@ -33,22 +36,24 @@ const (
 //
 // where a rule dies once a head atom is true, a positive body atom false,
 // or a negated body atom true. The surviving rules keep only their
-// undecided literals, and rules that become equal merge into the first.
-// The result is a least fixpoint, so it does not depend on the order in
-// which the queue decides atoms (DESIGN §8).
-func settle(st *extState, raw []Rule) []int {
-	lo, n := len(st.val), len(st.in.atoms)
-	val := append(st.val, make([]truth, n-lo)...)
+// undecided literals, copied out of raw's slab into one slab of their own,
+// and rules that become equal merge into the first. The result is a least
+// fixpoint, so it does not depend on the order in which the queue decides
+// atoms (DESIGN §8).
+func settle(st *extState, raw *rawSet, lo int) []int {
+	n := len(st.in.atoms)
+	val := append(st.val, make([]truth, n-len(st.val))...)
 	st.val = val
 	local := func(a int) bool { return a >= lo && val[a] == undecided }
 
 	// pending counts a rule's undecided body literals, or is -1 once the
 	// rule is dead; heads counts the live rules with an atom in the head.
-	pending := make([]int32, len(raw))
+	pending := make([]int32, len(raw.spans))
 	heads := make([]int32, n-lo)
 	start := make([]int32, n-lo+1)
-	for ri, r := range raw {
-		if dead(val, r) {
+	for ri := range raw.spans {
+		r := raw.rule(ri)
+		if raw.spans[ri].dead || dead(val, r) {
 			pending[ri] = -1
 			continue
 		}
@@ -78,10 +83,11 @@ func settle(st *extState, raw []Rule) []int {
 		occ[fill[a-lo]] = int32(ri<<2 | kind)
 		fill[a-lo]++
 	}
-	for ri, r := range raw {
+	for ri := range raw.spans {
 		if pending[ri] < 0 {
 			continue
 		}
+		r := raw.rule(ri)
 		for _, a := range r.Head {
 			if local(a) {
 				add(a, ri, occHead)
@@ -99,19 +105,22 @@ func settle(st *extState, raw []Rule) []int {
 		}
 	}
 
-	var queue []int
+	var queue, trues []int
 	decide := func(a int, v truth) {
 		val[a] = v
 		queue = append(queue, a)
+		if v == decidedTrue {
+			trues = append(trues, a)
+		}
 	}
 	fire := func(ri int) {
-		if h := raw[ri].Head; len(h) == 1 && val[h[0]] == undecided {
+		if h := raw.rule(ri).Head; len(h) == 1 && val[h[0]] == undecided {
 			decide(h[0], decidedTrue)
 		}
 	}
 	kill := func(ri int) {
 		pending[ri] = -1
-		for _, a := range raw[ri].Head {
+		for _, a := range raw.rule(ri).Head {
 			if local(a) {
 				if heads[a-lo]--; heads[a-lo] == 0 {
 					decide(a, decidedFalse)
@@ -124,7 +133,7 @@ func settle(st *extState, raw []Rule) []int {
 			decide(a, decidedFalse)
 		}
 	}
-	for ri := range raw {
+	for ri := range raw.spans {
 		if pending[ri] == 0 {
 			fire(ri)
 		}
@@ -149,21 +158,28 @@ func settle(st *extState, raw []Rule) []int {
 		}
 	}
 
-	for ri, r := range raw {
+	// The surviving rules' literals, copied into one slab sized up front.
+	size := 0
+	for ri := range raw.spans {
+		if pending[ri] >= 0 {
+			r := raw.rule(ri)
+			size += len(r.Head) + countUndecided(val, r.Pos) + countUndecided(val, r.Neg)
+		}
+	}
+	slab := make([]int, 0, size)
+	for ri := range raw.spans {
 		if pending[ri] < 0 {
 			continue
 		}
-		r.Pos = keepUndecided(val, r.Pos)
-		r.Neg = keepUndecided(val, r.Neg)
-		st.rs.add(r)
+		r := raw.rule(ri)
+		var out Rule
+		slab, out.Head = keepUndecided(slab, val, r.Head)
+		slab, out.Pos = keepUndecided(slab, val, r.Pos)
+		slab, out.Neg = keepUndecided(slab, val, r.Neg)
+		st.rs.add(out)
 	}
-	var facts []int
-	for a := lo; a < n; a++ {
-		if val[a] == decidedTrue {
-			facts = append(facts, a)
-		}
-	}
-	return facts
+	sort.Ints(trues)
+	return trues
 }
 
 // dead reports whether the rule is satisfied or blocked by decided atoms
@@ -188,16 +204,29 @@ func dead(val []truth, r Rule) bool {
 	return false
 }
 
-// keepUndecided filters a rule part down to its undecided atoms in place.
-func keepUndecided(val []truth, part []int) []int {
-	kept := part[:0]
+// countUndecided counts a rule part's undecided atoms.
+func countUndecided(val []truth, part []int) int {
+	k := 0
 	for _, a := range part {
 		if val[a] == undecided {
-			kept = append(kept, a)
+			k++
 		}
 	}
-	if len(kept) == 0 {
-		return nil
+	return k
+}
+
+// keepUndecided appends a rule part's undecided atoms to slab and returns
+// the extended slab with the kept atoms as a capacity-capped part of it,
+// nil when none is kept.
+func keepUndecided(slab []int, val []truth, part []int) ([]int, []int) {
+	start := len(slab)
+	for _, a := range part {
+		if val[a] == undecided {
+			slab = append(slab, a)
+		}
 	}
-	return kept
+	if len(slab) == start {
+		return slab, nil
+	}
+	return slab, slab[start:len(slab):len(slab)]
 }

@@ -38,6 +38,12 @@
 // It folds only the new rules, reading the base atoms' values from the
 // snapshot, and the result is byte-identical to folding a monolithic
 // grounding.
+//
+// A base grounding can also follow a change of its input facts (update.go):
+// Update moves the possible set by delete-and-rederive, re-emits only the
+// rule instances that mention an atom whose possible or fact status
+// changed, and folds the live instances again. The result equals a fresh
+// grounding of the changed program up to atom numbering and rule order.
 package ground
 
 import (
@@ -59,8 +65,6 @@ type Options struct {
 
 // Program is a ground disjunctive program over interned atoms.
 type Program struct {
-	// Names renders each atom id.
-	Names []string
 	// Atoms maps each atom id back to predicate and arguments.
 	Atoms []relational.Fact
 	// Facts are atom ids that are unconditionally true: the input facts,
@@ -84,7 +88,7 @@ type Rule struct {
 }
 
 // NumAtoms returns the number of interned atoms.
-func (p *Program) NumAtoms() int { return len(p.Names) }
+func (p *Program) NumAtoms() int { return len(p.Atoms) }
 
 // String renders the ground program deterministically.
 func (p *Program) String() string {
@@ -92,21 +96,21 @@ func (p *Program) String() string {
 	facts := append([]int(nil), p.Facts...)
 	sort.Ints(facts)
 	for _, f := range facts {
-		b.WriteString(p.Names[f])
+		b.WriteString(p.Atoms[f].String())
 		b.WriteString(".\n")
 	}
 	for _, r := range p.Rules {
 		var parts []string
 		for _, h := range r.Head {
-			parts = append(parts, p.Names[h])
+			parts = append(parts, p.Atoms[h].String())
 		}
 		b.WriteString(strings.Join(parts, " v "))
 		var body []string
 		for _, a := range r.Pos {
-			body = append(body, p.Names[a])
+			body = append(body, p.Atoms[a].String())
 		}
 		for _, a := range r.Neg {
-			body = append(body, "not "+p.Names[a])
+			body = append(body, "not "+p.Atoms[a].String())
 		}
 		if len(body) > 0 {
 			if len(r.Head) > 0 {
@@ -159,12 +163,16 @@ func (in *interner) lookupHash(f relational.Fact, h uint64) (int, bool) {
 	return 0, false
 }
 
-// intern returns the id of f, assigning the next dense id if new. The fact
-// is stored as given; callers pass facts that own their tuples.
-func (in *interner) intern(f relational.Fact) int {
+// intern returns the id of f, assigning the next dense id if new. A new
+// atom is stored as given when owned is set, and otherwise with its tuple
+// cloned, so f may alias scratch storage.
+func (in *interner) intern(f relational.Fact, owned bool) int {
 	h := f.Hash()
 	if id, ok := in.lookupHash(f, h); ok {
 		return id
+	}
+	if !owned {
+		f.Args = f.Args.Clone()
 	}
 	id := len(in.atoms)
 	in.atoms = append(in.atoms, f)
@@ -215,6 +223,54 @@ func (s *factSet) add(f relational.Fact) bool {
 	s.buckets[h] = append(s.buckets[h], int32(len(s.facts)))
 	s.facts = append(s.facts, f)
 	return true
+}
+
+// get returns the stored fact equal to f, if any, looking at this level
+// only.
+func (s *factSet) get(f relational.Fact) (relational.Fact, bool) {
+	for _, i := range s.buckets[f.Hash()] {
+		if s.facts[i].Equal(f) {
+			return s.facts[i], true
+		}
+	}
+	return relational.Fact{}, false
+}
+
+// remove deletes f and returns the stored fact, reporting whether it was
+// present. The last fact moves into the freed slot, so facts stays dense
+// but loses its insertion order. Only a set without children may shrink
+// (Program.Update invalidates every extension of the program it moves).
+func (s *factSet) remove(f relational.Fact) (relational.Fact, bool) {
+	h := f.Hash()
+	b := s.buckets[h]
+	for j, i := range b {
+		if !s.facts[i].Equal(f) {
+			continue
+		}
+		stored := s.facts[i]
+		b[j] = b[len(b)-1]
+		if b = b[:len(b)-1]; len(b) == 0 {
+			delete(s.buckets, h)
+		} else {
+			s.buckets[h] = b
+		}
+		last := int32(len(s.facts) - 1)
+		if i != last {
+			moved := s.facts[last]
+			s.facts[i] = moved
+			mb := s.buckets[moved.Hash()]
+			for k := range mb {
+				if mb[k] == last {
+					mb[k] = i
+					break
+				}
+			}
+		}
+		s.facts[last] = relational.Fact{}
+		s.facts = s.facts[:last]
+		return stored, true
+	}
+	return relational.Fact{}, false
 }
 
 // ruleSet deduplicates ground rules. Equality treats each rule part as a

@@ -37,14 +37,14 @@ func appendBindings(dst []Binding, a term.Atom, subst term.Subst) []Binding {
 // caller can backtrack with Unbind; on a mismatch it unbinds what it bound
 // and reports false.
 func MatchAtom(tuple Tuple, a term.Atom, subst term.Subst) (bound []string, ok bool) {
-	return matchInto(nil, tuple, a, subst)
+	return MatchInto(nil, tuple, a, subst)
 }
 
-// matchInto is MatchAtom appending the newly bound variables to bound, so
-// that a scan can reuse one buffer for every tuple it matches. It returns
-// the extended buffer; on a mismatch it unbinds what it bound and returns
-// bound unextended.
-func matchInto(bound []string, tuple Tuple, a term.Atom, subst term.Subst) ([]string, bool) {
+// MatchInto is MatchAtom appending the newly bound variables to bound, so
+// that a caller matching many tuples can reuse one buffer for all of them.
+// It returns the extended buffer; on a mismatch it unbinds what it bound
+// and returns bound unextended.
+func MatchInto(bound []string, tuple Tuple, a term.Atom, subst term.Subst) ([]string, bool) {
 	mark := len(bound)
 	for i, t := range a.Args {
 		if !t.IsVar() {
@@ -209,7 +209,7 @@ func join(d *Instance, steps []JoinStep, subst term.Subst, bound []string, yield
 	cont := true
 	var bsbuf [8]Binding
 	d.Scan(st.Atom.Pred, st.Atom.Arity(), appendBindings(bsbuf[:0], st.Atom, subst), func(t Tuple) bool {
-		next, ok := matchInto(bound, t, st.Atom, subst)
+		next, ok := MatchInto(bound, t, st.Atom, subst)
 		if !ok {
 			return true
 		}

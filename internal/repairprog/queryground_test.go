@@ -91,12 +91,12 @@ func TestBaseGroundingCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gp.Names) < len(g1.Names) {
-		t.Fatalf("extension lost base atoms: %d < %d", len(gp.Names), len(g1.Names))
+	if len(gp.Atoms) < len(g1.Atoms) {
+		t.Fatalf("extension lost base atoms: %d < %d", len(gp.Atoms), len(g1.Atoms))
 	}
-	for id := range g1.Names {
-		if gp.Names[id] != g1.Names[id] {
-			t.Fatalf("atom id %d renamed by extension: %q vs %q", id, gp.Names[id], g1.Names[id])
+	for id := range g1.Atoms {
+		if !gp.Atoms[id].Equal(g1.Atoms[id]) {
+			t.Fatalf("atom id %d renamed by extension: %v vs %v", id, gp.Atoms[id], g1.Atoms[id])
 		}
 	}
 }

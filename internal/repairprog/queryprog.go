@@ -77,12 +77,14 @@ func (tr *Translation) annotates(pred string) bool {
 }
 
 // GroundWithQuery returns the ground program of Π(D, IC) ∪ Π(q): the
-// cached base grounding (BaseGrounding) extended with just the query rules,
-// so the per-query cost is grounding a handful of rules over the retained
+// base grounding (BaseGrounding) extended with just the query rules, so
+// the per-query cost is grounding a handful of rules over the retained
 // possible-set snapshot instead of re-grounding the whole repair program.
-// The result is byte-identical to a monolithic grounding of WithQuery(q):
-// the answer predicate is a generated name, so the base never holds it.
-// Safe for concurrent use: queries extend one shared frozen base.
+// The result equals a monolithic grounding of WithQuery(q), byte for byte
+// until a Rebase changes the base, and up to atom numbering and rule order
+// after: the answer predicate is a generated name, so the base never holds
+// it. Safe for concurrent use between Rebases: queries extend one shared
+// frozen base.
 func (tr *Translation) GroundWithQuery(q *query.Q) (*ground.Program, error) {
 	rules, err := tr.QueryRules(q)
 	if err != nil {
@@ -102,9 +104,12 @@ func (tr *Translation) WithQuery(q *query.Q) (*logic.Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	tr.mu.Lock()
+	prog := tr.program()
 	p := &logic.Program{
-		Facts: append([]term.Atom(nil), tr.Program.Facts...),
-		Rules: append(append([]logic.Rule(nil), tr.Program.Rules...), rules...),
+		Facts: append([]term.Atom(nil), prog.Facts...),
+		Rules: append(append([]logic.Rule(nil), prog.Rules...), rules...),
 	}
+	tr.mu.Unlock()
 	return p, nil
 }

@@ -80,17 +80,21 @@ func (v Variant) String() string {
 // Translation is a generated repair program with the metadata needed to
 // read repairs back from its stable models.
 type Translation struct {
+	// Program is Π(D, IC). After a Rebase its facts lag behind the base
+	// until BaseGrounding grounds it from scratch, Render or WithQuery
+	// reads it; read it directly only on a translation never rebased.
 	Program *logic.Program
 	Set     *constraint.Set
 	Variant Variant
 	// GroundOptions configures how Π(D, IC) is grounded. It must be set
 	// before the first call of BaseGrounding (directly or via
 	// StreamRepairs/GroundWithQuery); later changes have no effect, since
-	// the grounding is computed once and cached.
+	// the grounding is computed once and then maintained.
 	GroundOptions ground.Options
-	// base is the instance D the program was built from. Streamed repairs
-	// are emitted as copy-on-write overlays of it (see ModelReader), so it
-	// must not be mutated while the translation is in use.
+	// base is the instance D the program was built from, or the one the
+	// last Rebase moved it to. Streamed repairs are emitted as
+	// copy-on-write overlays of it (see ModelReader), so it must not be
+	// mutated while the translation is in use.
 	base *relational.Instance
 	// annOf maps each annotated base predicate to its annotated name, and
 	// annToBase maps it back.
@@ -107,12 +111,26 @@ type Translation struct {
 	// passthrough records the predicates whose base facts are copied
 	// verbatim into every repair (pruned unconstrained predicates).
 	passthrough map[string]bool
+	// ruled records the relations that carry rules 5–7.
+	ruled map[relational.RelKey]bool
 
-	// groundOnce guards the cached grounding of Π(D, IC), shared by every
-	// repair stream and query of this translation.
-	groundOnce sync.Once
+	// mu guards the grounding of Π(D, IC), shared by every repair stream
+	// and query of this translation, the base changes queued for it, and
+	// the program's facts.
+	mu         sync.Mutex
 	groundProg *ground.Program
 	groundErr  error
+	// pending holds the net base change since the grounding was last
+	// brought up to date, by fact key; factsStale is set while
+	// Program.Facts lags behind the base.
+	pending    map[string]pendingFact
+	factsStale bool
+}
+
+// pendingFact is one queued change of a base fact.
+type pendingFact struct {
+	fact  relational.Fact
+	added bool
 }
 
 // BuildOptions configures program generation.
@@ -180,6 +198,7 @@ func BuildWith(d *relational.Instance, set *constraint.Set, opts BuildOptions) (
 		annOf:     map[string]string{},
 		annToBase: map[string]string{},
 		generated: map[string]bool{},
+		ruled:     map[relational.RelKey]bool{},
 	}
 	if opts.PruneUnconstrained {
 		tr.annotated = map[string]bool{}
@@ -242,6 +261,7 @@ func BuildWith(d *relational.Instance, set *constraint.Set, opts BuildOptions) (
 		if !tr.annotates(sig.Name) {
 			continue
 		}
+		tr.ruled[relational.RelKey{Pred: sig.Name, Arity: sig.Arity}] = true
 		vars := freshVars("x", sig.Arity)
 		base := term.Atom{Pred: sig.Name, Args: vars}
 		tr.Program.Rules = append(tr.Program.Rules,
@@ -435,9 +455,8 @@ func (tr *Translation) StreamRepairs(opts stable.Options, yield func(inst *relat
 
 // StreamRepairsCtx is StreamRepairs under a context: cancellation aborts the
 // underlying stable-model enumeration (see stable.EnumerateCtx) and returns
-// ctx.Err(). The cached base grounding is never poisoned by cancellation —
-// it either completed (and is reused by the next call) or the sync.Once
-// never ran.
+// ctx.Err(). The base grounding is never poisoned by cancellation: it runs
+// to completion before the enumeration starts.
 func (tr *Translation) StreamRepairsCtx(ctx context.Context, opts stable.Options, yield func(inst *relational.Instance, delta relational.Delta, m stable.Model) bool) error {
 	gp, err := tr.BaseGrounding()
 	if err != nil {
@@ -450,14 +469,15 @@ func (tr *Translation) StreamRepairsCtx(ctx context.Context, opts stable.Options
 	})
 }
 
-// AffectedBy reports whether a base update invalidates this translation:
+// AffectedBy reports whether a base update changes the compiled program:
 // true iff some changed fact belongs to an annotated relation, whose facts
-// are compiled into the program (rule 1) and its cached grounding, or to a
-// relation named like one of the program's generated predicates, which a
-// rebuilt translation must rename. For an unpruned translation every
-// relation is annotated, so any non-empty delta invalidates it; a pruned
-// translation survives updates that touch only passthrough (unconstrained)
-// relations.
+// are compiled into the program (rule 1) and its grounding, or to a
+// relation named like one of the program's generated predicates. For an
+// unpruned translation every relation is annotated, so any non-empty delta
+// changes it; a pruned translation is unchanged by updates that touch only
+// passthrough (unconstrained) relations. A change to an annotated fact
+// always changes the instances of its rule 5, so the program's stable
+// models, and the repairs they induce, must be read again.
 func (tr *Translation) AffectedBy(delta relational.Delta) bool {
 	touched := func(fs []relational.Fact) bool {
 		for _, f := range fs {
@@ -471,22 +491,36 @@ func (tr *Translation) AffectedBy(delta relational.Delta) bool {
 }
 
 // Rebase swaps the translation's base for newBase, where delta is the
-// change between the two. It refuses (returns false) when AffectedBy(delta)
-// — the compiled program would be stale — and otherwise repoints the base
-// and registers any newly appearing relations as passthrough, leaving the
-// program and its cached grounding intact.
+// change between the two, and queues delta for the grounding: the next
+// BaseGrounding folds every queued change into it (ground.Program.Update)
+// instead of grounding Π(D, IC) again, so Rebase itself costs O(|Δ|). It
+// refuses (returns false), changing nothing, when the compiled rules
+// cannot absorb delta: a fact names a generated predicate, which a
+// rebuilt translation must rename, or a fact of an annotated relation has
+// no rules 5–7 yet (on an unpruned translation, any relation D did not
+// have). The caller then builds a new translation. Otherwise newly
+// appearing unconstrained relations of a pruned translation become
+// passthrough relations.
 //
-// After a rebase, repair streams are coherent: ModelReader rebuilds its
-// edit lists from the current base per call, edits touch only annotated
-// relations, and passthrough facts ride the new base. The one stale
-// surface is GroundWithQuery: query rules mentioning a drifted passthrough
-// relation ground its atoms against the retained snapshot, so callers must
-// track which passthrough relations have drifted since Build and rebuild
-// the translation before compiling such a query.
+// After a rebase, repair streams and query groundings read the new base:
+// ModelReader rebuilds its edit lists from the current base per call,
+// edits touch only annotated relations, and passthrough facts ride the
+// new base and, through the queued change, the grounding that query rules
+// are ground against. Rebase must not run concurrently with other uses of
+// the translation.
 func (tr *Translation) Rebase(newBase *relational.Instance, delta relational.Delta) bool {
-	if tr.AffectedBy(delta) {
-		return false
+	for _, fs := range [2][]relational.Fact{delta.Removed, delta.Added} {
+		for _, f := range fs {
+			if tr.generated[f.Pred] {
+				return false
+			}
+			if tr.annotates(f.Pred) && !tr.ruled[relational.RelKey{Pred: f.Pred, Arity: len(f.Args)}] {
+				return false
+			}
+		}
 	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
 	tr.base = newBase
 	if tr.passthrough != nil {
 		for _, f := range delta.Added {
@@ -495,18 +529,76 @@ func (tr *Translation) Rebase(newBase *relational.Instance, delta relational.Del
 			}
 		}
 	}
+	if delta.Size() == 0 {
+		return true
+	}
+	tr.factsStale = true
+	if tr.groundProg == nil {
+		return true // the first grounding reads the base as it is then
+	}
+	if tr.pending == nil {
+		tr.pending = map[string]pendingFact{}
+	}
+	queue := func(f relational.Fact, added bool) {
+		k := f.Key()
+		if p, ok := tr.pending[k]; ok && p.added != added {
+			delete(tr.pending, k) // undoes the queued change
+			return
+		}
+		tr.pending[k] = pendingFact{fact: f, added: added}
+	}
+	for _, f := range delta.Removed {
+		queue(f, false)
+	}
+	for _, f := range delta.Added {
+		queue(f, true)
+	}
 	return true
 }
 
-// BaseGrounding grounds Π(D, IC) once per Translation and caches the
-// result; every repair stream and query of the translation shares it. The
-// returned program retains its grounding snapshot, so per-query rules can
-// be grounded against it with ground.Extend instead of re-grounding the
-// repair program. Safe for concurrent use.
+// program returns Π(D, IC) with its facts brought up to the current base.
+// The caller holds tr.mu.
+func (tr *Translation) program() *logic.Program {
+	if tr.factsStale {
+		tr.Program.Facts = nil
+		tr.Program.AddInstance(tr.base)
+		tr.factsStale = false
+	}
+	return tr.Program
+}
+
+// BaseGrounding returns the grounding of Π(D, IC) that every repair stream
+// and query of the translation shares: ground once, then moved across each
+// base change Rebase queued (ground.Program.Update), so the program
+// returned is the grounding of the current base's program up to atom
+// numbering and rule order. The returned program retains its grounding
+// snapshot, so per-query rules can be grounded against it with
+// ground.Extend instead of re-grounding the repair program. A call that
+// folds queued changes in invalidates every extension of the returned
+// program built before it. Safe for concurrent use between Rebases.
 func (tr *Translation) BaseGrounding() (*ground.Program, error) {
-	tr.groundOnce.Do(func() {
-		tr.groundProg, tr.groundErr = ground.GroundWith(tr.Program, tr.GroundOptions)
-	})
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	switch {
+	case tr.groundProg == nil && tr.groundErr == nil:
+		tr.groundProg, tr.groundErr = ground.GroundWith(tr.program(), tr.GroundOptions)
+	case tr.groundProg != nil && len(tr.pending) > 0:
+		var added, removed []relational.Fact
+		for _, p := range tr.pending {
+			if p.added {
+				added = append(added, p.fact)
+			} else {
+				removed = append(removed, p.fact)
+			}
+		}
+		tr.pending = nil
+		// Sorted, so atom numbering is a function of the changes alone.
+		relational.SortFacts(added)
+		relational.SortFacts(removed)
+		if err := tr.groundProg.Update(added, removed); err != nil {
+			tr.groundProg, tr.groundErr = nil, err
+		}
+	}
 	return tr.groundProg, tr.groundErr
 }
 
@@ -592,9 +684,12 @@ func GuaranteedHCF(set *constraint.Set) bool {
 // Render prints the program with a rule-group commentary matching
 // Definition 9's numbering, for cmd/repairgen and the examples.
 func (tr *Translation) Render() string {
+	tr.mu.Lock()
+	prog := tr.program()
+	tr.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%% repair program Π(D, IC), variant=%s\n", tr.Variant)
 	fmt.Fprintf(&b, "%% annotations: ta=advised true, fa=advised false, ts=t*, tss=t**\n")
-	b.WriteString(tr.Program.String())
+	b.WriteString(prog.String())
 	return b.String()
 }

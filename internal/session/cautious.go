@@ -21,13 +21,18 @@ type cautiousBackend struct {
 	programBackend
 	// repairs is the distinct-repair count of tr's program (0 = not yet
 	// counted). The first query that solves every component counts it;
-	// it is dropped with tr and kept across Rebase and reanchor, which
-	// leave the program and its grounding unchanged.
+	// it is dropped by every apply that changes the program's rule
+	// instances (Translation.AffectedBy) and kept across passthrough
+	// applies and reanchor, which leave them unchanged.
 	repairs int
 }
 
-// apply drops the repair count together with a stale translation.
+// apply drops the repair count when the delta changes the program, then
+// queues the delta on the translation.
 func (b *cautiousBackend) apply(eff relational.Delta) {
+	if b.tr != nil && b.tr.AffectedBy(eff) {
+		b.repairs = 0
+	}
 	b.programBackend.apply(eff)
 	if b.tr == nil {
 		b.repairs = 0
@@ -37,9 +42,7 @@ func (b *cautiousBackend) apply(eff relational.Delta) {
 // plan returns nil: standing queries are re-answered by cautious reasoning.
 func (b *cautiousBackend) plan(*query.Q) (*query.BaseEval, error) { return nil, nil }
 
-// certain answers q over the cached translation. A query mentioning a
-// passthrough relation that drifted since the translation was built
-// rebuilds the translation first (see programBackend.trDirty).
+// certain answers q over the cached translation.
 //
 // The query rules are ground against the retained possible-set snapshot,
 // and the ground program is split into its components (DESIGN §5.2).
@@ -58,14 +61,6 @@ func (b *cautiousBackend) plan(*query.Q) (*query.BaseEval, error) { return nil, 
 // and each other component then needs one model, or the cached count, to
 // show that the program has a stable model at all.
 func (b *cautiousBackend) certain(ctx context.Context, q *query.Q) (Answer, error) {
-	if len(b.trDirty) > 0 {
-		for _, name := range q.Preds() {
-			if b.trDirty[name] {
-				b.tr, b.trDirty, b.repairs = nil, nil, 0
-				break
-			}
-		}
-	}
 	tr, err := b.translation()
 	if err != nil {
 		return Answer{}, err

@@ -12,7 +12,7 @@ import (
 
 // programBackend implements EngineProgram: repairs are read off the stable
 // models of the Definition 9 repair program Π(D, IC). It owns the cached
-// translation, whose base grounding repairprog.Translation retains, and
+// translation, whose base grounding repairprog.Translation maintains, and
 // keeps it coherent across updates; cautiousBackend embeds it for that
 // upkeep.
 type programBackend struct {
@@ -20,31 +20,16 @@ type programBackend struct {
 	// pruned builds the translation over the constrained relations only
 	// (passthrough relations ride the base); set for the cautious engine.
 	pruned bool
-	// tr is the cached translation. trDirty tracks passthrough relations
-	// that drifted since it was built — the one surface
-	// repairprog.Translation.Rebase cannot keep coherent is query-rule
-	// grounding over drifted passthrough relations, so cautious queries
-	// mentioning a dirty relation rebuild the translation first.
-	tr      *repairprog.Translation
-	trDirty map[string]bool
+	// tr is the cached translation.
+	tr *repairprog.Translation
 }
 
-// apply drops the translation when the compiled program went stale,
-// otherwise rebases it and remembers which passthrough relations drifted.
+// apply queues the effective delta on the translation, which folds it into
+// its grounding at the next read, or drops the translation when its rules
+// cannot absorb the delta (repairprog.Translation.Rebase).
 func (b *programBackend) apply(eff relational.Delta) {
-	if b.tr == nil {
-		return
-	}
-	if b.tr.AffectedBy(eff) {
-		b.tr, b.trDirty = nil, nil
-		return
-	}
-	b.tr.Rebase(b.s.head.Current(), eff)
-	if b.trDirty == nil {
-		b.trDirty = map[string]bool{}
-	}
-	for _, f := range eff.Facts() {
-		b.trDirty[f.Pred] = true
+	if b.tr != nil && !b.tr.Rebase(b.s.head.Current(), eff) {
+		b.tr = nil
 	}
 }
 
@@ -68,7 +53,7 @@ func (b *programBackend) translation() (*repairprog.Translation, error) {
 		return nil, err
 	}
 	tr.GroundOptions = s.opts.Ground
-	b.tr, b.trDirty = tr, nil
+	b.tr = tr
 	return tr, nil
 }
 

@@ -125,7 +125,8 @@ type Answer struct {
 	// cautious engine never inspects a repair: its count is the product
 	// over the ground program's components of the distinct repair pieces
 	// their models induce, saturating at math.MaxInt, and a session
-	// computes it once per repair-program translation.
+	// computes it again after every update that changes the repair
+	// program.
 	NumRepairs int
 	// StatesExplored counts the search states visited when the search
 	// engine produced the answer (0 for the program engines). After a

@@ -1,11 +1,15 @@
 package stable
 
+import "repro/internal/ground"
+
 // This file turns one component into an incremental stream of its stable
 // models, on a single CDCL solver. The solver is dual-rail:
 //
-//   - variables 0..n-1 ("originals") carry the component's classical models:
-//     one clause per rule, units for facts, negative units for underivable
-//     atoms — exactly the old clausify;
+//   - variables 0..n-1 ("originals") carry the component's supported
+//     classical models: one clause per rule, units for facts, negative
+//     units for underivable atoms, and the supportedness clauses of
+//     addSupport (with one fresh variable per rule of an atom that heads
+//     several);
 //   - variables n..2n-1 ("shadows") carry candidate submodels of the
 //     Gelfond–Lifschitz reduct: for every rule, the clause
 //     ⋁_{b∈Neg} b  ∨  ⋁_{h∈Head} h'  ∨  ⋁_{b∈Pos} ¬b'
@@ -29,9 +33,9 @@ package stable
 // clauses, saved phases and the retained trail — the rebuild-per-candidate
 // behaviour the persistent solver replaces.
 
-// candidateBudget counts the candidate solves of one enumeration call
-// against Options.MaxCandidates; every component enumerator of the call
-// charges the same budget.
+// candidateBudget counts the candidate solves of one enumeration call that
+// yield a candidate against Options.MaxCandidates; every component
+// enumerator of the call charges the same budget.
 type candidateBudget struct {
 	n, max int
 }
@@ -110,7 +114,67 @@ func newEnumerator(c *component, bud *candidateBudget, stop func() bool, scratch
 			e.addClause([]int{neg(e.sh(a))})
 		}
 	}
+	e.addSupport(isFact)
 	return e
+}
+
+// addSupport restricts the original rail to supported models: a true atom
+// that is not a fact heads a rule whose positive body is true, whose
+// negated atoms are false and whose other head atoms are false. For each
+// such atom a it adds a → ⋁_r sup(r, a). An atom with one rule gets one
+// binary clause per literal of sup(r, a); an atom with several rules gets a
+// fresh variable per rule, implying that rule's literals, and one clause
+// a → ⋁ of them. Every stable model of a disjunctive program is supported
+// (Lee & Lifschitz 2003), and a stable model is minimal among the
+// classical models, so it stays minimal under the extra clauses: the
+// block-and-minimize loop still reaches it, and isStable still decides
+// every candidate (DESIGN §5.1).
+func (e *enumerator) addSupport(isFact []bool) {
+	rulesOf := make([][]int, e.n)
+	for ri, r := range e.comp.rules {
+		for _, h := range r.Head {
+			if !isFact[h] {
+				rulesOf[h] = append(rulesOf[h], ri)
+			}
+		}
+	}
+	// support appends the literals sup(r, a) implies.
+	support := func(dst []int, r ground.Rule, a int) []int {
+		for _, b := range r.Pos {
+			dst = append(dst, pos(b))
+		}
+		for _, b := range r.Neg {
+			dst = append(dst, neg(b))
+		}
+		for _, h := range r.Head {
+			if h != a {
+				dst = append(dst, neg(h))
+			}
+		}
+		return dst
+	}
+	var lits, any []int
+	for a, rs := range rulesOf {
+		switch len(rs) {
+		case 0:
+		case 1:
+			lits = support(lits[:0], e.comp.rules[rs[0]], a)
+			for _, l := range lits {
+				e.addClause([]int{neg(a), l})
+			}
+		default:
+			any = append(any[:0], neg(a))
+			for _, ri := range rs {
+				s := e.newVar()
+				any = append(any, pos(s))
+				lits = support(lits[:0], e.comp.rules[ri], a)
+				for _, l := range lits {
+					e.addClause([]int{neg(s), l})
+				}
+			}
+			e.addClause(any)
+		}
+	}
 }
 
 // addClause registers a clause with the persistent solver, or appends it to
@@ -167,12 +231,14 @@ func (e *enumerator) solve(assumps []int) bool {
 // candidate budget ran out (then e.err is ErrCandidateLimit).
 func (e *enumerator) next() (m Model, ok bool) {
 	for !e.done {
-		if !e.bud.take() {
-			e.err = ErrCandidateLimit
+		if !e.solve(nil) {
 			e.done = true
 			break
 		}
-		if !e.solve(nil) {
+		// Only a solve that yields a candidate is charged: the one that
+		// proves the component exhausted is free.
+		if !e.bud.take() {
+			e.err = ErrCandidateLimit
 			e.done = true
 			break
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ground"
 	"repro/internal/logic"
+	"repro/internal/relational"
 	"repro/internal/term"
 )
 
@@ -29,7 +30,7 @@ func decodeProgram(data []byte) (*ground.Program, []bool) {
 	p := &ground.Program{}
 	answer := make([]bool, n)
 	for a := 0; a < n; a++ {
-		p.Names = append(p.Names, fmt.Sprintf("p%d", a))
+		p.Atoms = append(p.Atoms, relational.Fact{Pred: fmt.Sprintf("p%d", a)})
 		answer[a] = mask(1)&(1<<a) != 0
 		if mask(2)&(1<<a) != 0 {
 			p.Facts = append(p.Facts, a)
@@ -134,7 +135,7 @@ func propositional(p *ground.Program) *logic.Program {
 	atoms := func(ids []int) []term.Atom {
 		var out []term.Atom
 		for _, a := range ids {
-			out = append(out, term.Atom{Pred: p.Names[a]})
+			out = append(out, term.Atom{Pred: p.Atoms[a].Pred})
 		}
 		return out
 	}
@@ -147,12 +148,12 @@ func propositional(p *ground.Program) *logic.Program {
 
 // namedModels renders models as a sorted list of sorted atom-name sets, so
 // models of two numberings of one program compare equal.
-func namedModels(names []string, ms []Model) []string {
+func namedModels(atoms []relational.Fact, ms []Model) []string {
 	out := make([]string, len(ms))
 	for i, m := range ms {
 		ns := make([]string, len(m))
 		for j, a := range m {
-			ns[j] = names[a]
+			ns[j] = atoms[a].String()
 		}
 		slices.Sort(ns)
 		out[i] = strings.Join(ns, " ")
@@ -176,7 +177,7 @@ func checkFold(t *testing.T, data []byte) bool {
 	if err != nil {
 		t.Fatalf("Models: %v\n%s", err, gp)
 	}
-	got, want := namedModels(gp.Names, ms), namedModels(p.Names, bruteStable(p))
+	got, want := namedModels(gp.Atoms, ms), namedModels(p.Atoms, bruteStable(p))
 	if !slices.Equal(got, want) {
 		t.Fatalf("folded program has models %q, want %q\n--- program\n%s--- folded\n%s", got, want, p, gp)
 	}

@@ -46,7 +46,6 @@ func IsHCF(p *ground.Program) bool {
 // (Ben-Eliyahu & Dechter 1994); for non-HCF programs it may lose models.
 func Shift(p *ground.Program) *ground.Program {
 	out := &ground.Program{
-		Names: p.Names,
 		Atoms: p.Atoms,
 		Facts: append([]int(nil), p.Facts...),
 	}

@@ -24,9 +24,11 @@ import (
 
 // Options bounds the enumeration.
 type Options struct {
-	// MaxCandidates caps the number of candidate solver calls of one
-	// Enumerate or Components.Solve call (0 = DefaultMaxCandidates);
-	// exceeding it returns ErrCandidateLimit. Components are solved on
+	// MaxCandidates caps the number of candidate solver calls that yield
+	// a candidate in one Enumerate or Components.Solve call (0 =
+	// DefaultMaxCandidates); the call that finds a component exhausted is
+	// not charged. Exceeding it returns ErrCandidateLimit. Components are
+	// solved on
 	// demand, so where the limit hits is a pure function of the program
 	// and of how far the consumer reads.
 	MaxCandidates int

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ground"
 	"repro/internal/logic"
+	"repro/internal/relational"
 	"repro/internal/term"
 )
 
@@ -28,7 +29,7 @@ func modelNames(gp *ground.Program, ms []Model) [][]string {
 	out := make([][]string, len(ms))
 	for i, m := range ms {
 		for _, a := range m {
-			out[i] = append(out[i], gp.Names[a])
+			out[i] = append(out[i], gp.Atoms[a].String())
 		}
 	}
 	return out
@@ -205,7 +206,7 @@ func TestCautiousAndBrave(t *testing.T) {
 	// cm and seed are cautious; a and b only brave (true in some model).
 	cautNames := map[string]bool{}
 	for _, a := range caut {
-		cautNames[gp.Names[a]] = true
+		cautNames[gp.Atoms[a].String()] = true
 	}
 	if !cautNames["cm"] || !cautNames["seed"] || cautNames["a"] || cautNames["b"] {
 		t.Errorf("cautious = %v", cautNames)
@@ -213,7 +214,7 @@ func TestCautiousAndBrave(t *testing.T) {
 	brave := map[string]bool{}
 	for _, m := range ms {
 		for _, a := range m {
-			brave[gp.Names[a]] = true
+			brave[gp.Atoms[a].String()] = true
 		}
 	}
 	if len(brave) != 4 || !brave["a"] || !brave["b"] {
@@ -317,7 +318,7 @@ func bruteMinimalReduct(p *ground.Program, m Model) bool {
 			reduct = append(reduct, ground.Rule{Head: r.Head, Pos: r.Pos})
 		}
 	}
-	reductProg := &ground.Program{Names: p.Names, Atoms: p.Atoms, Facts: p.Facts, Rules: reduct}
+	reductProg := &ground.Program{Atoms: p.Atoms, Facts: p.Facts, Rules: reduct}
 	k := len(m)
 	for sub := 0; sub < 1<<k; sub++ {
 		if sub == (1<<k)-1 {
@@ -422,7 +423,7 @@ func modelKey(m Model) string {
 func randomGroundProgramClean(rng *rand.Rand, nAtoms int) *ground.Program {
 	p := &ground.Program{}
 	for a := 0; a < nAtoms; a++ {
-		p.Names = append(p.Names, string(rune('a'+a)))
+		p.Atoms = append(p.Atoms, relational.Fact{Pred: string(rune('a' + a))})
 	}
 	for a := 0; a < nAtoms; a++ {
 		if rng.Intn(4) == 0 {

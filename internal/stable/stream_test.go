@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ground"
 	"repro/internal/logic"
+	"repro/internal/relational"
 	"repro/internal/term"
 )
 
@@ -55,9 +56,9 @@ func handGround(p *logic.Program) *ground.Program {
 			name := a.String()
 			id, ok := ids[name]
 			if !ok {
-				id = len(gp.Names)
+				id = len(gp.Atoms)
 				ids[name] = id
-				gp.Names = append(gp.Names, name)
+				gp.Atoms = append(gp.Atoms, groundAtom(a))
 			}
 			out = append(out, id)
 		}
@@ -317,7 +318,7 @@ func TestComponentDecomposition(t *testing.T) {
 	// core facts and the components are exactly the disjunction pairs.
 	names := make([]string, len(core))
 	for i, a := range core {
-		names[i] = gp.Names[a]
+		names[i] = gp.Atoms[a].String()
 	}
 	if len(core) != 2 {
 		t.Fatalf("core facts = %v, want [lonely seed]", names)
@@ -419,4 +420,13 @@ func TestSolverLearnsAcrossSolves(t *testing.T) {
 		return
 	}
 	t.Fatal("level-0 UNSAT must latch solver.ok = false")
+}
+
+// groundAtom reads a ground program atom as a fact.
+func groundAtom(a term.Atom) relational.Fact {
+	args := make(relational.Tuple, len(a.Args))
+	for i, t := range a.Args {
+		args[i] = t.Const
+	}
+	return relational.Fact{Pred: a.Pred, Args: args}
 }
